@@ -35,6 +35,20 @@ pub struct Eviction {
     pub dirty: bool,
 }
 
+/// A resolved way: where one resident line's state lives in the cache's
+/// lanes. [`Cache::probe_slot`], [`Cache::lookup`] and [`Cache::fill_slot`]
+/// return it, so a caller that must read or update the line's MESI state
+/// right after finding it does so without scanning the set again.
+///
+/// A slot names a way, not a line: it is valid only until the next
+/// [`Cache::fill`]/[`Cache::fill_slot`], snoop invalidation or
+/// [`Cache::flush`] on the same cache. Debug builds check every use.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Slot {
+    index: usize,
+    tag: u64,
+}
+
 /// Hit/miss statistics for one cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -303,18 +317,24 @@ impl Cache {
     /// their own helpers.
     #[inline]
     pub fn probe(&mut self, addr: u64, is_write: bool) -> bool {
+        self.probe_slot(addr, is_write).is_some()
+    }
+
+    /// [`Cache::probe`], returning the hit line's [`Slot`].
+    #[inline]
+    pub fn probe_slot(&mut self, addr: u64, is_write: bool) -> Option<Slot> {
         self.clock += 1;
         let (set, tag) = self.line_index(addr);
         let ways = self.config.ways;
         self.stats.accesses += 1;
         match self.find_way(set * ways, ways, tag) {
-            Some(i) => {
-                self.probe_hit(i, is_write);
-                true
+            Some(index) => {
+                self.probe_hit(index, is_write);
+                Some(Slot { index, tag })
             }
             None => {
                 self.probe_miss(set);
-                false
+                None
             }
         }
     }
@@ -354,9 +374,24 @@ impl Cache {
 
     /// Returns whether `addr` is resident, without updating any state.
     pub fn contains(&self, addr: u64) -> bool {
+        self.lookup(addr).is_some()
+    }
+
+    /// The [`Slot`] holding `addr`, if resident, without updating any
+    /// state.
+    #[inline]
+    pub fn lookup(&self, addr: u64) -> Option<Slot> {
         let (set, tag) = self.line_index(addr);
         let ways = self.config.ways;
-        self.find_way(set * ways, ways, tag).is_some()
+        self.find_way(set * ways, ways, tag)
+            .map(|index| Slot { index, tag })
+    }
+
+    /// Debug-checks that `slot` still names the line it was resolved for.
+    #[inline]
+    fn slot_index(&self, slot: Slot) -> usize {
+        debug_assert_eq!(self.tags[slot.index], slot.tag, "stale cache slot");
+        slot.index
     }
 
     /// Installs `addr` after a miss, returning the eviction (if a valid
@@ -364,7 +399,19 @@ impl Cache {
     ///
     /// `Pinned` fills are demoted to `Normal` when the set already holds
     /// the per-set pin cap of pinned lines (the 75% rule).
+    #[inline]
     pub fn fill(&mut self, addr: u64, dirty: bool, priority: InsertPriority) -> Option<Eviction> {
+        self.fill_slot(addr, dirty, priority).1
+    }
+
+    /// [`Cache::fill`], also returning the [`Slot`] the line now occupies
+    /// (the refreshed way when it was already resident).
+    pub fn fill_slot(
+        &mut self,
+        addr: u64,
+        dirty: bool,
+        priority: InsertPriority,
+    ) -> (Slot, Option<Eviction>) {
         self.clock += 1;
         let clock = self.clock;
         let (set, tag) = self.line_index(addr);
@@ -433,7 +480,7 @@ impl Cache {
             if dirty {
                 self.meta[i] |= META_DIRTY;
             }
-            return None;
+            return (Slot { index: i, tag }, None);
         }
 
         // Victim selection: an invalid way wins outright (invalid ways hold
@@ -530,7 +577,8 @@ impl Cache {
                 0
             };
         self.stats.fills += 1;
-        if ev_meta & META_VALID != 0 {
+        let slot = Slot { index: victim, tag };
+        let eviction = if ev_meta & META_VALID != 0 {
             // SHiP feedback: a line evicted without re-reference votes its
             // signature down.
             if self.config.policy == ReplacementPolicy::Ship && ev_meta & META_OUTCOME == 0 {
@@ -548,7 +596,8 @@ impl Cache {
             })
         } else {
             None
-        }
+        };
+        (slot, eviction)
     }
 
     /// Demotes every pinned line to distant priority (called when the
@@ -592,12 +641,14 @@ impl Cache {
     /// The MESI state of the line holding `addr`; `Invalid` when the line
     /// is not resident. No stats or replacement-state impact.
     pub fn coh_state(&self, addr: u64) -> MesiState {
-        let (set, tag) = self.line_index(addr);
-        let ways = self.config.ways;
-        match self.find_way(set * ways, ways, tag) {
-            Some(i) => MesiState::from_lane(self.coh[i]),
-            None => MesiState::Invalid,
-        }
+        self.lookup(addr)
+            .map_or(MesiState::Invalid, |slot| self.slot_coh_state(slot))
+    }
+
+    /// The MESI state of the line in `slot`.
+    #[inline]
+    pub fn slot_coh_state(&self, slot: Slot) -> MesiState {
+        MesiState::from_lane(self.coh[self.slot_index(slot)])
     }
 
     /// Sets the MESI state of the resident line holding `addr`, keeping the
@@ -605,18 +656,25 @@ impl Cache {
     /// on eviction, a downgraded line must not — the snoop flush already
     /// updated memory). Returns whether the line was found.
     pub fn set_coh_state(&mut self, addr: u64, state: MesiState) -> bool {
-        let (set, tag) = self.line_index(addr);
-        let ways = self.config.ways;
-        if let Some(i) = self.find_way(set * ways, ways, tag) {
-            self.coh[i] = state as u8;
-            if state == MesiState::Modified {
-                self.meta[i] |= META_DIRTY;
-            } else {
-                self.meta[i] &= !META_DIRTY;
+        match self.lookup(addr) {
+            Some(slot) => {
+                self.set_slot_coh_state(slot, state);
+                true
             }
-            return true;
+            None => false,
         }
-        false
+    }
+
+    /// [`Cache::set_coh_state`] for the line in `slot`.
+    #[inline]
+    pub fn set_slot_coh_state(&mut self, slot: Slot, state: MesiState) {
+        let i = self.slot_index(slot);
+        self.coh[i] = state as u8;
+        if state == MesiState::Modified {
+            self.meta[i] |= META_DIRTY;
+        } else {
+            self.meta[i] &= !META_DIRTY;
+        }
     }
 
     /// Removes the line holding `addr` in response to a coherence snoop.
@@ -624,23 +682,26 @@ impl Cache {
     /// flush; memory is updated by the coherence engine, not here). No
     /// demand-stats impact beyond the snoop counters.
     pub fn snoop_invalidate(&mut self, addr: u64) -> bool {
-        let (set, tag) = self.line_index(addr);
-        let ways = self.config.ways;
-        if let Some(i) = self.find_way(set * ways, ways, tag) {
-            let dirty = self.meta[i] & META_DIRTY != 0;
-            self.tags[i] = TAG_INVALID;
-            self.lru[i] = 0;
-            self.rrpv[i] = 0;
-            self.sigs[i] = 0;
-            self.meta[i] = 0;
-            self.coh[i] = 0;
-            self.stats.snoop_invalidations += 1;
-            if dirty {
-                self.stats.snoop_writebacks += 1;
-            }
-            return dirty;
+        self.lookup(addr)
+            .is_some_and(|slot| self.snoop_invalidate_slot(slot))
+    }
+
+    /// [`Cache::snoop_invalidate`] for the line in `slot`, which the call
+    /// consumes (the way is empty afterwards).
+    pub fn snoop_invalidate_slot(&mut self, slot: Slot) -> bool {
+        let i = self.slot_index(slot);
+        let dirty = self.meta[i] & META_DIRTY != 0;
+        self.tags[i] = TAG_INVALID;
+        self.lru[i] = 0;
+        self.rrpv[i] = 0;
+        self.sigs[i] = 0;
+        self.meta[i] = 0;
+        self.coh[i] = 0;
+        self.stats.snoop_invalidations += 1;
+        if dirty {
+            self.stats.snoop_writebacks += 1;
         }
-        false
+        dirty
     }
 
     /// Invalidates the whole cache (contents only; stats are kept).

@@ -601,7 +601,7 @@ impl Hierarchy {
 
     /// Warm-path twin of [`Hierarchy::issue_stride_prefetches`]: fills and
     /// tracks the prefetched lines, warms their DRAM rows, drops evictions.
-    fn warm_stride_prefetches(&mut self, reqs: Vec<crate::prefetch::PrefetchRequest>) {
+    fn warm_stride_prefetches(&mut self, reqs: crate::prefetch::PrefetchRun) {
         for req in reqs {
             let target = req.addr & !(self.config.l3.line_bytes - 1);
             if self.l3.contains(target) {
@@ -644,7 +644,7 @@ impl Hierarchy {
         }
     }
 
-    fn issue_stride_prefetches(&mut self, reqs: Vec<crate::prefetch::PrefetchRequest>, t_mem: u64) {
+    fn issue_stride_prefetches(&mut self, reqs: crate::prefetch::PrefetchRun, t_mem: u64) {
         for req in reqs {
             let target = req.addr & !(self.config.l3.line_bytes - 1);
             if self.l3.contains(target) {

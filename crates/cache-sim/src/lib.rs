@@ -35,7 +35,7 @@ pub mod hierarchy;
 pub mod pin;
 pub mod prefetch;
 
-pub use crate::cache::{Cache, CacheStats, Eviction, InsertPriority};
+pub use crate::cache::{Cache, CacheStats, Eviction, InsertPriority, Slot};
 pub use crate::coherence::{
     local_next, snoop_transition, BusConfig, BusOp, BusStats, MesiState, SnoopAction, SnoopBus,
 };
@@ -43,4 +43,4 @@ pub use crate::config::{CacheConfig, ReplacementPolicy};
 pub use crate::dram_cache::{DramCache, DramCacheConfig, DramCacheStats};
 pub use crate::hierarchy::{Hierarchy, HierarchyConfig, XmemContext, XmemMode};
 pub use crate::pin::{select_pinned, PinCandidate, PIN_FRACTION};
-pub use crate::prefetch::{MultiStridePrefetcher, PrefetchRequest, PrefetchStats};
+pub use crate::prefetch::{MultiStridePrefetcher, PrefetchRequest, PrefetchRun, PrefetchStats};

@@ -13,6 +13,40 @@ pub struct PrefetchRequest {
     pub addr: u64,
 }
 
+/// The prefetches one training step issues: `left` targets `stride` bytes
+/// apart, starting at `next`. Returned by value, so training on the
+/// demand path allocates nothing.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PrefetchRun {
+    next: u64,
+    stride: i64,
+    left: usize,
+}
+
+impl Iterator for PrefetchRun {
+    type Item = PrefetchRequest;
+
+    #[inline]
+    fn next(&mut self) -> Option<PrefetchRequest> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let addr = self.next;
+        // Wrapping: the step past the last (counted) target may leave the
+        // address space; it is never yielded.
+        self.next = self.next.wrapping_add_signed(self.stride);
+        Some(PrefetchRequest { addr })
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for PrefetchRun {}
+
 /// Statistics for a prefetcher.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PrefetchStats {
@@ -70,10 +104,10 @@ struct StreamEntry {
 /// use cache_sim::prefetch::MultiStridePrefetcher;
 ///
 /// let mut pf = MultiStridePrefetcher::new(16, 2);
-/// assert!(pf.train(0x1000).is_empty());   // first touch
-/// assert!(pf.train(0x1040).is_empty());   // stride candidate
-/// let reqs = pf.train(0x1080);            // stride confirmed
-/// assert_eq!(reqs[0].addr, 0x10c0);
+/// assert_eq!(pf.train(0x1000).len(), 0);  // first touch
+/// assert_eq!(pf.train(0x1040).len(), 0);  // stride candidate
+/// let mut reqs = pf.train(0x1080);        // stride confirmed
+/// assert_eq!(reqs.next().unwrap().addr, 0x10c0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct MultiStridePrefetcher {
@@ -109,7 +143,7 @@ impl MultiStridePrefetcher {
     }
 
     /// Observes a demand access and returns the prefetches to issue.
-    pub fn train(&mut self, addr: u64) -> Vec<PrefetchRequest> {
+    pub fn train(&mut self, addr: u64) -> PrefetchRun {
         self.clock += 1;
         let clock = self.clock;
         let region = addr / REGION_BYTES;
@@ -135,7 +169,7 @@ impl MultiStridePrefetcher {
                     lru: clock,
                     valid: true,
                 };
-                return Vec::new();
+                return PrefetchRun::default();
             }
         };
 
@@ -144,30 +178,30 @@ impl MultiStridePrefetcher {
         let delta = addr as i64 - entry.last_addr as i64;
         entry.last_addr = addr;
         if delta == 0 {
-            return Vec::new();
+            return PrefetchRun::default();
         }
         if delta == entry.stride {
             entry.confidence = (entry.confidence + 1).min(CONF_MAX);
         } else {
             entry.stride = delta;
             entry.confidence = 0;
-            return Vec::new();
+            return PrefetchRun::default();
         }
         if entry.confidence < CONF_THRESHOLD {
-            return Vec::new();
+            return PrefetchRun::default();
         }
         let stride = entry.stride;
-        let mut reqs = Vec::with_capacity(degree);
-        for k in 1..=degree as i64 {
-            let target = addr as i64 + stride * k;
-            if target >= 0 {
-                reqs.push(PrefetchRequest {
-                    addr: target as u64,
-                });
-            }
+        // Targets below address 0 are dropped; they are monotone in `k`,
+        // so the kept ones are a prefix of the run.
+        let left = (1..=degree as i64)
+            .take_while(|&k| addr as i64 + stride * k >= 0)
+            .count();
+        self.stats.issued += left as u64;
+        PrefetchRun {
+            next: addr.wrapping_add_signed(stride),
+            stride,
+            left,
         }
-        self.stats.issued += reqs.len() as u64;
-        reqs
     }
 
     /// Records that a previously prefetched line was demanded.
@@ -197,7 +231,7 @@ mod tests {
         let mut pf = MultiStridePrefetcher::new(4, 2);
         pf.train(0);
         pf.train(64);
-        let reqs = pf.train(128);
+        let reqs: Vec<_> = pf.train(128).collect();
         assert_eq!(reqs.len(), 2);
         assert_eq!(reqs[0].addr, 192);
         assert_eq!(reqs[1].addr, 256);
@@ -208,9 +242,19 @@ mod tests {
         let mut pf = MultiStridePrefetcher::new(4, 1);
         pf.train(1024);
         pf.train(960);
-        let reqs = pf.train(896);
+        let reqs: Vec<_> = pf.train(896).collect();
         assert_eq!(reqs.len(), 1);
         assert_eq!(reqs[0].addr, 832);
+    }
+
+    #[test]
+    fn negative_run_stops_at_address_zero() {
+        let mut pf = MultiStridePrefetcher::new(4, 4);
+        pf.train(256);
+        pf.train(192);
+        let reqs: Vec<u64> = pf.train(128).map(|r| r.addr).collect();
+        assert_eq!(reqs, [64, 0]);
+        assert_eq!(pf.stats().issued, 2);
     }
 
     #[test]
@@ -223,10 +267,10 @@ mod tests {
             pf.train(base_a + i * 64);
             pf.train(base_b + i * 128);
         }
-        let ra = pf.train(base_a + 4 * 64);
-        let rb = pf.train(base_b + 4 * 128);
-        assert_eq!(ra[0].addr, base_a + 5 * 64);
-        assert_eq!(rb[0].addr, base_b + 5 * 128);
+        let ra = pf.train(base_a + 4 * 64).next().unwrap();
+        let rb = pf.train(base_b + 4 * 128).next().unwrap();
+        assert_eq!(ra.addr, base_a + 5 * 64);
+        assert_eq!(rb.addr, base_b + 5 * 128);
     }
 
     #[test]
@@ -247,11 +291,11 @@ mod tests {
         let mut pf = MultiStridePrefetcher::new(4, 1);
         pf.train(0);
         pf.train(64);
-        assert!(!pf.train(128).is_empty());
+        assert_ne!(pf.train(128).len(), 0);
         // Change the stride: the new delta must repeat once before
         // prefetching resumes.
-        assert!(pf.train(128 + 256).is_empty());
-        assert!(!pf.train(128 + 512).is_empty());
+        assert_eq!(pf.train(128 + 256).len(), 0);
+        assert_ne!(pf.train(128 + 512).len(), 0);
     }
 
     #[test]
@@ -263,7 +307,7 @@ mod tests {
         pf.train(1 << 20); // region X evicts region 2
                            // Region 0 still trained.
         pf.train(128);
-        assert!(!pf.train(192).is_empty());
+        assert_ne!(pf.train(192).len(), 0);
     }
 
     #[test]
@@ -282,7 +326,7 @@ mod tests {
         pf.train(0);
         pf.train(64);
         pf.flush();
-        assert!(pf.train(128).is_empty());
-        assert!(pf.train(192).is_empty());
+        assert_eq!(pf.train(128).len(), 0);
+        assert_eq!(pf.train(192).len(), 0);
     }
 }

@@ -248,8 +248,14 @@ impl Core {
 
     /// The core's current notion of time (cycle at which everything issued
     /// so far will have completed).
+    #[inline]
     pub fn now(&self) -> u64 {
-        let frontend = self.issued.div_ceil(self.config.issue_width as u64);
+        // `issued.div_ceil(width)`; the co-run scheduler polls this per op,
+        // so power-of-two widths round up with a shift and a mask test.
+        let frontend = match self.width_shift {
+            Some(s) => (self.issued >> s) + u64::from(self.issued & ((1 << s) - 1) != 0),
+            None => self.issued.div_ceil(self.config.issue_width as u64),
+        };
         frontend.max(self.max_completion).max(self.retire_frontier)
     }
 
@@ -580,6 +586,37 @@ mod tests {
         assert_eq!(stats.total_load_latency, 0);
         // Front-end bound only: 49 instructions at 4-wide.
         assert_eq!(stats.cycles, 49u64.div_ceil(4));
+    }
+
+    #[test]
+    fn now_front_end_matches_div_ceil_for_every_width() {
+        // SplitMix64 (this crate has no RNG dependency): values of every
+        // magnitude and residue, plus the edges a round-up can get wrong.
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for width in 1..=8u32 {
+            let mut c = Core::new(CoreConfig {
+                issue_width: width,
+                ..CoreConfig::westmere_like()
+            });
+            let w = u64::from(width);
+            let edges = [0, 1, w - 1, w, w + 1, u64::MAX - 1, u64::MAX];
+            let random = (0..2_000).map(|i| next() >> (i % 64));
+            for issued in edges.into_iter().chain(random) {
+                c.issued = issued;
+                assert_eq!(
+                    c.now(),
+                    issued.div_ceil(w),
+                    "width {width}, issued {issued}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -10,16 +10,19 @@
 //! when neither level holds it anymore.
 //!
 //! [`mesi_access`] performs one timed access: probe L1, then L2, then
-//! broadcast on the bus and snoop every peer domain. It returns what the
+//! broadcast on the bus and snoop every peer domain. It reports what the
 //! *caller* must settle — coherence writebacks to sink toward memory, and
 //! whether the line must come from memory at all (peers with an M/E copy
-//! supply it cache-to-cache instead). `sim::multicore` sinks writebacks
+//! supply it cache-to-cache instead) — in a [`CoherentAccess`] the caller
+//! owns and reuses, so an access allocates nothing. A line's MESI state is
+//! read and written through the [`Slot`] its probe or fill resolved, so
+//! each level's set is scanned once per line, not once per state access. `sim::multicore` sinks writebacks
 //! into the shared L3/DRAM; [`CoherentCluster`] — the protocol-test
 //! harness — sinks them into a flat value-tracked memory so litmus and
 //! fuzz tests can assert the SWMR and data-value invariants after every
 //! single transaction.
 
-use cache_sim::cache::{Cache, Eviction, InsertPriority};
+use cache_sim::cache::{Cache, Eviction, InsertPriority, Slot};
 use cache_sim::coherence::{local_next, snoop_transition, BusOp, MesiState, SnoopAction, SnoopBus};
 use cache_sim::config::CacheConfig;
 use cache_sim::{BusConfig, BusStats, ReplacementPolicy};
@@ -43,8 +46,9 @@ pub struct MesiDomains<'a> {
 }
 
 /// The outcome of one coherent access, including everything the caller
-/// must settle against its memory model.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// must settle against its memory model. [`mesi_access`] overwrites every
+/// field, keeping the lists' capacity, so one value serves every access.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoherentAccess {
     /// Cycles spent in the private levels and on the bus. When
     /// [`from_memory`](Self::from_memory) is set the caller adds its
@@ -79,11 +83,16 @@ fn snoop_peers(
         if j == requester {
             continue;
         }
-        let s1 = d.l1s[j].coh_state(line);
+        let l1 = d.l1s[j].lookup(line);
+        let s1 = l1.map_or(MesiState::Invalid, |s| d.l1s[j].slot_coh_state(s));
+        // L2 is resolved only when L1 cannot answer, or below when the
+        // transition must update it.
+        let mut l2: Option<Slot> = None;
         let state = if s1 != MesiState::Invalid {
             s1
         } else {
-            d.l2s[j].coh_state(line)
+            l2 = d.l2s[j].lookup(line);
+            l2.map_or(MesiState::Invalid, |s| d.l2s[j].slot_coh_state(s))
         };
         if state == MesiState::Invalid {
             continue;
@@ -101,14 +110,25 @@ fn snoop_peers(
                 d.bus.note_writeback();
             }
         }
+        if next != state && s1 != MesiState::Invalid {
+            l2 = d.l2s[j].lookup(line);
+        }
         if next == MesiState::Invalid {
-            d.l1s[j].snoop_invalidate(line);
-            d.l2s[j].snoop_invalidate(line);
+            if let Some(s) = l1 {
+                d.l1s[j].snoop_invalidate_slot(s);
+            }
+            if let Some(s) = l2 {
+                d.l2s[j].snoop_invalidate_slot(s);
+            }
             d.bus.note_invalidation();
             acc.invalidated.push((j, line));
         } else if next != state {
-            d.l1s[j].set_coh_state(line, next);
-            d.l2s[j].set_coh_state(line, next);
+            if let Some(s) = l1 {
+                d.l1s[j].set_slot_coh_state(s, next);
+            }
+            if let Some(s) = l2 {
+                d.l2s[j].set_slot_coh_state(s, next);
+            }
         }
         sharers = true;
     }
@@ -137,27 +157,26 @@ fn settle_eviction(
 
 /// One coherent access by `core` to `pa` at time `now`: the requester-side
 /// and snooper-side MESI transitions of `cache_sim::coherence`, played out
-/// over the real caches with bus timing.
+/// over the real caches with bus timing. The outcome overwrites `acc`.
 pub fn mesi_access(
     d: &mut MesiDomains<'_>,
     core: usize,
     pa: u64,
     is_write: bool,
     now: u64,
-) -> CoherentAccess {
+    acc: &mut CoherentAccess,
+) {
     let line = pa & !(d.line_bytes - 1);
-    let mut acc = CoherentAccess {
-        latency: 0,
-        from_memory: false,
-        writebacks: Vec::new(),
-        invalidated: Vec::new(),
-        supplier: None,
-        state: MesiState::Invalid,
-    };
+    acc.latency = 0;
+    acc.from_memory = false;
+    acc.writebacks.clear();
+    acc.invalidated.clear();
+    acc.supplier = None;
+    acc.state = MesiState::Invalid;
 
     // ── L1 hit ──────────────────────────────────────────────────────────
-    if d.l1s[core].probe(pa, is_write) {
-        let state = d.l1s[core].coh_state(pa);
+    if let Some(s1) = d.l1s[core].probe_slot(pa, is_write) {
+        let state = d.l1s[core].slot_coh_state(s1);
         debug_assert_ne!(state, MesiState::Invalid, "resident line without state");
         // `others` only matters from I, which a hit excludes.
         let (next, bus_op) = local_next(state, is_write, false);
@@ -165,65 +184,64 @@ pub fn mesi_access(
         if let Some(op) = bus_op {
             debug_assert_eq!(op, BusOp::Upgr, "only S→M upgrades broadcast on a hit");
             lat += d.bus.transact(op, now);
-            snoop_peers(d, core, line, op, &mut acc);
+            snoop_peers(d, core, line, op, acc);
         }
         if next != state {
-            d.l1s[core].set_coh_state(line, next);
+            d.l1s[core].set_slot_coh_state(s1, next);
             d.l2s[core].set_coh_state(line, next);
         }
         acc.latency = lat;
         acc.state = next;
-        return acc;
+        return;
     }
 
     // ── L2 hit: state lives in L2; refill L1 alongside ──────────────────
-    if d.l2s[core].probe(pa, false) {
-        let state = d.l2s[core].coh_state(pa);
+    if let Some(s2) = d.l2s[core].probe_slot(pa, false) {
+        let state = d.l2s[core].slot_coh_state(s2);
         debug_assert_ne!(state, MesiState::Invalid, "resident line without state");
         let (next, bus_op) = local_next(state, is_write, false);
         let mut lat = d.l1_lat + d.l2_lat;
         if let Some(op) = bus_op {
             debug_assert_eq!(op, BusOp::Upgr, "only S→M upgrades broadcast on a hit");
             lat += d.bus.transact(op, now);
-            snoop_peers(d, core, line, op, &mut acc);
+            snoop_peers(d, core, line, op, acc);
         }
-        d.l2s[core].set_coh_state(line, next);
-        let ev = d.l1s[core].fill(line, false, InsertPriority::Normal);
+        d.l2s[core].set_slot_coh_state(s2, next);
+        let (s1, ev) = d.l1s[core].fill_slot(line, false, InsertPriority::Normal);
         if let Some(ev) = ev {
             let still = d.l2s[core].contains(ev.addr);
-            settle_eviction(core, ev, still, d.bus, &mut acc);
+            settle_eviction(core, ev, still, d.bus, acc);
         }
-        d.l1s[core].set_coh_state(line, next);
+        d.l1s[core].set_slot_coh_state(s1, next);
         acc.latency = lat;
         acc.state = next;
-        return acc;
+        return;
     }
 
     // ── private miss: broadcast, snoop, fill both levels ────────────────
     let op = if is_write { BusOp::RdX } else { BusOp::Rd };
     let mut lat = d.l1_lat + d.l2_lat + d.bus.transact(op, now);
-    let sharers = snoop_peers(d, core, line, op, &mut acc);
+    let sharers = snoop_peers(d, core, line, op, acc);
     let (next, _) = local_next(MesiState::Invalid, is_write, sharers);
     if acc.supplier.is_some() {
         lat += d.bus.cache_to_cache();
     } else {
         acc.from_memory = true;
     }
-    let ev = d.l2s[core].fill(line, false, InsertPriority::Normal);
+    let (s2, ev) = d.l2s[core].fill_slot(line, false, InsertPriority::Normal);
     if let Some(ev) = ev {
         let still = d.l1s[core].contains(ev.addr);
-        settle_eviction(core, ev, still, d.bus, &mut acc);
+        settle_eviction(core, ev, still, d.bus, acc);
     }
-    d.l2s[core].set_coh_state(line, next);
-    let ev = d.l1s[core].fill(line, false, InsertPriority::Normal);
+    d.l2s[core].set_slot_coh_state(s2, next);
+    let (s1, ev) = d.l1s[core].fill_slot(line, false, InsertPriority::Normal);
     if let Some(ev) = ev {
         let still = d.l2s[core].contains(ev.addr);
-        settle_eviction(core, ev, still, d.bus, &mut acc);
+        settle_eviction(core, ev, still, d.bus, acc);
     }
-    d.l1s[core].set_coh_state(line, next);
+    d.l1s[core].set_slot_coh_state(s1, next);
     acc.latency = lat;
     acc.state = next;
-    acc
 }
 
 /// A self-contained coherent multicore cluster over a flat value-tracked
@@ -251,6 +269,8 @@ pub struct CoherentCluster {
     line_bytes: u64,
     memory: BTreeMap<u64, u64>,
     copies: BTreeMap<(usize, u64), u64>,
+    /// Reused outcome buffer for [`mesi_access`].
+    acc: CoherentAccess,
 }
 
 impl CoherentCluster {
@@ -272,6 +292,7 @@ impl CoherentCluster {
             line_bytes: l1.line_bytes,
             memory: BTreeMap::new(),
             copies: BTreeMap::new(),
+            acc: CoherentAccess::default(),
         }
     }
 
@@ -306,14 +327,8 @@ impl CoherentCluster {
 
     /// One access, with the writeback/invalidation settlement the caller
     /// of [`mesi_access`] owes: flushed M lines update `memory` *before*
-    /// dropped copies leave `copies`.
-    fn settle_access(
-        &mut self,
-        core: usize,
-        addr: u64,
-        is_write: bool,
-        now: u64,
-    ) -> CoherentAccess {
+    /// dropped copies leave `copies`. The outcome is left in `self.acc`.
+    fn settle_access(&mut self, core: usize, addr: u64, is_write: bool, now: u64) {
         let mut d = MesiDomains {
             l1s: &mut self.l1s,
             l2s: &mut self.l2s,
@@ -322,23 +337,22 @@ impl CoherentCluster {
             l2_lat: self.l2_lat,
             line_bytes: self.line_bytes,
         };
-        let acc = mesi_access(&mut d, core, addr, is_write, now);
-        for &(j, line) in &acc.writebacks {
+        mesi_access(&mut d, core, addr, is_write, now, &mut self.acc);
+        for &(j, line) in &self.acc.writebacks {
             if let Some(&v) = self.copies.get(&(j, line)) {
                 self.memory.insert(line, v);
             }
         }
-        for &(j, line) in &acc.invalidated {
+        for &(j, line) in &self.acc.invalidated {
             self.copies.remove(&(j, line));
         }
-        acc
     }
 
     /// A load by `core`: returns `(value, latency)`.
     pub fn read(&mut self, core: usize, addr: u64, now: u64) -> (u64, u64) {
         let line = self.line_of(addr);
         let had = self.copies.contains_key(&(core, line));
-        let acc = self.settle_access(core, addr, false, now);
+        self.settle_access(core, addr, false, now);
         let value = if had {
             self.copies[&(core, line)]
         } else {
@@ -349,18 +363,26 @@ impl CoherentCluster {
             self.copies.insert((core, line), v);
             v
         };
-        let mem = if acc.from_memory { self.mem_lat } else { 0 };
-        (value, acc.latency + mem)
+        let mem = if self.acc.from_memory {
+            self.mem_lat
+        } else {
+            0
+        };
+        (value, self.acc.latency + mem)
     }
 
     /// A store of `value` by `core`: returns the latency.
     pub fn write(&mut self, core: usize, addr: u64, value: u64, now: u64) -> u64 {
         let line = self.line_of(addr);
-        let acc = self.settle_access(core, addr, true, now);
-        debug_assert_eq!(acc.state, MesiState::Modified, "a store must end in M");
+        self.settle_access(core, addr, true, now);
+        debug_assert_eq!(self.acc.state, MesiState::Modified, "a store must end in M");
         self.copies.insert((core, line), value);
-        let mem = if acc.from_memory { self.mem_lat } else { 0 };
-        acc.latency + mem
+        let mem = if self.acc.from_memory {
+            self.mem_lat
+        } else {
+            0
+        };
+        self.acc.latency + mem
     }
 
     /// The domain state of `core` for the line holding `addr`.

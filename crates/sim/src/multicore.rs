@@ -10,6 +10,22 @@
 //! earliest in simulated time, so accesses from different cores interleave
 //! at the shared L3 and memory controller in timestamp order.
 //!
+//! # Scheduling
+//!
+//! The earliest live core by `(now, core index)` runs — ties go to the
+//! lower index — and keeps running, through its free hint events and its
+//! ops, until another live core's key is strictly smaller. While one core
+//! runs no other core's key can change, so the driver scans the cores once
+//! per switch rather than once per op, and the interleaving is exactly the
+//! one that re-picking the earliest core after every op would produce.
+//!
+//! # Address translation
+//!
+//! Each core's recorded VAs map to the machine's through that core's
+//! (recorded base → actual base) ranges, one per replayed `Alloc`, and then
+//! through the page table. A recorded VA outside every range panics with
+//! the core and VA: a malformed log must not alias another core's frames.
+//!
 //! # Renaming and shared segments
 //!
 //! Atom IDs and virtual addresses from different workloads are renamed
@@ -35,12 +51,12 @@
 //! the shared L3/DRAM; coherence writebacks and invalidations surface in
 //! [`CorunReport::bus`] and the per-cache snoop counters.
 
-use crate::coherence::{mesi_access, MesiDomains};
+use crate::coherence::{mesi_access, CoherentAccess, MesiDomains};
 use crate::config::{CoherenceMode, FramePolicyKind, MultiCoreConfig};
 use cache_sim::cache::{Cache, CacheStats, Eviction, InsertPriority};
 use cache_sim::coherence::{BusStats, SnoopBus};
 use cache_sim::pin::{select_pinned, PinCandidate};
-use cache_sim::prefetch::MultiStridePrefetcher;
+use cache_sim::prefetch::{MultiStridePrefetcher, PrefetchRun};
 use cache_sim::XmemMode;
 use cpu_sim::batch::{MemoryPath, OpAttrs};
 use cpu_sim::core::{Core, CoreStats};
@@ -104,12 +120,13 @@ struct SharedMem {
     mode: XmemMode,
     coherence: CoherenceMode,
     bus: SnoopBus,
+    /// Reused outcome buffer for [`mesi_access`].
+    coh_acc: CoherentAccess,
     pinned: Vec<AtomId>,
     /// Atoms excluded from pinning (coherence-aware placement: migratory
     /// shared data whose lines bounce between private caches anyway).
     pin_exempt: BTreeSet<AtomId>,
     last_epoch: u64,
-    inflight_prefetches: BTreeSet<u64>,
     l1_lat: u64,
     l2_lat: u64,
     l3_lat: u64,
@@ -205,9 +222,6 @@ impl SharedMem {
             if let Some(ev) = self.l3.fill(target, false, priority) {
                 self.writeback_shared(ev, t_mem);
             }
-            if self.inflight_prefetches.len() < (1 << 16) {
-                self.inflight_prefetches.insert(target);
-            }
         }
     }
 
@@ -247,7 +261,6 @@ impl SharedMem {
             .unwrap_or_default();
 
         if l3_hit {
-            self.inflight_prefetches.remove(&line_addr);
             if let Some(ev) = self.l2s[core].fill(line_addr, false, InsertPriority::Normal) {
                 if ev.dirty && !self.l3.set_dirty(ev.addr) {
                     let _ = self.dram.serve(ev.addr, OpAttrs::write(), now);
@@ -321,14 +334,14 @@ impl SharedMem {
             l2_lat: self.l2_lat,
             line_bytes: self.line_bytes,
         };
-        let acc = mesi_access(&mut domains, core, pa, is_write, now);
-        for &(_, wb) in &acc.writebacks {
+        mesi_access(&mut domains, core, pa, is_write, now, &mut self.coh_acc);
+        for &(_, wb) in &self.coh_acc.writebacks {
             if !self.l3.set_dirty(wb) {
                 let _ = self.dram.serve(wb, OpAttrs::write(), now);
             }
         }
-        if !acc.from_memory {
-            return acc.latency;
+        if !self.coh_acc.from_memory {
+            return self.coh_acc.latency;
         }
 
         if self.mode != XmemMode::Off {
@@ -339,7 +352,7 @@ impl SharedMem {
         } else {
             None
         };
-        let l3_total = acc.latency + self.l3_lat;
+        let l3_total = self.coh_acc.latency + self.l3_lat;
         let l3_hit = self.l3.probe(pa, false);
         let stride_reqs = self.stride_pfs[core]
             .as_mut()
@@ -347,7 +360,6 @@ impl SharedMem {
             .unwrap_or_default();
 
         if l3_hit {
-            self.inflight_prefetches.remove(&line_addr);
             self.issue_stride(stride_reqs, now + l3_total);
             return l3_total;
         }
@@ -383,7 +395,7 @@ impl SharedMem {
         l3_total + dram_lat
     }
 
-    fn issue_stride(&mut self, reqs: Vec<cache_sim::prefetch::PrefetchRequest>, t_mem: u64) {
+    fn issue_stride(&mut self, reqs: PrefetchRun, t_mem: u64) {
         for req in reqs {
             let target = req.addr & !(self.line_bytes - 1);
             if self.l3.contains(target) {
@@ -406,45 +418,51 @@ struct CoreMemView<'a> {
     ranges: &'a [(u64, u64, u64)],
 }
 
-/// Translates a recorded VA through a core's (recorded → actual) ranges.
-fn translate_va(ranges: &[(u64, u64, u64)], va: u64) -> u64 {
-    match ranges.binary_search_by(|&(base, _, _)| base.cmp(&va)) {
-        Ok(i) => ranges[i].2,
-        Err(0) => va, // untranslated (never allocated — will fault below)
-        Err(i) => {
-            let (base, len, actual) = ranges[i - 1];
-            if va < base + len {
-                actual + (va - base)
-            } else {
-                va
-            }
-        }
+#[cold]
+fn unallocated(core: usize, va: u64) -> ! {
+    panic!("core {core}: unallocated VA {va:#x}")
+}
+
+/// Translates a recorded VA through a core's (recorded → actual) ranges,
+/// sorted by recorded base. Panics, naming the core, when no range holds
+/// `va`.
+fn translate_va(ranges: &[(u64, u64, u64)], core: usize, va: u64) -> u64 {
+    let i = match ranges.binary_search_by(|&(base, _, _)| base.cmp(&va)) {
+        Ok(i) => i,
+        Err(0) => unallocated(core, va),
+        Err(i) => i - 1,
+    };
+    let (base, len, actual) = ranges[i];
+    if va >= base + len {
+        unallocated(core, va);
     }
+    actual + (va - base)
 }
 
 impl MemoryPath for CoreMemView<'_> {
     fn serve(&mut self, va: u64, attrs: OpAttrs, now: u64) -> u64 {
-        let actual_va = translate_va(self.ranges, va);
+        let actual_va = translate_va(self.ranges, self.core, va);
         let pa = self
             .mem
             .os
             .page_table()
             .translate(VirtAddr::new(actual_va))
-            .unwrap_or_else(|| panic!("core {}: unallocated VA {va:#x}", self.core));
+            .unwrap_or_else(|| unallocated(self.core, va));
         self.mem.serve_core(self.core, pa.raw(), attrs.write, now)
     }
 }
 
 /// Runs one pre-recorded workload log per core on the shared machine.
 ///
-/// Cores advance in simulated-time order (the earliest core processes its
-/// next event), so shared-resource contention emerges naturally. Returns
-/// per-core and shared statistics.
+/// Cores advance in simulated-time order (the earliest core runs until
+/// another is strictly earlier; see the module docs), so shared-resource
+/// contention emerges naturally. Returns per-core and shared statistics.
 ///
 /// # Panics
 ///
 /// Panics if `logs.len() != config.cores`, if the combined workloads create
-/// more than 255 atoms, or if physical memory is exhausted.
+/// more than 255 atoms, if physical memory is exhausted, or if a log
+/// touches a VA outside every range it allocated.
 pub fn run_corun(config: &MultiCoreConfig, logs: &[Vec<TraceEvent>]) -> CorunReport {
     assert_eq!(logs.len(), config.cores, "one workload log per core");
 
@@ -573,7 +591,6 @@ pub fn run_corun(config: &MultiCoreConfig, logs: &[Vec<TraceEvent>]) -> CorunRep
         mode: config.xmem,
         pinned: Vec::new(),
         last_epoch: u64::MAX,
-        inflight_prefetches: BTreeSet::new(),
         l1_lat: config.l1.latency,
         l2_lat: config.l2.latency,
         l3_lat: config.l3.latency,
@@ -581,6 +598,7 @@ pub fn run_corun(config: &MultiCoreConfig, logs: &[Vec<TraceEvent>]) -> CorunRep
         line_bytes: config.l1.line_bytes,
         coherence: config.coherence,
         bus: SnoopBus::new(config.bus),
+        coh_acc: CoherentAccess::default(),
         pin_exempt,
     };
 
@@ -597,13 +615,25 @@ pub fn run_corun(config: &MultiCoreConfig, logs: &[Vec<TraceEvent>]) -> CorunRep
     let mut act_rc: BTreeMap<AtomId, u32> = BTreeMap::new();
 
     loop {
-        // Pick the live core earliest in simulated time.
-        let next = (0..config.cores)
-            .filter(|&i| pos[i] < logs[i].len())
-            .min_by_key(|&i| (cores[i].now(), i));
-        let Some(i) = next else { break };
+        // Pick the live core earliest in simulated time, `(now, index)`,
+        // and the smallest key among the other live cores: the one that
+        // overtakes it.
+        let mut first: Option<(u64, usize)> = None;
+        let mut second: Option<(u64, usize)> = None;
+        for j in (0..config.cores).filter(|&j| pos[j] < logs[j].len()) {
+            let key = (cores[j].now(), j);
+            if first.is_none_or(|f| key < f) {
+                second = first;
+                first = Some(key);
+            } else if second.is_none_or(|s| key < s) {
+                second = Some(key);
+            }
+        }
+        let Some((_, i)) = first else { break };
 
-        // Apply hint events until the next op (hints are "free" in time).
+        // Run core `i` — hint events are free in time — until its log ends
+        // or, after an op, another live core's key is strictly smaller.
+        // The other keys cannot change meanwhile.
         while pos[i] < logs[i].len() {
             let rename = |core: usize, id: AtomId| {
                 *atom_maps[core]
@@ -611,9 +641,9 @@ pub fn run_corun(config: &MultiCoreConfig, logs: &[Vec<TraceEvent>]) -> CorunRep
                     // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
                     .expect("atom referenced before creation")
             };
-            let ev = logs[i][pos[i]].clone();
+            let ev = &logs[i][pos[i]];
             pos[i] += 1;
-            match ev {
+            match *ev {
                 TraceEvent::Op(op) => {
                     let mut view = CoreMemView {
                         mem: &mut mem,
@@ -621,7 +651,9 @@ pub fn run_corun(config: &MultiCoreConfig, logs: &[Vec<TraceEvent>]) -> CorunRep
                         ranges: &ranges[i],
                     };
                     cores[i].step(op, &mut view);
-                    break;
+                    if second.is_some_and(|s| s < (cores[i].now(), i)) {
+                        break;
+                    }
                 }
                 TraceEvent::Create { .. } | TraceEvent::CreateShared { .. } => {
                     created[i] += 1; // already merged in pass 1
@@ -665,7 +697,7 @@ pub fn run_corun(config: &MultiCoreConfig, logs: &[Vec<TraceEvent>]) -> CorunRep
                 TraceEvent::Map { atom, start, len } => {
                     if xmem_enabled {
                         let global = rename(i, atom);
-                        let actual = translate_va(&ranges[i], start);
+                        let actual = translate_va(&ranges[i], i, start);
                         if shared_ids.contains(&global) {
                             let rc = shared_map_rc.entry((actual, len)).or_insert(0);
                             *rc += 1;
@@ -686,7 +718,7 @@ pub fn run_corun(config: &MultiCoreConfig, logs: &[Vec<TraceEvent>]) -> CorunRep
                 }
                 TraceEvent::Unmap { start, len } => {
                     if xmem_enabled {
-                        let actual = translate_va(&ranges[i], start);
+                        let actual = translate_va(&ranges[i], i, start);
                         if let Some(rc) = shared_map_rc.get_mut(&(actual, len)) {
                             *rc -= 1;
                             if *rc > 0 {
@@ -711,7 +743,7 @@ pub fn run_corun(config: &MultiCoreConfig, logs: &[Vec<TraceEvent>]) -> CorunRep
                     len_x,
                 } => {
                     if xmem_enabled {
-                        let actual = translate_va(&ranges[i], base);
+                        let actual = translate_va(&ranges[i], i, base);
                         lib.atom_map_2d(
                             &mut mem.amu,
                             mem.os.page_table(),
@@ -732,7 +764,7 @@ pub fn run_corun(config: &MultiCoreConfig, logs: &[Vec<TraceEvent>]) -> CorunRep
                     len_x,
                 } => {
                     if xmem_enabled {
-                        let actual = translate_va(&ranges[i], base);
+                        let actual = translate_va(&ranges[i], i, base);
                         lib.atom_unmap_2d(
                             &mut mem.amu,
                             mem.os.page_table(),
@@ -876,6 +908,55 @@ mod tests {
             xmem.cycles(0),
             base.cycles(0)
         );
+    }
+
+    #[test]
+    fn equal_times_run_the_lower_core_first() {
+        // Identical logs: both cores tie at cycle 0 and again after the
+        // compute burst, then store to one shared line. The lower index
+        // must store first and be invalidated by the other's BusRdX; with
+        // the order flipped, the snoop counters would swap.
+        let log = record(|s| {
+            let line = s.alloc_shared(7, 64, None);
+            s.compute(8);
+            s.store(line);
+        });
+        let cfg = MultiCoreConfig::scaled_corun(2, 32 << 10, crate::SystemKind::Baseline)
+            .with_coherence(CoherenceMode::Mesi);
+        let r = run_corun(&cfg, &[log.clone(), log]);
+        assert_eq!((r.bus.bus_rdx, r.bus.c2c_transfers), (2, 1));
+        assert_eq!(
+            (r.l1s[0].snoop_invalidations, r.l1s[0].snoop_writebacks),
+            (1, 1),
+            "core 0 stored first, then lost the line to core 1"
+        );
+        assert_eq!(r.l1s[1].snoop_invalidations, 0, "core 1 stored last");
+    }
+
+    /// One page allocated at LogSink's first base (1 MiB), then a load
+    /// of `va`.
+    fn stray_log(va: u64) -> Vec<TraceEvent> {
+        record(|s| {
+            let base = s.alloc(4096, None);
+            s.load(base);
+            s.load(va);
+        })
+    }
+
+    #[test]
+    #[should_panic(expected = "core 0: unallocated VA 0x40")]
+    fn load_below_every_range_panics() {
+        let cfg = MultiCoreConfig::scaled_corun(1, 32 << 10, crate::SystemKind::Baseline);
+        run_corun(&cfg, &[stray_log(0x40)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "core 1: unallocated VA 0x101000")]
+    fn load_past_a_range_panics() {
+        // Before the panic, this VA passed through untranslated and could
+        // land on core 0's frames.
+        let cfg = MultiCoreConfig::scaled_corun(2, 32 << 10, crate::SystemKind::Baseline);
+        run_corun(&cfg, &[hog_log(64), stray_log(0x10_1000)]);
     }
 
     #[test]

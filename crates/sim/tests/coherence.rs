@@ -1,18 +1,22 @@
 //! Protocol gate for the MESI snooping bus: litmus scenarios with exact
 //! final states and bus-transaction counts, exhaustive enumeration of both
 //! transition tables, invariant-checked randomized fuzzing against a
-//! golden-memory oracle, determinism across worker counts, and a golden
-//! regression pinning `CoherenceMode::None` to the pre-MESI numbers.
+//! golden-memory oracle, determinism across worker counts, and golden
+//! regressions pinning `CoherenceMode::None` to the pre-MESI numbers and
+//! the MESI co-runs of `corun_shared --quick` to their counters.
 
 use cache_sim::{local_next, snoop_transition, BusOp, MesiState, SnoopAction};
 use std::collections::BTreeMap;
+use workloads::hog::stream_hog;
 use workloads::polybench::{KernelParams, PolybenchKernel};
 use workloads::shared::{lock_counter, producer_consumer, read_mostly_reader, PcRole};
 use workloads::sink::{LogSink, TraceEvent, TraceSink};
 use xmem_core::attrs::Reuse;
 use xmem_core::rng::SplitMix64;
 use xmem_sim::harness::run_jobs;
-use xmem_sim::{run_corun, CoherenceMode, CoherentCluster, MultiCoreConfig, SystemKind};
+use xmem_sim::{
+    run_corun, CoherenceMode, CoherentCluster, CorunReport, MultiCoreConfig, SystemKind,
+};
 
 // ───────────────────────────── litmus ─────────────────────────────
 
@@ -481,4 +485,190 @@ fn coherence_none_matches_pre_mesi_golden_numbers() {
     assert_eq!(r.dram.accesses(), 16086);
     assert_eq!((r.alb.hits, r.alb.misses), (0, 0));
     assert_eq!(r.bus.transactions(), 0);
+}
+
+// ───────────────── golden regression: CoherenceMode::Mesi ─────────────────
+
+/// Every simulated counter of a co-run, one line per component, in the
+/// order of the golden table below: `core<i> cycles instructions loads
+/// stores total_load_latency`; `l1[i]`/`l2[i]`/`l3` accesses hits fills
+/// evictions writebacks snoop_invalidations snoop_writebacks; `dram` reads
+/// demand_reads writes row_hits row_misses row_conflicts
+/// total_read_latency total_write_latency; `alb` hits misses; `bus` rd rdx
+/// upgr c2c writebacks invalidations stall_cycles.
+fn counters(r: &CorunReport) -> Vec<String> {
+    let cache = |name: String, c: &cache_sim::CacheStats| {
+        format!(
+            "{name} {} {} {} {} {} {} {}",
+            c.accesses,
+            c.hits,
+            c.fills,
+            c.evictions,
+            c.writebacks,
+            c.snoop_invalidations,
+            c.snoop_writebacks
+        )
+    };
+    let mut out: Vec<String> = r
+        .cores
+        .iter()
+        .enumerate()
+        .map(|(i, c)| {
+            format!(
+                "core{i} {} {} {} {} {}",
+                c.cycles, c.instructions, c.loads, c.stores, c.total_load_latency
+            )
+        })
+        .collect();
+    out.extend(
+        r.l1s
+            .iter()
+            .enumerate()
+            .map(|(i, c)| cache(format!("l1[{i}]"), c)),
+    );
+    out.extend(
+        r.l2s
+            .iter()
+            .enumerate()
+            .map(|(i, c)| cache(format!("l2[{i}]"), c)),
+    );
+    out.push(cache("l3".to_string(), &r.l3));
+    let d = &r.dram;
+    out.push(format!(
+        "dram {} {} {} {} {} {} {} {}",
+        d.reads,
+        d.demand_reads,
+        d.writes,
+        d.row_hits,
+        d.row_misses,
+        d.row_conflicts,
+        d.total_read_latency,
+        d.total_write_latency
+    ));
+    out.push(format!("alb {} {}", r.alb.hits, r.alb.misses));
+    let b = &r.bus;
+    out.push(format!(
+        "bus {} {} {} {} {} {} {}",
+        b.bus_rd,
+        b.bus_rdx,
+        b.bus_upgr,
+        b.c2c_transfers,
+        b.writebacks,
+        b.invalidations,
+        b.stall_cycles
+    ));
+    out
+}
+
+/// `corun_shared`'s four scenarios at `--quick` size, as that binary
+/// builds them.
+fn corun_shared_quick_scenarios() -> Vec<(&'static str, Vec<Vec<TraceEvent>>)> {
+    let (passes, lookups, rounds, hog_accesses) = (120, 4_000, 1_500, 6_000);
+    let (buffer, table) = (16 << 10, 24 << 10);
+    let producer =
+        record(|s| producer_consumer(s, PcRole::Producer, buffer, passes, 2, Reuse(230)));
+    let consumer =
+        record(|s| producer_consumer(s, PcRole::Consumer, buffer, passes, 2, Reuse(230)));
+    let reader = |core: u64| record(|s| read_mostly_reader(s, core, table, lookups, 2, Reuse(200)));
+    let lock = record(|s| lock_counter(s, rounds, 6));
+    let hog = record(|s| stream_hog(s, 64 << 10, hog_accesses, 8));
+    vec![
+        ("pc", vec![producer.clone(), consumer.clone()]),
+        ("readers", vec![reader(0), reader(1), hog.clone()]),
+        ("lock", vec![lock.clone(), lock]),
+        ("mixed", vec![producer, consumer, reader(2), hog]),
+    ]
+}
+
+/// The `mesi` machine of `corun_shared --quick` (XMem, 32KB L3, MESI,
+/// coherence-aware pinning), captured before the co-run scheduler, the
+/// per-core translate cache and the slot-based MESI engine replaced the
+/// per-op loop. Scheduling order, translation and every protocol step
+/// feed these counters, so any drift means the co-run simulates something
+/// else.
+const MESI_GOLDEN: [(&str, &[&str]); 4] = [
+    (
+        "pc",
+        &[
+            "core0 23040 92160 0 30720 0",
+            "core1 398616 92160 30720 0 398616",
+            "l1[0] 30720 0 30720 30592 30390 0 0",
+            "l1[1] 30720 0 30720 30284 0 308 0",
+            "l2[0] 30720 30464 256 0 0 0 0",
+            "l2[1] 30720 30156 564 0 0 308 0",
+            "l3 256 250 258 0 0 0 0",
+            "dram 258 6 0 254 4 0 1466274 0",
+            "alb 252 4",
+            "bus 564 256 308 564 564 308 403008",
+        ],
+    ),
+    (
+        "readers",
+        &[
+            "core0 264256 12250 4000 250 264256",
+            "core1 270900 12250 4000 250 270900",
+            "core2 353443 54000 6000 0 3617092",
+            "l1[0] 4250 1261 2989 2861 209 0 0",
+            "l1[1] 4250 1252 2998 2870 212 0 0",
+            "l1[2] 6000 0 6000 5872 0 0 0",
+            "l2[0] 2989 1434 1555 1299 166 0 0",
+            "l2[1] 2998 1428 1570 1314 171 0 0",
+            "l2[2] 6000 1077 4923 4667 0 0 0",
+            "l3 7495 6361 5783 5271 74 0 0",
+            "dram 5783 1134 324 5769 14 0 7578585 317007",
+            "alb 7471 24",
+            "bus 7683 365 0 553 326 0 3894391",
+        ],
+    ),
+    (
+        "lock",
+        &[
+            "core0 4418 13500 3000 1500 61492",
+            "core1 3469 13500 3000 1500 30998",
+            "l1[0] 4500 4440 60 0 0 27 12",
+            "l1[1] 4500 4442 58 0 0 26 14",
+            "l2[0] 60 0 60 0 0 27 12",
+            "l2[1] 58 0 58 0 0 26 14",
+            "l3 65 62 69 0 0 0 0",
+            "dram 69 3 0 67 2 0 44118 0",
+            "alb 62 3",
+            "bus 92 26 27 53 52 53 113444",
+        ],
+    ),
+    (
+        "mixed",
+        &[
+            "core0 23040 92160 0 30720 0",
+            "core1 398893 92160 30720 0 398893",
+            "core2 388838 12250 4000 250 388838",
+            "core3 358888 54000 6000 0 3925577",
+            "l1[0] 30720 0 30720 30592 30422 0 0",
+            "l1[1] 30720 0 30720 30291 0 301 0",
+            "l1[2] 4250 1247 3003 2875 214 0 0",
+            "l1[3] 6000 0 6000 5872 0 0 0",
+            "l2[0] 30720 30464 256 0 0 0 0",
+            "l2[1] 30720 30163 557 0 0 301 0",
+            "l2[2] 3003 1388 1615 1359 159 0 0",
+            "l2[3] 6000 1077 4923 4667 0 0 0",
+            "l3 6794 5867 5842 5330 276 0 0",
+            "dram 5842 927 423 5828 14 0 8965646 1268351",
+            "alb 6767 27",
+            "bus 6921 430 301 557 712 301 4374711",
+        ],
+    ),
+];
+
+#[test]
+fn mesi_coruns_match_golden_counters() {
+    for ((name, logs), (gold_name, gold)) in corun_shared_quick_scenarios().iter().zip(MESI_GOLDEN)
+    {
+        assert_eq!(*name, gold_name);
+        let cfg = MultiCoreConfig::scaled_corun(logs.len(), 32 << 10, SystemKind::Xmem)
+            .with_coherence(CoherenceMode::Mesi);
+        let got = counters(&run_corun(&cfg, logs));
+        assert_eq!(got.len(), gold.len(), "{name}: component count");
+        for (g, want) in got.iter().zip(gold) {
+            assert_eq!(g, want, "{name}");
+        }
+    }
 }
