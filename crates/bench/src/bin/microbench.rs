@@ -2,7 +2,7 @@
 //!
 //! Measures each memory-path layer in isolation (cache probe/fill, DRAM
 //! bank timing, page-table translate, TLB lookup, full hierarchy) plus the
-//! end-to-end fig5 inner loop (`run_workload` on one fig5 grid point), and
+//! end-to-end fig5 inner loop (`run` on one fig5 grid point), and
 //! writes the numbers as JSON so successive commits can be compared.
 //!
 //! ```text
@@ -23,7 +23,7 @@ use xmem_bench::microbench::{BenchRow, Timer};
 use xmem_bench::{uc1_params, FIG5_L3};
 use xmem_core::addr::VirtAddr;
 use xmem_core::rng::SplitMix64;
-use xmem_sim::{RunSpec, SystemConfig, SystemKind, WorkloadSpec};
+use xmem_sim::{run, SystemConfig, SystemKind, WorkloadSpec};
 
 /// Simulated operations per timed iteration for the layer microbenches.
 const OPS: usize = 4096;
@@ -119,25 +119,19 @@ fn bench_layers(t: &mut Timer) {
 fn bench_fig5_inner(t: &mut Timer) {
     // One fig5 grid point at --quick size: gemm, tile tuned for the full
     // L3. The instruction count is fixed by the workload, so ops/sec here
-    // is simulated instructions per wall-clock second. Runs through
-    // `RunSpec::execute` — the monomorphized path the sweep engine uses.
-    let p = uc1_params(48, 64 << 10);
+    // is simulated instructions per wall-clock second. Runs through `run`
+    // on a `WorkloadSpec` — the monomorphized path the sweep engine uses.
+    let gemm = WorkloadSpec::kernel(PolybenchKernel::Gemm, uc1_params(48, 64 << 10));
     for kind in [SystemKind::Baseline, SystemKind::Xmem] {
         let cfg = SystemConfig::scaled_use_case1(FIG5_L3, kind);
-        let spec = RunSpec::new(
-            "fig5.inner",
-            cfg,
-            WorkloadSpec::Kernel {
-                kernel: PolybenchKernel::Gemm,
-                params: p,
-            },
-        );
-        let instructions = spec.execute().core.instructions;
+        let instructions = run(&cfg, &gemm, None, None).report.core.instructions;
         let name = match kind {
             SystemKind::Baseline => "fig5.inner.baseline",
             _ => "fig5.inner.xmem",
         };
-        t.case_ops(name, instructions, || spec.execute().core.cycles);
+        t.case_ops(name, instructions, || {
+            run(&cfg, &gemm, None, None).report.core.cycles
+        });
     }
 }
 

@@ -12,9 +12,7 @@ use xmem_bench::{mean, print_table, quick_mode, uc1_params, UC1_L3, UC1_N};
 use xmem_core::aam::AamConfig;
 use xmem_core::overhead::storage_overhead;
 use xmem_core::process::ContextSwitchCost;
-use xmem_sim::{
-    run_workload, run_workload_with_telemetry, KernelRun, Sweep, SystemConfig, SystemKind,
-};
+use xmem_sim::{run, KernelRun, Sweep, SystemConfig, SystemKind, WorkloadSpec};
 
 fn main() {
     let n = if quick_mode() { 48 } else { UC1_N };
@@ -126,31 +124,17 @@ fn main() {
         cost.overhead_fraction(3000.0) * 100.0,
     );
     // ---- telemetry sampling overhead (the disabled path must be free) ----
-    // The sink's disabled cost is one always-false integer compare per op,
-    // so the first two cases should be indistinguishable; the sampled case
-    // bounds what `--epoch` costs a sweep.
+    // The sampled case bounds what `--epoch` costs a sweep.
     println!("\n# Telemetry sampling overhead (disabled path vs. epoch sampling)");
     let tp = uc1_params(if quick_mode() { 16 } else { 32 }, 2 << 10);
+    let gemm = WorkloadSpec::kernel(PolybenchKernel::Gemm, tp);
     let tcfg = SystemConfig::scaled_use_case1(UC1_L3, SystemKind::Xmem);
     let mut timer = Timer::new("full run, gemm");
-    timer.case("telemetry absent (run_workload)", || {
-        run_workload(&tcfg, |s| PolybenchKernel::Gemm.generate(&tp, s))
-            .core
-            .cycles
-    });
     timer.case("telemetry disabled (epoch=None)", || {
-        run_workload_with_telemetry(&tcfg, None, |s| PolybenchKernel::Gemm.generate(&tp, s))
-            .0
-            .core
-            .cycles
+        run(&tcfg, &gemm, None, None).report.core.cycles
     });
     timer.case("telemetry sampling (epoch=10k)", || {
-        run_workload_with_telemetry(&tcfg, Some(10_000), |s| {
-            PolybenchKernel::Gemm.generate(&tp, s)
-        })
-        .0
-        .core
-        .cycles
+        run(&tcfg, &gemm, Some(10_000), None).report.core.cycles
     });
     timer.finish();
 

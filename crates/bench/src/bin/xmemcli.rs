@@ -19,13 +19,13 @@ use std::fs::File;
 use std::process::exit;
 use workloads::placement::PlacementWorkload;
 use workloads::polybench::{KernelParams, PolybenchKernel};
-use workloads::sink::LogSink;
+use workloads::sink::{LogSink, TraceSink};
 use workloads::trace_file::{read_trace, replay, write_trace};
 use xmem_bench::print_table;
 use xmem_sim::{
-    placement_specs, run_workload, run_workload_with_telemetry, ChromeTrace, JsonSink, JsonValue,
-    ReportSink, RunRecord, RunReport, RunSpec, Sweep, SystemConfig, SystemKind, TelemetrySeries,
-    Uc2System, WorkloadSpec, DEFAULT_EPOCH_INSTRUCTIONS,
+    placement_specs, run, ChromeTrace, JsonSink, JsonValue, ReportSink, RunRecord, RunReport,
+    RunSpec, Sweep, SystemConfig, SystemKind, TelemetrySeries, Uc2System, WorkloadSpec,
+    DEFAULT_EPOCH_INSTRUCTIONS,
 };
 
 fn usage() -> ! {
@@ -303,7 +303,8 @@ fn main() {
                     f.system
                 );
             }
-            let report = run_workload(&cfg, |s| replay(&events, s));
+            let trace = |s: &mut dyn TraceSink| replay(&events, s);
+            let report = run(&cfg, &trace, None, None).report;
             let record = RunRecord {
                 label: format!("replay/{}", f.system),
                 config: cfg,
@@ -330,15 +331,15 @@ fn main() {
             let cfg = sys_config(&f);
             let epoch = f.epoch.unwrap_or(DEFAULT_EPOCH_INSTRUCTIONS);
             let label = format!("{name}/{}", f.system);
-            let (report, series) =
-                run_workload_with_telemetry(&cfg, Some(epoch), |s| kernel.generate(&p, s));
-            let series = series.expect("telemetry was enabled");
+            let workload = WorkloadSpec::kernel(kernel, p);
+            let out = run(&cfg, &workload, Some(epoch), None);
+            let series = out.telemetry.expect("telemetry was enabled");
             let record = RunRecord {
                 label: label.clone(),
                 config: cfg,
                 workload: kernel.name(),
-                workload_params: WorkloadSpec::kernel(kernel, p).params_json(),
-                report,
+                workload_params: workload.params_json(),
+                report: out.report,
                 telemetry: Some(series.clone()),
                 sampling: None,
                 run: None,

@@ -31,16 +31,6 @@ impl SystemKind {
     pub fn xmem_enabled(self) -> bool {
         !matches!(self, SystemKind::Baseline)
     }
-
-    /// Display name matching the paper's figures.
-    #[deprecated(note = "use the Display impl: `format!(\"{kind}\")`")]
-    pub fn name(self) -> &'static str {
-        match self {
-            SystemKind::Baseline => "Baseline",
-            SystemKind::XmemPref => "XMem-Pref",
-            SystemKind::Xmem => "XMem",
-        }
-    }
 }
 
 impl fmt::Display for SystemKind {

@@ -9,7 +9,7 @@
 
 use crate::config::{FramePolicyKind, SystemConfig, SystemKind};
 use crate::harness::{RunSpec, Sweep, WorkloadSpec};
-use crate::machine::run_workload;
+use crate::machine::run;
 use crate::report::RunReport;
 use dram_sim::AddressMapping;
 use std::fmt;
@@ -90,9 +90,13 @@ impl KernelRun {
 
     /// Executes the run.
     pub fn run(&self) -> RunReport {
-        run_workload(&self.config(), |sink| {
-            self.kernel.generate(&self.params, sink)
-        })
+        run(
+            &self.config(),
+            &WorkloadSpec::kernel(self.kernel, self.params),
+            None,
+            None,
+        )
+        .report
     }
 }
 
@@ -107,18 +111,6 @@ pub enum Uc2System {
     Xmem,
     /// Perfect row-buffer locality (the upper bound of Fig 7).
     IdealRbl,
-}
-
-impl Uc2System {
-    /// Display name matching the paper's figures.
-    #[deprecated(note = "use the Display impl: `format!(\"{sys}\")`")]
-    pub fn name(self) -> &'static str {
-        match self {
-            Uc2System::Baseline => "Baseline",
-            Uc2System::Xmem => "XMem",
-            Uc2System::IdealRbl => "Ideal",
-        }
-    }
 }
 
 impl fmt::Display for Uc2System {

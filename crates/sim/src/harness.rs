@@ -54,7 +54,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::config::SystemConfig;
-use crate::machine::RunOutput;
+use crate::machine::{run, Generator};
 use crate::report::RunReport;
 use crate::report_sink::{config_kv, scan_point_records, write_point_record, JsonValue};
 use crate::sampling::{SamplingSpec, SamplingSummary};
@@ -352,13 +352,13 @@ impl WorkloadSpec {
         }
     }
 
-    /// Replays the workload into a trace sink (what [`run_workload`] does
-    /// twice: once to scan, once to execute).
+    /// Replays the workload into a trace sink (what [`run`] does twice:
+    /// once to scan, once to execute).
     ///
     /// Generic over the sink so the executing path monomorphizes: driven
-    /// through [`RunSpec::execute`], the generator's per-op sink calls
-    /// inline straight into the batch emitter instead of going through a
-    /// `dyn TraceSink` vtable per op.
+    /// through [`run`], the generator's per-op sink calls inline straight
+    /// into the batch emitter instead of going through a `dyn TraceSink`
+    /// vtable per op.
     pub fn generate<S: TraceSink + ?Sized>(&self, sink: &mut S) {
         match self {
             WorkloadSpec::Kernel { kernel, params } => kernel.generate(params, sink),
@@ -368,8 +368,8 @@ impl WorkloadSpec {
     }
 }
 
-impl crate::machine::Generator for WorkloadSpec {
-    fn emit<S: TraceSink + ?Sized>(&self, sink: &mut S) {
+impl Generator for WorkloadSpec {
+    fn emit<S: TraceSink>(&self, sink: &mut S) {
         self.generate(sink);
     }
 }
@@ -393,41 +393,6 @@ impl RunSpec {
             config,
             workload,
         }
-    }
-
-    /// Executes this spec (one full two-pass simulation). Pure: equal specs
-    /// give equal reports.
-    ///
-    /// This is the monomorphized hot path: the workload's sink calls inline
-    /// into the batch emitter with no per-op virtual dispatch.
-    pub fn execute(&self) -> RunReport {
-        crate::machine::run_generator(&self.config, None, &self.workload).0
-    }
-
-    /// Like [`RunSpec::execute`], additionally sampling a telemetry series
-    /// every `epoch_instructions` retired instructions when `Some`.
-    /// Sampling is observational: the report is identical either way.
-    pub fn execute_with_telemetry(
-        &self,
-        epoch_instructions: Option<u64>,
-    ) -> (RunReport, Option<TelemetrySeries>) {
-        crate::machine::run_generator(&self.config, epoch_instructions, &self.workload)
-    }
-
-    /// Like [`RunSpec::execute_with_telemetry`], additionally executing
-    /// under an interval [`SamplingSpec`] when one is given (`None` runs
-    /// fully detailed — identical to the other entry points).
-    pub fn execute_sampled(
-        &self,
-        epoch_instructions: Option<u64>,
-        sampling: Option<SamplingSpec>,
-    ) -> RunOutput {
-        crate::machine::run_generator_sampled(
-            &self.config,
-            epoch_instructions,
-            sampling,
-            &self.workload,
-        )
     }
 }
 
@@ -727,7 +692,7 @@ impl Sweep {
             // simlint: allow(nondet-taint, reason = "wall_nanos lands only in the RunMeta `run` block, which is documented pure observability and excluded from determinism comparisons")
             let start = Instant::now();
             match catch_unwind(AssertUnwindSafe(|| {
-                spec.execute_sampled(self.epoch, self.sampling)
+                run(&spec.config, &spec.workload, self.epoch, self.sampling)
             })) {
                 Ok(out) => {
                     let record = RunRecord {

@@ -12,17 +12,19 @@
 //!                                    └─ Os: page table + frames (os-sim)
 //! ```
 //!
-//! [`run_workload`] executes the two-pass compile/load/run flow;
+//! [`run`] executes the two-pass compile/load/run flow — optionally with
+//! epoch telemetry and interval sampling — and is the one way into it;
 //! [`experiments`] wraps it in the exact system configurations the paper's
-//! figures compare.
+//! figures compare, and [`harness`] runs grids of it on a worker pool.
 //!
 //! ```
-//! use xmem_sim::{run_workload, SystemConfig, SystemKind};
+//! use xmem_sim::{run, SystemConfig, SystemKind, WorkloadSpec};
 //! use workloads::polybench::{KernelParams, PolybenchKernel};
 //!
 //! let cfg = SystemConfig::scaled_use_case1(32 << 10, SystemKind::Baseline);
 //! let p = KernelParams { n: 16, tile_bytes: 1024, steps: 1, reuse: 200 };
-//! let r = run_workload(&cfg, |s| PolybenchKernel::Mvt.generate(&p, s));
+//! let mvt = WorkloadSpec::kernel(PolybenchKernel::Mvt, p);
+//! let r = run(&cfg, &mvt, None, None).report;
 //! assert!(r.core.ipc() > 0.0);
 //! ```
 
@@ -49,12 +51,9 @@ pub use crate::harness::{
     default_workers, run_jobs, Progress, RunFailure, RunMeta, RunOutcome, RunRecord, RunSpec,
     Sweep, WorkloadSpec,
 };
-pub use crate::machine::{
-    run_generator, run_generator_sampled, run_workload, run_workload_with_telemetry, Generator,
-    Machine, RunOutput, ScanSink,
-};
 #[doc(hidden)]
-pub use crate::machine::{run_workload_sampled_scalar, run_workload_scalar};
+pub use crate::machine::run_scalar;
+pub use crate::machine::{run, Generator, Machine, RunOutput, ScanSink};
 pub use crate::multicore::{run_corun, CorunReport};
 pub use crate::report::RunReport;
 pub use crate::report_sink::{

@@ -310,8 +310,7 @@ pub struct Machine {
     labels: BTreeMap<String, AtomId>,
     next_site: u32,
     /// Instruction count at which the next telemetry sample fires.
-    /// `u64::MAX` when telemetry is disabled, so the per-op cost of the
-    /// feature is one always-false integer compare.
+    /// `u64::MAX` when telemetry is disabled, so no op ever reaches it.
     next_sample_at: u64,
     telemetry: Option<TelemetryState>,
     /// Interval-sampling state; `None` (full detail everywhere) unless
@@ -463,20 +462,6 @@ impl Machine {
             alb_lookups: cur.alb_lookups - start.alb_lookups,
             alb_hits: cur.alb_hits - start.alb_hits,
         };
-        // simlint: allow(nondet-taint, reason = "debug gate: the env var only toggles an eprintln window dump and never changes the report contents")
-        if std::env::var("XMEM_DUMP_WINDOWS").is_ok() {
-            eprintln!(
-                "WINDOW instr={} cycles={} ipc={:.3} l1m={} l2m={} l3m={} dram={} rowhit={}",
-                features.instructions,
-                features.cycles,
-                features.instructions as f64 / features.cycles.max(1) as f64,
-                features.l1_misses,
-                features.l2_misses,
-                features.l3_misses,
-                features.dram_accesses,
-                features.row_hits
-            );
-        }
         // simlint: allow(unwrap, reason = "guarded by the window_active match above: sampling state is present")
         let st = self.sampling.as_mut().expect("sampling state present");
         st.windows.push(features);
@@ -537,100 +522,57 @@ impl Machine {
         }
     }
 
-    /// Executes a whole batch under the sampling schedule, one tight loop
-    /// per same-phase run (the schedule is deterministic in the op index,
-    /// so run boundaries are known up front). Observably identical to
-    /// calling [`Machine::sampled_op`] per op — same state mutations in
-    /// the same order, same window snapshot boundaries — only the per-op
-    /// phase/bookkeeping overhead is hoisted out of the loops. Callers
-    /// must have telemetry disarmed (`next_sample_at == u64::MAX`); the
-    /// per-op epoch boundary check is skipped here.
-    fn sampled_batch(&mut self, batch: &OpBatch) {
-        let len = batch.len();
-        let mut i = 0usize;
-        while i < len {
-            // simlint: allow(unwrap, reason = "only called from the sampled dispatch, which checked sampling.is_some()")
+    /// Fires the sampling boundary that falls at the current op, if any
+    /// (a window's close, or its ramp snapshot), and returns the phase the
+    /// next ops execute in plus how many of the next `remaining` ops run
+    /// before the following phase edge or ramp snapshot. Unsampled, every
+    /// op is detailed and nothing here splits the run.
+    fn enter_phase(&mut self, remaining: usize) -> (SamplePhase, usize) {
+        let Some(st) = self.sampling.as_ref() else {
+            return (SamplePhase::Detailed, remaining);
+        };
+        let phase = st.spec.phase_of(st.ops_seen);
+        let mut run = st.spec.phase_run(st.ops_seen);
+        if phase == SamplePhase::Detailed {
+            self.open_window();
+            // simlint: allow(unwrap, reason = "checked at entry; open_window does not clear the sampling state")
             let st = self.sampling.as_ref().expect("sampling state present");
-            let spec = st.spec;
-            let pos = st.ops_seen;
-            let window_active = st.window_active;
-            let run = spec.phase_run(pos).min((len - i) as u64) as usize;
-            match spec.phase_of(pos) {
-                SamplePhase::Detailed => {
-                    // Split the run at the ramp snapshot so batched windows
-                    // measure exactly what scalar ones would.
-                    let mut done = 0usize;
-                    while done < run {
-                        self.open_window();
-                        // simlint: allow(unwrap, reason = "sampling state checked at loop entry; open_window does not clear it")
-                        let st = self.sampling.as_ref().expect("sampling state present");
-                        let sub = match st.window_start {
-                            // open_window just declined to snapshot, so the
-                            // ramp still has `ramp - window_detailed` ops
-                            // to run before the next snapshot point.
-                            None => ((st.ramp - st.window_detailed) as usize).min(run - done),
-                            Some(_) => run - done,
-                        };
-                        let begin = i + done;
-                        self.core
-                            .step_batch_range(batch, begin, begin + sub, &mut self.mem);
-                        // simlint: allow(unwrap, reason = "sampling state checked at loop entry; stepping ops does not clear it")
-                        let st = self.sampling.as_mut().expect("sampling state present");
-                        st.detailed_ops += sub as u64;
-                        st.window_detailed += sub as u64;
-                        st.ops_seen += sub as u64;
-                        done += sub;
-                    }
-                }
-                SamplePhase::Warm => {
-                    if window_active {
-                        self.close_window();
-                    }
-                    for j in i..i + run {
-                        match batch.kind(j) {
-                            OpKind::Load => self.mem.warm_access(batch.addr(j), false),
-                            OpKind::Store => self.mem.warm_access(batch.addr(j), true),
-                            OpKind::Compute => {}
-                        }
-                        self.core.step_fixed(batch.op(j), self.warm_load_latency);
-                    }
-                    // simlint: allow(unwrap, reason = "sampling state checked at loop entry; warming ops does not clear it")
-                    let st = self.sampling.as_mut().expect("sampling state present");
-                    st.warm_ops += run as u64;
-                    st.ops_seen += run as u64;
-                }
-                SamplePhase::FastForward => {
-                    if window_active {
-                        self.close_window();
-                    }
-                    // Functional warming, as in `sampled_op`: memory state
-                    // stays live through the fast-forward; only the core's
-                    // timing is skipped. Loads/stores tally into one bulk
-                    // skip (instant-retiring skips are order-free), so the
-                    // loop's only per-op work is the warm access itself.
-                    let mut loads = 0u64;
-                    let mut stores = 0u64;
-                    for j in i..i + run {
-                        match batch.kind(j) {
-                            OpKind::Load => {
-                                self.mem.warm_access(batch.addr(j), false);
-                                loads += 1;
-                            }
-                            OpKind::Store => {
-                                self.mem.warm_access(batch.addr(j), true);
-                                stores += 1;
-                            }
-                            OpKind::Compute => self.core.skip(batch.op(j)),
-                        }
-                    }
-                    self.core.skip_bulk(loads, stores);
-                    // simlint: allow(unwrap, reason = "sampling state checked at loop entry; skipping ops does not clear it")
-                    let st = self.sampling.as_mut().expect("sampling state present");
-                    st.ops_seen += run as u64;
-                }
+            if st.window_start.is_none() {
+                // open_window declined to snapshot, so the ramp still has
+                // `ramp - window_detailed` ops to run before it does.
+                run = run.min(st.ramp - st.window_detailed);
             }
-            i += run;
+        } else {
+            self.close_window();
         }
+        (phase, run.min(remaining as u64) as usize)
+    }
+
+    /// Splits ops `start..end` of `batch` at the op whose retirement brings
+    /// [`Core::instructions`] up to the next telemetry boundary. Returns the
+    /// end of the ops to run now and whether a sample is due after them. A
+    /// load or store retires one instruction and a `Compute` op the count
+    /// in its address lane, so the split lands on exactly the op after
+    /// which the per-op path's boundary check fires.
+    fn sample_split(&self, batch: &OpBatch, start: usize, end: usize) -> (usize, bool) {
+        // Positive: every sample re-arms the boundary above the count.
+        let mut room = self.next_sample_at - self.core.instructions();
+        // An op retires at most `u32::MAX` instructions (an `Op::Compute`
+        // count), so a boundary this far out cannot fall in the range.
+        if room > (end - start) as u64 * u64::from(u32::MAX) {
+            return (end, false);
+        }
+        for i in start..end {
+            let retired = match batch.kind(i) {
+                OpKind::Compute => batch.addr(i),
+                OpKind::Load | OpKind::Store => 1,
+            };
+            if retired >= room {
+                return (i + 1, true);
+            }
+            room -= retired;
+        }
+        (end, false)
     }
 
     /// Migrates the page containing `va` to a fresh frame (see
@@ -725,23 +667,11 @@ impl Machine {
         self.next_sample_at = (cur.instructions / epoch + 1) * epoch;
     }
 
-    /// Final statistics plus the sampled telemetry series (when enabled).
-    /// Flushes the trailing partial epoch first, so the series always
-    /// covers the whole run.
-    fn report_with_telemetry(mut self) -> (RunReport, Option<TelemetrySeries>) {
-        if let Some(state) = &self.telemetry {
-            if self.core.instructions() > state.prev.instructions {
-                self.take_sample();
-            }
-        }
-        let series = self.telemetry.take().map(|t| t.series);
-        (self.report(), series)
-    }
-
     /// Everything the run produced: report, telemetry series, and (for
     /// sampled runs) the sampling summary. Closes any detailed window
     /// still open at generator end (a run ending mid-window is measured,
-    /// not dropped).
+    /// not dropped) and flushes the trailing partial telemetry epoch, so
+    /// the series always covers the whole run.
     fn finish(mut self) -> RunOutput {
         self.close_window();
         let sampling = self.sampling.take().map(|st| {
@@ -753,19 +683,15 @@ impl Machine {
                 &st.windows,
             )
         });
-        let (report, telemetry) = self.report_with_telemetry();
-        RunOutput {
-            report,
-            telemetry,
-            sampling,
+        if let Some(state) = &self.telemetry {
+            if self.core.instructions() > state.prev.instructions {
+                self.take_sample();
+            }
         }
-    }
-
-    /// Final statistics for the run.
-    fn report(mut self) -> RunReport {
+        let telemetry = self.telemetry.take().map(|t| t.series);
         let core = self.core.stats();
         self.lib.counter_mut().count_program(core.instructions);
-        RunReport {
+        let report = RunReport {
             core,
             l1: self.mem.hierarchy.l1_stats(),
             l2: self.mem.hierarchy.l2_stats(),
@@ -776,6 +702,11 @@ impl Machine {
             instruction_overhead: self.lib.counter().overhead_fraction(),
             xmem_prefetch: self.mem.hierarchy.xmem_prefetch_stats(),
             stride_prefetch: self.mem.hierarchy.stride_prefetch_stats(),
+        };
+        RunOutput {
+            report,
+            telemetry,
+            sampling,
         }
     }
 }
@@ -792,33 +723,72 @@ impl TraceSink for Machine {
         }
     }
 
+    /// Runs the batch one boundary at a time: each stretch of ops up to the
+    /// next sampling phase edge, ramp snapshot or telemetry sample goes
+    /// through its phase's tight loop, then that boundary fires. The
+    /// boundaries are exactly where the per-op path ([`TraceSink::op`])
+    /// fires them, so the two paths are observably identical. With nothing
+    /// armed the batch is one stretch: a single `step_batch_range`.
     fn op_batch(&mut self, batch: &OpBatch) {
-        if self.sampling.is_some() {
-            if self.next_sample_at == u64::MAX {
-                // Telemetry disarmed: run the batched sampled dispatch. An
-                // all-detailed batch degenerates to a single
-                // `step_batch_range` over the whole buffer (plus at most one
-                // ramp-snapshot split), which is why a 100%-coverage spec
-                // stays byte-identical to an unsampled run.
-                self.sampled_batch(batch);
-            } else {
-                for i in 0..batch.len() {
-                    self.sampled_op(batch.op(i));
+        let len = batch.len();
+        let mut i = 0;
+        while i < len {
+            let (phase, run) = self.enter_phase(len - i);
+            let (end, sample_due) = self.sample_split(batch, i, i + run);
+            match phase {
+                SamplePhase::Detailed => {
+                    self.core.step_batch_range(batch, i, end, &mut self.mem);
+                }
+                SamplePhase::Warm => {
+                    for j in i..end {
+                        match batch.kind(j) {
+                            OpKind::Load => self.mem.warm_access(batch.addr(j), false),
+                            OpKind::Store => self.mem.warm_access(batch.addr(j), true),
+                            OpKind::Compute => {}
+                        }
+                        self.core.step_fixed(batch.op(j), self.warm_load_latency);
+                    }
+                }
+                SamplePhase::FastForward => {
+                    // Functional warming, as in `sampled_op`: memory state
+                    // stays live through the fast-forward; only the core's
+                    // timing is skipped. Loads/stores tally into one bulk
+                    // skip (instant-retiring skips are order-free), so the
+                    // loop's only per-op work is the warm access itself.
+                    let mut loads = 0u64;
+                    let mut stores = 0u64;
+                    for j in i..end {
+                        match batch.kind(j) {
+                            OpKind::Load => {
+                                self.mem.warm_access(batch.addr(j), false);
+                                loads += 1;
+                            }
+                            OpKind::Store => {
+                                self.mem.warm_access(batch.addr(j), true);
+                                stores += 1;
+                            }
+                            OpKind::Compute => self.core.skip(batch.op(j)),
+                        }
+                    }
+                    self.core.skip_bulk(loads, stores);
                 }
             }
-            return;
-        }
-        if self.next_sample_at == u64::MAX {
-            // Telemetry disarmed: the per-op boundary check is always
-            // false, so the tight batch loop is observably identical.
-            self.core.step_batch(batch, &mut self.mem);
-        } else {
-            for i in 0..batch.len() {
-                self.core.step(batch.op(i), &mut self.mem);
-                if self.core.instructions() >= self.next_sample_at {
-                    self.take_sample();
+            if let Some(st) = self.sampling.as_mut() {
+                let n = (end - i) as u64;
+                st.ops_seen += n;
+                match phase {
+                    SamplePhase::Detailed => {
+                        st.detailed_ops += n;
+                        st.window_detailed += n;
+                    }
+                    SamplePhase::Warm => st.warm_ops += n,
+                    SamplePhase::FastForward => {}
                 }
             }
+            if sample_due {
+                self.take_sample();
+            }
+            i = end;
         }
     }
 
@@ -938,115 +908,24 @@ impl TraceSink for Machine {
     }
 }
 
-/// Runs `generate` on a machine configured by `config`, returning run
-/// statistics. Deterministic: identical inputs give identical reports.
-///
-/// # Examples
-///
-/// ```
-/// use xmem_sim::{run_workload, SystemConfig, SystemKind};
-/// use workloads::polybench::{KernelParams, PolybenchKernel};
-///
-/// let cfg = SystemConfig::scaled_use_case1(64 << 10, SystemKind::Xmem);
-/// let p = KernelParams { n: 24, tile_bytes: 2048, steps: 2, reuse: 200 };
-/// let report = run_workload(&cfg, |sink| PolybenchKernel::Gemm.generate(&p, sink));
-/// assert!(report.core.cycles > 0);
-/// ```
-pub fn run_workload(config: &SystemConfig, generate: impl Fn(&mut dyn TraceSink)) -> RunReport {
-    run_workload_with_telemetry(config, None, generate).0
-}
-
-/// Like [`run_workload`], additionally sampling a [`TelemetrySeries`] every
-/// `epoch_instructions` retired instructions when `Some`. Telemetry is
-/// observational only: the returned [`RunReport`] is identical whether or
-/// not sampling is enabled, and a disabled run costs one integer compare
-/// per op.
-///
-/// # Examples
-///
-/// ```
-/// use xmem_sim::{run_workload_with_telemetry, SystemConfig, SystemKind};
-/// use workloads::polybench::{KernelParams, PolybenchKernel};
-///
-/// let cfg = SystemConfig::scaled_use_case1(64 << 10, SystemKind::Xmem);
-/// let p = KernelParams { n: 24, tile_bytes: 2048, steps: 2, reuse: 200 };
-/// let (report, series) = run_workload_with_telemetry(&cfg, Some(1_000), |sink| {
-///     PolybenchKernel::Gemm.generate(&p, sink)
-/// });
-/// let series = series.expect("telemetry was enabled");
-/// assert_eq!(
-///     series.samples.last().map(|s| s.instructions),
-///     Some(report.core.instructions)
-/// );
-/// ```
-pub fn run_workload_with_telemetry(
-    config: &SystemConfig,
-    epoch_instructions: Option<u64>,
-    generate: impl Fn(&mut dyn TraceSink),
-) -> (RunReport, Option<TelemetrySeries>) {
-    run_generator(config, epoch_instructions, &ClosureGen(generate))
-}
-
 /// A workload generator the two-pass runner can replay into any sink type.
 ///
 /// The generic method is the point: implementors written against a concrete
 /// `S` monomorphize, so the executing pass inlines generator → batch
-/// emitter → machine with no per-op virtual dispatch. `dyn TraceSink` still
-/// satisfies `S` (it is `?Sized`), which is how the closure-based
-/// [`run_workload`] entry points reuse the same flow.
+/// emitter → machine with no per-op virtual dispatch. A closure over
+/// `&mut dyn TraceSink` is a generator too (every sink the runner passes
+/// is sized, so it coerces to the trait object), at one virtual call per
+/// sink call.
 pub trait Generator {
     /// Replays the workload into `sink`. Must be deterministic: the runner
     /// calls this twice (scan pass, then execute pass) and the two replays
     /// must emit the same trace.
-    fn emit<S: TraceSink + ?Sized>(&self, sink: &mut S);
+    fn emit<S: TraceSink>(&self, sink: &mut S);
 }
 
-/// Adapts a `Fn(&mut dyn TraceSink)` closure to [`Generator`] for the
-/// dyn-dispatch entry points ([`run_workload`] and friends).
-struct ClosureGen<F: Fn(&mut dyn TraceSink)>(F);
-
-impl<F: Fn(&mut dyn TraceSink)> Generator for ClosureGen<F> {
-    fn emit<S: TraceSink + ?Sized>(&self, sink: &mut S) {
-        // `S` may itself be unsized, so it can't coerce to `dyn TraceSink`
-        // directly; the Sized forwarder below can.
-        (self.0)(&mut ForwardSink(sink));
-    }
-}
-
-/// Sized shim forwarding every [`TraceSink`] method to a possibly-unsized
-/// inner sink, so `&mut S` can be handed to a `&mut dyn TraceSink` closure.
-struct ForwardSink<'a, S: TraceSink + ?Sized>(&'a mut S);
-
-impl<S: TraceSink + ?Sized> TraceSink for ForwardSink<'_, S> {
-    fn op(&mut self, op: Op) {
-        self.0.op(op);
-    }
-    fn op_batch(&mut self, batch: &OpBatch) {
-        self.0.op_batch(batch);
-    }
-    fn alloc(&mut self, bytes: u64, atom: Option<AtomId>) -> u64 {
-        self.0.alloc(bytes, atom)
-    }
-    fn create_atom(&mut self, label: &str, attrs: AtomAttributes) -> AtomId {
-        self.0.create_atom(label, attrs)
-    }
-    fn map(&mut self, atom: AtomId, start: u64, len: u64) {
-        self.0.map(atom, start, len);
-    }
-    fn unmap(&mut self, start: u64, len: u64) {
-        self.0.unmap(start, len);
-    }
-    fn map_2d(&mut self, atom: AtomId, base: u64, size_x: u64, size_y: u64, len_x: u64) {
-        self.0.map_2d(atom, base, size_x, size_y, len_x);
-    }
-    fn unmap_2d(&mut self, base: u64, size_x: u64, size_y: u64, len_x: u64) {
-        self.0.unmap_2d(base, size_x, size_y, len_x);
-    }
-    fn activate(&mut self, atom: AtomId) {
-        self.0.activate(atom);
-    }
-    fn deactivate(&mut self, atom: AtomId) {
-        self.0.deactivate(atom);
+impl<F: Fn(&mut dyn TraceSink)> Generator for F {
+    fn emit<S: TraceSink>(&self, sink: &mut S) {
+        self(sink);
     }
 }
 
@@ -1063,47 +942,42 @@ pub struct RunOutput {
     pub sampling: Option<SamplingSummary>,
 }
 
-/// Runs the two-pass simulation for a [`Generator`], monomorphized over the
-/// concrete sink type of each pass. [`RunSpec::execute`] routes here, so
-/// sweep runs pay zero per-op virtual dispatch on the generation side.
+/// Runs `generator` on a machine configured by `config`: the two-pass
+/// compile/load/execute flow, with the executing pass buffered into
+/// [`OpBatch`]es. Deterministic: identical inputs give identical outputs.
 ///
-/// [`RunSpec::execute`]: crate::harness::RunSpec::execute
-pub fn run_generator<G: Generator>(
+/// `epoch` additionally samples a [`TelemetrySeries`] every that many
+/// retired instructions; `sampling` executes under an interval
+/// [`SamplingSpec`] (`None` runs fully detailed). Telemetry is
+/// observational only — the report is identical with or without it — and
+/// a 100%-coverage spec ([`SamplingSpec::full_coverage`]) leaves the report
+/// byte-identical to `None` (the byte-identity suite pins both).
+///
+/// # Examples
+///
+/// ```
+/// use workloads::polybench::{KernelParams, PolybenchKernel};
+/// use workloads::sink::TraceSink;
+/// use xmem_sim::{run, SystemConfig, SystemKind};
+///
+/// let cfg = SystemConfig::scaled_use_case1(64 << 10, SystemKind::Xmem);
+/// let p = KernelParams { n: 24, tile_bytes: 2048, steps: 2, reuse: 200 };
+/// let gemm = |s: &mut dyn TraceSink| PolybenchKernel::Gemm.generate(&p, s);
+/// let out = run(&cfg, &gemm, Some(1_000), None);
+/// assert!(out.report.core.cycles > 0);
+/// let series = out.telemetry.expect("telemetry was enabled");
+/// assert_eq!(
+///     series.samples.last().map(|s| s.instructions),
+///     Some(out.report.core.instructions)
+/// );
+/// ```
+pub fn run<G: Generator>(
     config: &SystemConfig,
-    epoch_instructions: Option<u64>,
     generator: &G,
-) -> (RunReport, Option<TelemetrySeries>) {
-    let out = run_generator_sampled(config, epoch_instructions, None, generator);
-    (out.report, out.telemetry)
-}
-
-/// Like [`run_generator`], additionally executing under an interval
-/// [`SamplingSpec`] when one is given. `None` runs fully detailed; a
-/// 100%-coverage spec ([`SamplingSpec::full_coverage`]) produces a report
-/// byte-identical to `None` (the byte-identity suite pins this).
-pub fn run_generator_sampled<G: Generator>(
-    config: &SystemConfig,
-    epoch_instructions: Option<u64>,
+    epoch: Option<u64>,
     sampling: Option<SamplingSpec>,
-    generator: &G,
 ) -> RunOutput {
-    // Pass 1: compile-time summarization.
-    let mut scan = ScanSink::new();
-    generator.emit(&mut scan);
-    let segment = scan.segment();
-    // Load time: GAT + translator + PATs + placement primitives.
-    let translator = AttributeTranslator::with_row_bytes(config.dram.row_bytes);
-    // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
-    let loaded = load_segment(ProcessId(0), &segment, &translator).expect("program load failed");
-    // Execution: generators emit per-op; the BatchEmitter buffers ops into
-    // OpBatches and the machine executes them through the batched path.
-    let mut machine = Machine::new(config, &loaded);
-    if let Some(epoch) = epoch_instructions {
-        machine.enable_telemetry(epoch);
-    }
-    if let Some(spec) = sampling {
-        machine.enable_sampling(spec);
-    }
+    let mut machine = prologue(config, generator, epoch, sampling);
     {
         let mut emitter = BatchEmitter::new(&mut machine);
         generator.emit(&mut emitter);
@@ -1114,55 +988,53 @@ pub fn run_generator_sampled<G: Generator>(
     machine.finish()
 }
 
-/// Scalar reference arm for the byte-identity suite: identical to
-/// [`run_workload`] except the generator drives the machine one op at a
-/// time — no [`BatchEmitter`], the pre-batching execution shape. Exists so
-/// tests can prove the batched path changes nothing; not part of the
-/// supported API.
+/// Scalar reference arm for the byte-identity suite: identical to [`run`]
+/// except the generator drives the machine one op at a time — no
+/// [`BatchEmitter`], so every op takes the per-op dispatch. Exists so tests
+/// can prove the batched loop changes nothing; not part of the supported
+/// API.
 #[doc(hidden)]
-pub fn run_workload_scalar(
+pub fn run_scalar<G: Generator>(
     config: &SystemConfig,
-    generate: impl Fn(&mut dyn TraceSink),
-) -> RunReport {
+    generator: &G,
+    epoch: Option<u64>,
+    sampling: Option<SamplingSpec>,
+) -> RunOutput {
+    let mut machine = prologue(config, generator, epoch, sampling);
+    generator.emit(&mut machine);
+    machine.finish()
+}
+
+/// The prologue of every run: scans the program (compile-time atom
+/// summarization), loads its segment (GAT, translator, PATs, placement
+/// primitives), builds the machine and arms telemetry and sampling.
+fn prologue<G: Generator>(
+    config: &SystemConfig,
+    generator: &G,
+    epoch: Option<u64>,
+    sampling: Option<SamplingSpec>,
+) -> Machine {
     let mut scan = ScanSink::new();
-    generate(&mut scan);
+    generator.emit(&mut scan);
     let segment = scan.segment();
     let translator = AttributeTranslator::with_row_bytes(config.dram.row_bytes);
     // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
     let loaded = load_segment(ProcessId(0), &segment, &translator).expect("program load failed");
     let mut machine = Machine::new(config, &loaded);
-    generate(&mut machine);
-    machine.report()
-}
-
-/// Scalar reference arm for *sampled* execution: identical to
-/// [`run_generator_sampled`] (without telemetry) except the generator
-/// drives the machine one op at a time, so every op takes the scalar
-/// [`Machine::sampled_op`] dispatch. Exists so tests can prove the
-/// batched sampled dispatch — phase-run loops, bulk skip accounting,
-/// ramp-split snapshots — changes nothing; not part of the supported API.
-#[doc(hidden)]
-pub fn run_workload_sampled_scalar(
-    config: &SystemConfig,
-    spec: SamplingSpec,
-    generate: impl Fn(&mut dyn TraceSink),
-) -> RunOutput {
-    let mut scan = ScanSink::new();
-    generate(&mut scan);
-    let segment = scan.segment();
-    let translator = AttributeTranslator::with_row_bytes(config.dram.row_bytes);
-    // simlint: allow(unwrap, reason = "workload-invariant violation; test-only reference arm")
-    let loaded = load_segment(ProcessId(0), &segment, &translator).expect("program load failed");
-    let mut machine = Machine::new(config, &loaded);
-    machine.enable_sampling(spec);
-    generate(&mut machine);
-    machine.finish()
+    if let Some(epoch) = epoch {
+        machine.enable_telemetry(epoch);
+    }
+    if let Some(spec) = sampling {
+        machine.enable_sampling(spec);
+    }
+    machine
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::SystemKind;
+    use crate::harness::WorkloadSpec;
     use workloads::polybench::{KernelParams, PolybenchKernel};
 
     fn params() -> KernelParams {
@@ -1174,17 +1046,17 @@ mod tests {
         }
     }
 
+    /// `kernel` at the test problem size.
+    fn kernel(kernel: PolybenchKernel) -> WorkloadSpec {
+        WorkloadSpec::kernel(kernel, params())
+    }
+
     #[test]
     fn baseline_and_xmem_run_same_work() {
-        let p = params();
-        let base = run_workload(
-            &SystemConfig::scaled_use_case1(64 << 10, SystemKind::Baseline),
-            |s| PolybenchKernel::Gemm.generate(&p, s),
-        );
-        let xmem = run_workload(
-            &SystemConfig::scaled_use_case1(64 << 10, SystemKind::Xmem),
-            |s| PolybenchKernel::Gemm.generate(&p, s),
-        );
+        let gemm = kernel(PolybenchKernel::Gemm);
+        let cfg = |kind| SystemConfig::scaled_use_case1(64 << 10, kind);
+        let base = run(&cfg(SystemKind::Baseline), &gemm, None, None).report;
+        let xmem = run(&cfg(SystemKind::Xmem), &gemm, None, None).report;
         assert_eq!(base.core.instructions, xmem.core.instructions);
         assert_eq!(base.core.loads, xmem.core.loads);
         assert_eq!(base.xmem_instructions, 0);
@@ -1193,30 +1065,27 @@ mod tests {
 
     #[test]
     fn runs_are_deterministic() {
-        let p = params();
         let cfg = SystemConfig::scaled_use_case1(64 << 10, SystemKind::Xmem);
-        let a = run_workload(&cfg, |s| PolybenchKernel::Syrk.generate(&p, s));
-        let b = run_workload(&cfg, |s| PolybenchKernel::Syrk.generate(&p, s));
+        let a = run(&cfg, &kernel(PolybenchKernel::Syrk), None, None).report;
+        let b = run(&cfg, &kernel(PolybenchKernel::Syrk), None, None).report;
         assert_eq!(a.core, b.core);
         assert_eq!(a.dram, b.dram);
     }
 
     #[test]
     fn alb_sees_traffic_with_xmem() {
-        let p = params();
         let cfg = SystemConfig::scaled_use_case1(32 << 10, SystemKind::Xmem);
-        let r = run_workload(&cfg, |s| PolybenchKernel::Gemm.generate(&p, s));
+        let r = run(&cfg, &kernel(PolybenchKernel::Gemm), None, None).report;
         assert!(r.alb.lookups() > 0);
         assert!(r.alb.hit_rate() > 0.5, "ALB hit rate {}", r.alb.hit_rate());
     }
 
     #[test]
     fn tlb_adds_walk_cost_but_preserves_work() {
-        let p = params();
         let base_cfg = SystemConfig::scaled_use_case1(64 << 10, SystemKind::Baseline);
         let tlb_cfg = base_cfg.with_tlb();
-        let without = run_workload(&base_cfg, |s| PolybenchKernel::Gemm.generate(&p, s));
-        let with = run_workload(&tlb_cfg, |s| PolybenchKernel::Gemm.generate(&p, s));
+        let without = run(&base_cfg, &kernel(PolybenchKernel::Gemm), None, None).report;
+        let with = run(&tlb_cfg, &kernel(PolybenchKernel::Gemm), None, None).report;
         assert_eq!(without.core.instructions, with.core.instructions);
         assert!(
             with.core.cycles > without.core.cycles,
@@ -1230,28 +1099,23 @@ mod tests {
 
     #[test]
     fn telemetry_does_not_perturb_the_run() {
-        let p = params();
         let cfg = SystemConfig::scaled_use_case1(64 << 10, SystemKind::Xmem);
-        let plain = run_workload(&cfg, |s| PolybenchKernel::Gemm.generate(&p, s));
-        let (sampled, series) =
-            run_workload_with_telemetry(&cfg, Some(500), |s| PolybenchKernel::Gemm.generate(&p, s));
-        assert_eq!(plain, sampled, "sampling must be observational only");
-        assert!(series.is_some());
-        let (unsampled, none) =
-            run_workload_with_telemetry(&cfg, None, |s| PolybenchKernel::Gemm.generate(&p, s));
-        assert_eq!(plain, unsampled);
-        assert!(none.is_none());
+        let plain = run(&cfg, &kernel(PolybenchKernel::Gemm), None, None);
+        let sampled = run(&cfg, &kernel(PolybenchKernel::Gemm), Some(500), None);
+        assert_eq!(
+            plain.report, sampled.report,
+            "sampling must be observational only"
+        );
+        assert!(sampled.telemetry.is_some());
+        assert!(plain.telemetry.is_none());
     }
 
     #[test]
     fn telemetry_covers_the_whole_run_in_epoch_order() {
-        let p = params();
         let cfg = SystemConfig::scaled_use_case1(64 << 10, SystemKind::Xmem);
         let epoch = 1_000;
-        let (report, series) = run_workload_with_telemetry(&cfg, Some(epoch), |s| {
-            PolybenchKernel::Gemm.generate(&p, s)
-        });
-        let series = series.expect("telemetry enabled");
+        let out = run(&cfg, &kernel(PolybenchKernel::Gemm), Some(epoch), None);
+        let (report, series) = (out.report, out.telemetry.expect("telemetry enabled"));
         assert_eq!(series.epoch_instructions, epoch);
         assert!(
             series.samples.len() as u64 >= report.core.instructions / epoch,
@@ -1288,12 +1152,9 @@ mod tests {
 
     #[test]
     fn telemetry_sees_xmem_activity() {
-        let p = params();
         let cfg = SystemConfig::scaled_use_case1(32 << 10, SystemKind::Xmem);
-        let (report, series) = run_workload_with_telemetry(&cfg, Some(2_000), |s| {
-            PolybenchKernel::Gemm.generate(&p, s)
-        });
-        let series = series.expect("telemetry enabled");
+        let out = run(&cfg, &kernel(PolybenchKernel::Gemm), Some(2_000), None);
+        let (report, series) = (out.report, out.telemetry.expect("telemetry enabled"));
         let sampled_lookup_hits: f64 = series.samples.iter().map(|s| s.alb_hit_rate).sum();
         assert!(
             sampled_lookup_hits > 0.0,
@@ -1305,12 +1166,7 @@ mod tests {
     /// A bare machine over an empty program, for tests that drive the
     /// sink interface directly.
     fn bare_machine(cfg: &SystemConfig) -> Machine {
-        let scan = ScanSink::new();
-        let segment = scan.segment();
-        let translator = AttributeTranslator::with_row_bytes(cfg.dram.row_bytes);
-        let loaded =
-            load_segment(ProcessId(0), &segment, &translator).expect("empty program loads");
-        Machine::new(cfg, &loaded)
+        prologue(cfg, &|_: &mut dyn TraceSink| {}, None, None)
     }
 
     #[test]
@@ -1346,13 +1202,14 @@ mod tests {
         // exactly on an epoch boundary, so the second sample *is* the final
         // epoch — no empty trailing flush, no zero-delta division.
         let cfg = SystemConfig::scaled_use_case1(64 << 10, SystemKind::Baseline);
-        let (report, series) = run_workload_with_telemetry(&cfg, Some(500), |s| {
+        let compute = |s: &mut dyn TraceSink| {
             for _ in 0..1000 {
                 s.compute(1);
             }
-        });
-        assert_eq!(report.core.instructions, 1000);
-        let series = series.expect("telemetry enabled");
+        };
+        let out = run(&cfg, &compute, Some(500), None);
+        assert_eq!(out.report.core.instructions, 1000);
+        let series = out.telemetry.expect("telemetry enabled");
         assert_eq!(
             series.samples.len(),
             2,
@@ -1388,12 +1245,14 @@ mod tests {
         // close within the same cycle, so their cycle delta is zero and
         // the IPC guard must return 0.0 rather than dividing.
         let cfg = SystemConfig::scaled_use_case1(64 << 10, SystemKind::Baseline);
-        let (_, series) = run_workload_with_telemetry(&cfg, Some(1), |s| {
+        let compute = |s: &mut dyn TraceSink| {
             for _ in 0..8 {
                 s.compute(1);
             }
-        });
-        let series = series.expect("telemetry enabled");
+        };
+        let series = run(&cfg, &compute, Some(1), None)
+            .telemetry
+            .expect("telemetry enabled");
         assert!(series.samples.len() >= 4);
         assert!(series.samples.iter().all(|s| s.ipc.is_finite()));
         assert!(
@@ -1405,16 +1264,10 @@ mod tests {
 
     #[test]
     fn full_coverage_sampling_is_byte_identical_to_full_execution() {
-        let p = params();
         let cfg = SystemConfig::scaled_use_case1(64 << 10, SystemKind::Xmem);
-        let generator = ClosureGen(|s: &mut dyn TraceSink| PolybenchKernel::Gemm.generate(&p, s));
-        let (plain, _) = run_generator(&cfg, None, &generator);
-        let sampled = run_generator_sampled(
-            &cfg,
-            None,
-            Some(crate::sampling::SamplingSpec::full_coverage()),
-            &generator,
-        );
+        let gemm = kernel(PolybenchKernel::Gemm);
+        let plain = run(&cfg, &gemm, None, None).report;
+        let sampled = run(&cfg, &gemm, None, Some(SamplingSpec::full_coverage()));
         assert_eq!(plain, sampled.report, "100% coverage must change nothing");
         let summary = sampled.sampling.expect("sampled run carries a summary");
         assert_eq!(summary.detailed_ops, summary.total_ops);
@@ -1425,9 +1278,8 @@ mod tests {
 
     #[test]
     fn partial_sampling_is_deterministic_and_tracks_the_full_run() {
-        let p = params();
         let cfg = SystemConfig::scaled_use_case1(64 << 10, SystemKind::Xmem);
-        let generator = ClosureGen(|s: &mut dyn TraceSink| PolybenchKernel::Gemm.generate(&p, s));
+        let gemm = kernel(PolybenchKernel::Gemm);
         // The measured half of each window (window/2, after the ramp) must
         // span several DRAM latencies of cycles for the open/close overhang
         // to cancel, so the windows here are deliberately sizeable.
@@ -1436,8 +1288,8 @@ mod tests {
             window_ops: 4_000,
             interval: 20_000,
         };
-        let out = run_generator_sampled(&cfg, None, Some(spec), &generator);
-        let again = run_generator_sampled(&cfg, None, Some(spec), &generator);
+        let out = run(&cfg, &gemm, None, Some(spec));
+        let again = run(&cfg, &gemm, None, Some(spec));
         assert_eq!(out.report, again.report, "sampled runs are deterministic");
         assert_eq!(out.sampling, again.sampling);
         let summary = out.sampling.expect("summary present");
@@ -1450,7 +1302,7 @@ mod tests {
         assert_eq!(summary.spec, spec);
         assert!(!summary.clusters.is_empty());
         // The sampled IPC estimate lands near the full run's IPC.
-        let (full, _) = run_generator(&cfg, None, &generator);
+        let full = run(&cfg, &gemm, None, None).report;
         let full_ipc = full.core.instructions as f64 / full.core.cycles as f64;
         let est = summary.metric("ipc").expect("ipc metric present");
         assert!(est.mean > 0.0 && est.min <= est.mean && est.mean <= est.max);
@@ -1464,9 +1316,8 @@ mod tests {
 
     #[test]
     fn instruction_overhead_is_tiny() {
-        let p = params();
         let cfg = SystemConfig::scaled_use_case1(64 << 10, SystemKind::Xmem);
-        let r = run_workload(&cfg, |s| PolybenchKernel::Gemm.generate(&p, s));
+        let r = run(&cfg, &kernel(PolybenchKernel::Gemm), None, None).report;
         assert!(
             r.instruction_overhead < 0.005,
             "overhead {}",

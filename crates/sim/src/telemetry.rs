@@ -20,7 +20,7 @@
 //! Chrome-trace-format JSON document openable in `chrome://tracing` or
 //! [Perfetto](https://ui.perfetto.dev).
 //!
-//! Sampling is off by default and costs one integer compare per op when
+//! Sampling is off by default and costs one bound check per op batch when
 //! disabled (see the `overheads` binary's microbench).
 
 use crate::report_sink::JsonValue;

@@ -6,8 +6,8 @@
 //! that contract at every level:
 //!
 //! * quick-sized fig4–fig7 grid points, batched vs. the scalar reference
-//!   arm (`run_workload_scalar`, which drives the machine without a
-//!   `BatchEmitter`);
+//!   arm (`run_scalar`, which drives the machine without a
+//!   `BatchEmitter`), with telemetry armed as well as unarmed;
 //! * sweep records under 1 worker vs. 8 workers;
 //! * SplitMix64-fuzzed `OpBatch` lane round trips and `serve_batch` vs.
 //!   per-op `serve` through the DRAM layer and the scalar adapter.
@@ -16,6 +16,12 @@
 //! 100%-coverage [`SamplingSpec`] (every op detailed, nothing fast-forwarded)
 //! must leave the report byte-identical to plain full execution on the same
 //! fig4–fig7 grid points — the sampling machinery may observe, never perturb.
+//!
+//! Armed runs split each batch at every sampling phase edge, window ramp
+//! snapshot and telemetry sample, so the armed checks use an epoch and an
+//! interval coprime to `BATCH_CAPACITY`: boundaries then land at every
+//! offset within a batch, and multi-instruction `Compute` ops straddle
+//! epoch edges.
 
 use cpu_sim::batch::{MemoryPath, OpAttrs, OpBatch, OpKind, BATCH_CAPACITY};
 use cpu_sim::trace::{FixedLatency, Op};
@@ -25,23 +31,38 @@ use workloads::polybench::{KernelParams, PolybenchKernel};
 use workloads::sink::TraceSink;
 use xmem_core::rng::SplitMix64;
 use xmem_sim::{
-    placement_specs, run_workload_sampled_scalar, run_workload_scalar, KernelRun, RunSpec,
-    SamplingSpec, Sweep, SystemKind, Uc2System,
+    placement_specs, run, run_scalar, Generator, KernelRun, RunSpec, SamplingSpec, Sweep,
+    SystemConfig, SystemKind, Uc2System,
 };
 
-/// Asserts one spec's batched report equals the scalar reference report,
-/// field for field and byte for byte (the `Debug` rendering covers every
-/// counter in the report, so string equality is a byte-level check).
-fn assert_identical(spec: &RunSpec) {
-    let batched = spec.execute();
-    let scalar = run_workload_scalar(&spec.config, |s| spec.workload.generate(s));
-    assert_eq!(batched, scalar, "{}: batched != scalar", spec.label);
+/// Telemetry epoch of the armed checks (coprime to `BATCH_CAPACITY`).
+const EPOCH: u64 = 997;
+
+/// Runs `generator` batched and through the scalar reference arm and
+/// asserts the two outputs are identical field for field and byte for
+/// byte: the `Debug` rendering covers every counter of the report and the
+/// exact bits of every telemetry sample and sampling estimate, so string
+/// equality is a byte-level check.
+fn assert_batched_equals_scalar<G: Generator>(
+    label: &str,
+    config: &SystemConfig,
+    generator: &G,
+    epoch: Option<u64>,
+    sampling: Option<SamplingSpec>,
+) {
+    let batched = run(config, generator, epoch, sampling);
+    let scalar = run_scalar(config, generator, epoch, sampling);
+    assert_eq!(batched.report, scalar.report, "{label}: batched != scalar");
     assert_eq!(
         format!("{batched:?}"),
         format!("{scalar:?}"),
-        "{}: Debug renderings differ",
-        spec.label
+        "{label}: Debug renderings differ"
     );
+}
+
+/// Asserts one spec's batched run equals the scalar reference run.
+fn assert_identical(spec: &RunSpec, epoch: Option<u64>) {
+    assert_batched_equals_scalar(&spec.label, &spec.config, &spec.workload, epoch, None);
 }
 
 fn uc1_params(n: usize, tile_bytes: u64) -> KernelParams {
@@ -56,7 +77,7 @@ fn uc1_params(n: usize, tile_bytes: u64) -> KernelParams {
 /// Figures 4–6 are (kernel, system, tile-size) grids over the polybench
 /// kernels. A quick-sized sample of that grid — small/tuned/oversized
 /// tiles, a spread of kernels, both systems — must be byte-identical
-/// batched vs. scalar.
+/// batched vs. scalar, unarmed and with telemetry armed.
 #[test]
 fn fig4_to_fig6_quick_points_batched_equals_scalar() {
     let l3 = 32 << 10;
@@ -73,7 +94,8 @@ fn fig4_to_fig6_quick_points_batched_equals_scalar() {
                     .system(kind)
                     .spec();
                 spec.label = format!("{}/{kind}/tile={tile}", kernel.name());
-                assert_identical(&spec);
+                assert_identical(&spec, None);
+                assert_identical(&spec, Some(EPOCH));
             }
         }
     }
@@ -92,7 +114,7 @@ fn fig7_quick_points_batched_equals_scalar() {
     for w in &workloads {
         for sys in [Uc2System::Baseline, Uc2System::Xmem, Uc2System::IdealRbl] {
             for spec in placement_specs(w, sys) {
-                assert_identical(&spec);
+                assert_identical(&spec, None);
             }
         }
     }
@@ -151,8 +173,13 @@ fn sweep_records_identical_under_1_and_8_workers() {
 /// its plain full execution, byte for byte, and that the run's sampling
 /// summary confirms every op went through the detailed path.
 fn assert_full_coverage_identical(spec: &RunSpec) {
-    let plain = spec.execute();
-    let sampled = spec.execute_sampled(None, Some(SamplingSpec::full_coverage()));
+    let plain = run(&spec.config, &spec.workload, None, None).report;
+    let sampled = run(
+        &spec.config,
+        &spec.workload,
+        None,
+        Some(SamplingSpec::full_coverage()),
+    );
     assert_eq!(
         plain, sampled.report,
         "{}: 100% coverage changed the report",
@@ -193,30 +220,14 @@ fn fig4_to_fig6_quick_points_full_coverage_sampling_is_identity() {
     }
 }
 
-/// Asserts one spec, under a *partial*-coverage sampling schedule, is
-/// identical through the batched sampled dispatch (phase-run tight loops,
-/// bulk skip accounting, ramp-split snapshots) and the scalar per-op
-/// dispatch — report and sampling summary both.
-fn assert_sampled_batched_equals_scalar(spec: &RunSpec, sampling: SamplingSpec) {
-    let batched = spec.execute_sampled(None, Some(sampling));
-    let scalar = run_workload_sampled_scalar(&spec.config, sampling, |s| spec.workload.generate(s));
-    assert_eq!(
-        batched.report, scalar.report,
-        "{}: sampled batched != sampled scalar",
-        spec.label
-    );
-    assert_eq!(
-        format!("{:?}", batched.sampling),
-        format!("{:?}", scalar.sampling),
-        "{}: sampling summaries differ",
-        spec.label
-    );
-}
-
-/// Partial-coverage sampled execution is batched/scalar-identical on a
-/// spread of fig4–fig6 grid points. The schedule is sized so quick runs
-/// cross several intervals and every phase boundary lands mid-batch
-/// somewhere (interval and batch capacity are coprime).
+/// Partial-coverage sampled execution is identical through the batched
+/// sampled dispatch (phase-run tight loops, bulk skip accounting,
+/// ramp-split snapshots, telemetry splits) and the scalar per-op dispatch
+/// — report, sampling summary and telemetry series — on a spread of
+/// fig4–fig6 grid points, unarmed and with telemetry armed. The schedule
+/// is sized so quick runs cross several intervals and every phase
+/// boundary lands mid-batch somewhere (interval and batch capacity are
+/// coprime).
 #[test]
 fn partial_coverage_sampling_batched_equals_scalar() {
     let sampling = SamplingSpec {
@@ -232,7 +243,16 @@ fn partial_coverage_sampling_batched_equals_scalar() {
                 .system(kind)
                 .spec();
             spec.label = format!("{}/{kind}/sampled", kernel.name());
-            assert_sampled_batched_equals_scalar(&spec, sampling);
+            for epoch in [None, Some(EPOCH)] {
+                let label = format!("{}/epoch={epoch:?}", spec.label);
+                assert_batched_equals_scalar(
+                    &label,
+                    &spec.config,
+                    &spec.workload,
+                    epoch,
+                    Some(sampling),
+                );
+            }
         }
     }
 }
@@ -387,11 +407,11 @@ fn scalar_adapter_serve_batch_matches_access_fuzzed() {
 
 /// Fuzz the whole machine: a seeded synthetic workload (random allocs,
 /// loads, stores, compute bursts, atom hints) runs byte-identical through
-/// the batched and scalar paths.
+/// the batched and scalar paths, unarmed and with telemetry armed (the
+/// compute bursts straddle epoch edges).
 #[test]
 fn random_workloads_batched_equals_scalar() {
     use xmem_core::attrs::{AccessPattern, AtomAttributes, Reuse};
-    use xmem_sim::{run_workload, SystemConfig};
 
     let generate = |seed: u64, sink: &mut dyn TraceSink| {
         let mut rng = SplitMix64::new(seed);
@@ -418,12 +438,13 @@ fn random_workloads_batched_equals_scalar() {
         sink.deactivate(atom);
     };
     for seed in [1u64, 7, 42] {
+        let generator = |s: &mut dyn TraceSink| generate(seed, s);
         for kind in [SystemKind::Baseline, SystemKind::Xmem] {
             let cfg = SystemConfig::scaled_use_case1(32 << 10, kind);
-            let batched = run_workload(&cfg, |s| generate(seed, s));
-            let scalar = run_workload_scalar(&cfg, |s| generate(seed, s));
-            assert_eq!(batched, scalar, "seed {seed}, {kind}");
-            assert_eq!(format!("{batched:?}"), format!("{scalar:?}"));
+            for epoch in [None, Some(EPOCH)] {
+                let label = format!("seed {seed}, {kind}, epoch {epoch:?}");
+                assert_batched_equals_scalar(&label, &cfg, &generator, epoch, None);
+            }
         }
     }
 }

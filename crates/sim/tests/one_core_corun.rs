@@ -1,0 +1,129 @@
+//! Differential gate between the two replay loops: a 1-core
+//! [`run_corun`] and the single-core [`run`] must agree on every counter
+//! both report — core, L1, L2, L3, DRAM and ALB — on quick-sized fig4–fig7
+//! grid points.
+//!
+//! Configurations the co-run machine cannot express are skipped: an
+//! `ideal_rbl` DRAM (Fig 7's "Ideal" system) and a TLB have no
+//! [`MultiCoreConfig`] field. Prefetch statistics are not compared because
+//! [`xmem_sim::CorunReport`] does not carry them (DESIGN.md "Modeling
+//! decisions" lists both gaps).
+
+use cache_sim::BusConfig;
+use workloads::placement::PlacementWorkload;
+use workloads::polybench::{KernelParams, PolybenchKernel};
+use workloads::sink::LogSink;
+use xmem_sim::{
+    placement_specs, run, run_corun, CoherenceMode, KernelRun, MultiCoreConfig, RunSpec,
+    SystemConfig, SystemKind, Uc2System,
+};
+
+/// The 1-core co-run machine equivalent to `cfg`, field for field.
+fn one_core(cfg: &SystemConfig) -> MultiCoreConfig {
+    MultiCoreConfig {
+        cores: 1,
+        core: cfg.core,
+        l1: cfg.hierarchy.l1,
+        l2: cfg.hierarchy.l2,
+        l3: cfg.hierarchy.l3,
+        stride_prefetcher: cfg.hierarchy.stride_prefetcher,
+        stride_streams: cfg.hierarchy.stride_streams,
+        prefetch_degree: cfg.hierarchy.prefetch_degree,
+        xmem_prefetch_degree: cfg.hierarchy.xmem_prefetch_degree,
+        xmem: cfg.hierarchy.xmem,
+        dram: cfg.dram,
+        mapping: cfg.mapping,
+        phys_bytes: cfg.phys_bytes,
+        frame_policy: cfg.frame_policy,
+        coherence: CoherenceMode::None,
+        bus: BusConfig::default(),
+        coherence_aware_pinning: true,
+    }
+}
+
+/// Runs `spec` through both and asserts every shared counter
+/// matches. Returns `false` (without running) for configurations the
+/// co-run machine cannot express.
+fn assert_runs_agree(spec: &RunSpec) -> bool {
+    if spec.config.ideal_rbl || spec.config.tlb.is_some() {
+        return false;
+    }
+    let single = run(&spec.config, &spec.workload, None, None).report;
+    let mut log = LogSink::new();
+    spec.workload.generate(&mut log);
+    let corun = run_corun(&one_core(&spec.config), &[log.into_events()]);
+    let label = &spec.label;
+    assert_eq!(corun.cores[0], single.core, "{label}: core");
+    assert_eq!(corun.l1s[0], single.l1, "{label}: L1");
+    assert_eq!(corun.l2s[0], single.l2, "{label}: L2");
+    assert_eq!(corun.l3, single.l3, "{label}: L3");
+    assert_eq!(corun.dram, single.dram, "{label}: DRAM");
+    assert_eq!(corun.alb, single.alb, "{label}: ALB");
+    true
+}
+
+fn params(tile_bytes: u64) -> KernelParams {
+    KernelParams {
+        n: 32,
+        tile_bytes,
+        steps: 4,
+        reuse: 200,
+    }
+}
+
+/// Figs 4–6: kernels × all three systems × small/tuned/oversized tiles on
+/// the 32 KB L3, the tuned tile on Fig 5's halved L3, and Fig 6's lowest
+/// per-core bandwidth.
+#[test]
+fn fig4_to_fig6_quick_points_agree() {
+    let l3 = 32 << 10;
+    let kernels = [
+        PolybenchKernel::Gemm,
+        PolybenchKernel::Mvt,
+        PolybenchKernel::Syrk,
+        PolybenchKernel::Jacobi2d,
+    ];
+    let systems = [SystemKind::Baseline, SystemKind::XmemPref, SystemKind::Xmem];
+    for kernel in kernels {
+        for kind in systems {
+            let at = |tile, l3| {
+                KernelRun::new(kernel, params(tile))
+                    .l3_bytes(l3)
+                    .system(kind)
+            };
+            let runs = [
+                ("tile=2K", at(2048, l3)),
+                ("tile=16K", at(l3 / 2, l3)),
+                ("tile=64K", at(2 * l3, l3)),
+                ("L3=16K", at(l3 / 2, l3 / 2)),
+                ("0.5GBps", at(l3 / 2, l3).per_core_gbps(0.5)),
+            ];
+            for (what, r) in runs {
+                let mut spec = r.spec();
+                spec.label = format!("{}/{kind}/{what}", kernel.name());
+                assert!(assert_runs_agree(&spec), "{}", spec.label);
+            }
+        }
+    }
+}
+
+/// Fig 7: every Baseline and XMem grid point of three placement mixes;
+/// the Ideal-RBL grid is skipped (no co-run equivalent).
+#[test]
+fn fig7_quick_points_agree() {
+    for name in ["lbm", "kmeans", "milc"] {
+        let mut w = PlacementWorkload::by_name(name).expect("known workload");
+        w.accesses = 20_000;
+        for sys in [Uc2System::Baseline, Uc2System::Xmem, Uc2System::IdealRbl] {
+            let compared = placement_specs(&w, sys)
+                .iter()
+                .filter(|spec| assert_runs_agree(spec))
+                .count();
+            let expected = match sys {
+                Uc2System::IdealRbl => 0,
+                _ => placement_specs(&w, sys).len(),
+            };
+            assert_eq!(compared, expected, "{name}/{sys}");
+        }
+    }
+}

@@ -2,7 +2,7 @@
 //! paper promises must hold across every configuration.
 
 use xmem::sim::{
-    run_placement, run_workload, KernelRun, RunReport, SystemConfig, SystemKind, Uc2System,
+    run, run_placement, KernelRun, RunReport, SystemConfig, SystemKind, Uc2System, WorkloadSpec,
 };
 use xmem::workloads::placement::PlacementWorkload;
 use xmem::workloads::polybench::{KernelParams, PolybenchKernel};
@@ -148,7 +148,13 @@ fn placement_ordering_holds() {
 fn full_size_westmere_config_runs() {
     let cfg = SystemConfig::westmere_like();
     let p = small_params(16 << 10);
-    let r = run_workload(&cfg, |s| PolybenchKernel::Mvt.generate(&p, s));
+    let r = run(
+        &cfg,
+        &WorkloadSpec::kernel(PolybenchKernel::Mvt, p),
+        None,
+        None,
+    )
+    .report;
     assert!(r.core.cycles > 0);
     assert!(r.core.ipc() > 0.1);
 }
