@@ -1,9 +1,11 @@
-//! The three-level cache hierarchy with XMem-coordinated cache management
-//! and prefetching (use case 1, §5 of the paper).
+//! The cache hierarchy with XMem-coordinated cache management and
+//! prefetching (use case 1, §5 of the paper) — the one memory system that
+//! single-core runs and co-runs share.
 //!
-//! The hierarchy models the Table 3 configuration: L1 (LRU) → L2 (DRRIP) →
-//! L3 (DRRIP + multi-stride prefetcher) → DRAM. Three operating modes map
-//! to the paper's three evaluated systems:
+//! The hierarchy models the Table 3 configuration: per core a private L1
+//! (LRU), L2 (DRRIP) and multi-stride prefetcher, over one shared L3
+//! (DRRIP) and DRAM. Three operating modes map to the paper's three
+//! evaluated systems:
 //!
 //! * [`XmemMode::Off`] — the **Baseline**: DRRIP everywhere, multi-stride
 //!   prefetcher at L3.
@@ -13,11 +15,27 @@
 //!   high-reuse working set resident (insertion-priority + eviction
 //!   protection, aged when the active-atom list changes) *and* misses to
 //!   pinned atoms trigger pattern-directed prefetch.
+//!
+//! # Domains
+//!
+//! [`Hierarchy::new`] builds one core; [`Hierarchy::with_domains`] builds
+//! N private domains (L1, L2, stride prefetcher per core) over the shared
+//! state: the L3, DRAM, the pinned-atom set with its AMU epoch (§5.2(2):
+//! pinning "takes the active atoms in *all the cores*"), prefetch
+//! tracking, and the guided-prefetch statistics. [`Hierarchy::serve_core`]
+//! is the per-core access; [`Hierarchy::serve`] is core 0's.
+//!
+//! Without a bus the private domains never observe each other's writes —
+//! only correct for disjoint data. With one (MESI), every access first runs
+//! the coherence engine ([`crate::coherence::mesi_access`]) over the
+//! private L1/L2s, and only accesses no peer could supply continue into
+//! the shared levels, through the same L3/DRAM/pinning/prefetch code.
 
 use crate::cache::{Cache, CacheStats, Eviction, InsertPriority};
+use crate::coherence::{mesi_access, BusConfig, BusStats, CoherentAccess, MesiDomains, SnoopBus};
 use crate::config::CacheConfig;
 use crate::pin::{select_pinned, PinCandidate};
-use crate::prefetch::{MultiStridePrefetcher, PrefetchStats};
+use crate::prefetch::{MultiStridePrefetcher, PrefetchRun, PrefetchStats};
 use cpu_sim::batch::OpAttrs;
 use dram_sim::{Dram, DramStats};
 use std::collections::BTreeSet;
@@ -48,9 +66,9 @@ pub struct HierarchyConfig {
     pub l2: CacheConfig,
     /// L3 slice.
     pub l3: CacheConfig,
-    /// Enable the baseline multi-stride prefetcher at L3 (Table 3). It is
-    /// automatically disabled when `xmem` is not `Off` (XMem prefetching
-    /// replaces its policy, §5.2(4)).
+    /// Enable the baseline multi-stride prefetcher at L3 (Table 3), one per
+    /// core. It stays on in the XMem modes, where guided prefetch takes
+    /// over only for misses to atoms that qualify (§5.2(4)).
     pub stride_prefetcher: bool,
     /// Concurrent streams in the stride prefetcher (16 in Table 3).
     pub stride_streams: usize,
@@ -110,7 +128,8 @@ pub struct XmemContext<'a> {
     pub pf_pat: &'a Pat<PrefetcherPrimitive>,
 }
 
-/// The cache hierarchy + DRAM backend.
+/// The cache hierarchy + DRAM backend: per-core private domains over one
+/// shared L3 and DRAM (see the module docs).
 #[derive(Debug)]
 pub struct Hierarchy {
     config: HierarchyConfig,
@@ -121,18 +140,27 @@ pub struct Hierarchy {
     l1_lat: u64,
     l2_lat: u64,
     l3_lat: u64,
-    l1: Cache,
-    l2: Cache,
+    // ── per core ────────────────────────────────────────────────────────
+    l1s: Vec<Cache>,
+    l2s: Vec<Cache>,
+    stride_pfs: Vec<Option<MultiStridePrefetcher>>,
+    // ── shared ──────────────────────────────────────────────────────────
     l3: Cache,
     dram: Dram,
-    stride_pf: Option<MultiStridePrefetcher>,
     /// Currently pinned atoms (output of the greedy algorithm).
     pinned: Vec<AtomId>,
+    /// Atoms the greedy algorithm never pins (coherence-aware placement:
+    /// migratory shared data whose lines bounce between private caches).
+    pin_exempt: BTreeSet<AtomId>,
     /// AMU epoch at the last pinning evaluation.
     last_epoch: u64,
     /// Lines prefetched but not yet demanded (bounded; for accuracy stats).
     inflight_prefetches: BTreeSet<u64>,
     xmem_pf_stats: PrefetchStats,
+    /// The MESI snooping bus; `None` means no coherence.
+    bus: Option<SnoopBus>,
+    /// Reused outcome buffer for [`mesi_access`].
+    coh_acc: CoherentAccess,
 }
 
 /// Cap on the prefetch-tracking set (oldest entries are simply forgotten —
@@ -140,36 +168,52 @@ pub struct Hierarchy {
 const PF_TRACK_CAP: usize = 1 << 16;
 
 impl Hierarchy {
-    /// Creates an empty hierarchy in front of `dram`.
+    /// Creates an empty one-core hierarchy in front of `dram`.
     pub fn new(config: HierarchyConfig, dram: Dram) -> Self {
+        Self::with_domains(config, dram, 1, None)
+    }
+
+    /// Creates `cores` private domains over one shared L3 in front of
+    /// `dram`, kept coherent by a MESI snooping bus when `bus` is given.
+    pub fn with_domains(
+        config: HierarchyConfig,
+        dram: Dram,
+        cores: usize,
+        bus: Option<BusConfig>,
+    ) -> Self {
         // The hardware stride prefetcher stays present in XMem modes: XMem
         // *supplements* dynamic mechanisms (§2.1) — guided prefetch takes
         // over only for data whose atom expresses a pattern; everything
         // else (unmapped streams) still benefits from the stride engine.
-        let stride_pf = if config.stride_prefetcher {
-            Some(MultiStridePrefetcher::new(
-                config.stride_streams,
-                config.prefetch_degree,
-            ))
-        } else {
-            None
+        let stride_pf = || {
+            config
+                .stride_prefetcher
+                .then(|| MultiStridePrefetcher::new(config.stride_streams, config.prefetch_degree))
         };
         Hierarchy {
             line_mask: !(config.l1.line_bytes - 1),
             l1_lat: config.l1.latency,
             l2_lat: config.l1.latency + config.l2.latency,
             l3_lat: config.l1.latency + config.l2.latency + config.l3.latency,
-            l1: Cache::new(config.l1),
-            l2: Cache::new(config.l2),
+            l1s: (0..cores).map(|_| Cache::new(config.l1)).collect(),
+            l2s: (0..cores).map(|_| Cache::new(config.l2)).collect(),
+            stride_pfs: (0..cores).map(|_| stride_pf()).collect(),
             l3: Cache::new(config.l3),
             dram,
-            stride_pf,
             pinned: Vec::new(),
+            pin_exempt: BTreeSet::new(),
             last_epoch: u64::MAX,
             inflight_prefetches: BTreeSet::new(),
             xmem_pf_stats: PrefetchStats::default(),
+            bus: bus.map(SnoopBus::new),
+            coh_acc: CoherentAccess::default(),
             config,
         }
+    }
+
+    /// Excludes `atoms` from pinning from the next pinning evaluation on.
+    pub fn set_pin_exempt(&mut self, atoms: BTreeSet<AtomId>) {
+        self.pin_exempt = atoms;
     }
 
     /// The configuration in use.
@@ -177,14 +221,24 @@ impl Hierarchy {
         &self.config
     }
 
-    /// L1 statistics.
+    /// Core 0's L1 statistics.
     pub fn l1_stats(&self) -> CacheStats {
-        self.l1.stats()
+        self.core_l1_stats(0)
     }
 
-    /// L2 statistics.
+    /// Core 0's L2 statistics.
     pub fn l2_stats(&self) -> CacheStats {
-        self.l2.stats()
+        self.core_l2_stats(0)
+    }
+
+    /// `core`'s L1 statistics (with snoop counters under MESI).
+    pub fn core_l1_stats(&self, core: usize) -> CacheStats {
+        self.l1s[core].stats()
+    }
+
+    /// `core`'s L2 statistics.
+    pub fn core_l2_stats(&self, core: usize) -> CacheStats {
+        self.l2s[core].stats()
     }
 
     /// L3 statistics.
@@ -192,9 +246,9 @@ impl Hierarchy {
         self.l3.stats()
     }
 
-    /// The L2's DRRIP policy-select counter (0 for non-DRRIP configs).
+    /// Core 0's L2 DRRIP policy-select counter (0 for non-DRRIP configs).
     pub fn l2_psel(&self) -> i32 {
-        self.l2.psel()
+        self.l2s[0].psel()
     }
 
     /// The L3's DRRIP policy-select counter (0 for non-DRRIP configs).
@@ -212,14 +266,24 @@ impl Hierarchy {
         &self.dram
     }
 
-    /// Stride-prefetcher statistics (baseline mode only).
+    /// Core 0's stride-prefetcher statistics (`None` when disabled).
     pub fn stride_prefetch_stats(&self) -> Option<PrefetchStats> {
-        self.stride_pf.as_ref().map(|p| p.stats())
+        self.core_stride_prefetch_stats(0)
     }
 
-    /// XMem-guided prefetch statistics.
+    /// `core`'s stride-prefetcher statistics (`None` when disabled).
+    pub fn core_stride_prefetch_stats(&self, core: usize) -> Option<PrefetchStats> {
+        self.stride_pfs[core].as_ref().map(|p| p.stats())
+    }
+
+    /// XMem-guided prefetch statistics (shared by all cores).
     pub fn xmem_prefetch_stats(&self) -> PrefetchStats {
         self.xmem_pf_stats
+    }
+
+    /// Snooping-bus traffic (all zero without a bus).
+    pub fn bus_stats(&self) -> BusStats {
+        self.bus.as_ref().map(SnoopBus::stats).unwrap_or_default()
     }
 
     /// Atoms currently pinned by the greedy algorithm.
@@ -227,14 +291,9 @@ impl Hierarchy {
         &self.pinned
     }
 
-    /// Total latency from the core to the DRAM controller.
-    fn lat_to_mem(&self) -> u64 {
-        self.l3_lat
-    }
-
-    /// Re-evaluates the pinned-atom set when the AMU epoch has changed
-    /// (a MAP/UNMAP/ACTIVATE/DEACTIVATE occurred), aging previously pinned
-    /// lines per §5.2(3).
+    /// Re-evaluates the pinned-atom set over the active atoms of all cores
+    /// when the AMU epoch has changed (a MAP/UNMAP/ACTIVATE/DEACTIVATE
+    /// occurred), aging previously pinned lines per §5.2(3).
     fn refresh_pinning(&mut self, ctx: &mut XmemContext<'_>) {
         let epoch = ctx.amu.epoch();
         if epoch == self.last_epoch {
@@ -248,6 +307,7 @@ impl Hierarchy {
             .amu
             .active_atoms()
             .into_iter()
+            .filter(|atom| !self.pin_exempt.contains(atom))
             .filter_map(|atom| {
                 let prim = ctx.cache_pat.get(atom)?;
                 prim.pin_candidate.then_some(PinCandidate {
@@ -264,51 +324,42 @@ impl Hierarchy {
         self.pinned = new_pinned;
     }
 
-    /// Issues XMem-guided prefetches after a miss on `pa` belonging to
-    /// `atom` (§5.2(4)): the next lines of the atom's data in the direction
-    /// of the expressed stride, *bounded to the atom's extents* (the AMU
-    /// broadcasts extent information for exactly this purpose, §4.2(4)).
-    /// When the walk reaches the end of the atom it wraps to the beginning —
-    /// tiles are swept repeatedly, so the wrap is the right continuation.
-    fn xmem_prefetch(&mut self, pa: u64, atom: AtomId, ctx: &mut XmemContext<'_>, t_mem: u64) {
-        let Some((targets, priority)) = self.xmem_prefetch_targets(pa, atom, ctx) else {
-            return;
-        };
-        for target in targets {
-            if self.l3.contains(target) {
-                continue;
-            }
-            let _ = self.dram.serve_prefetch(target, t_mem);
-            if let Some(ev) = self.l3.fill(target, false, priority) {
-                self.writeback_to_dram(ev, t_mem);
-            }
-            self.track_prefetch(target);
-            self.xmem_pf_stats.issued += 1;
+    /// Prefetches `target` into the L3 unless it is resident, tracking the
+    /// fill; returns whether it was issued. With `t_mem` the DRAM read is
+    /// timed and a dirty victim is written back; on the warm path (`None`)
+    /// the DRAM row is only warmed and the victim dropped.
+    fn prefetch_into_l3(
+        &mut self,
+        target: u64,
+        priority: InsertPriority,
+        t_mem: Option<u64>,
+    ) -> bool {
+        if self.l3.contains(target) {
+            return false;
         }
+        match t_mem {
+            Some(t) => {
+                let _ = self.dram.serve_prefetch(target, t);
+                if let Some(ev) = self.l3.fill(target, false, priority) {
+                    self.writeback_to_dram(ev, t);
+                }
+            }
+            None => {
+                self.dram.warm_access(target);
+                let _ = self.l3.fill(target, false, priority);
+            }
+        }
+        self.track_prefetch(target);
+        true
     }
 
-    /// Warm-path twin of [`Hierarchy::xmem_prefetch`]: the same fills,
-    /// tracking, and stats, but DRAM rows are warmed instead of timed and
-    /// dirty evictions are dropped.
-    fn warm_xmem_prefetch(&mut self, pa: u64, atom: AtomId, ctx: &mut XmemContext<'_>) {
-        let Some((targets, priority)) = self.xmem_prefetch_targets(pa, atom, ctx) else {
-            return;
-        };
-        for target in targets {
-            if self.l3.contains(target) {
-                continue;
-            }
-            self.dram.warm_access(target);
-            let _ = self.l3.fill(target, false, priority);
-            self.track_prefetch(target);
-            self.xmem_pf_stats.issued += 1;
-        }
-    }
-
-    /// The target walk shared by the timed and warm guided-prefetch paths:
-    /// the next `xmem_prefetch_degree` lines of `atom`'s data in the
-    /// direction of its expressed stride, bounded to (and wrapping around)
-    /// the atom's extents.
+    /// XMem-guided prefetch targets after a miss on `pa` belonging to
+    /// `atom` (§5.2(4)): the next `xmem_prefetch_degree` lines of the
+    /// atom's data in the direction of the expressed stride, *bounded to
+    /// the atom's extents* (the AMU broadcasts extent information for
+    /// exactly this purpose, §4.2(4)). When the walk reaches the end of the
+    /// atom it wraps to the beginning — tiles are swept repeatedly, so the
+    /// wrap is the right continuation.
     fn xmem_prefetch_targets(
         &self,
         pa: u64,
@@ -368,37 +419,27 @@ impl Hierarchy {
         }
     }
 
-    /// A dirty line evicted from an inner level lands in the next level if
-    /// resident, else goes to DRAM.
-    fn writeback_inner(&mut self, ev: Eviction, level: u8, now: u64) {
-        if !ev.dirty {
-            return;
-        }
-        match level {
-            1 => {
-                if !self.l2.set_dirty(ev.addr) && !self.l3.set_dirty(ev.addr) {
-                    let _ = self.dram.serve(ev.addr, OpAttrs::write(), now);
-                }
-            }
-            2 => {
-                if !self.l3.set_dirty(ev.addr) {
-                    let _ = self.dram.serve(ev.addr, OpAttrs::write(), now);
-                }
-            }
-            _ => {
-                let _ = self.dram.serve(ev.addr, OpAttrs::write(), now);
-            }
+    /// A dirty line evicted from `core`'s L1 (`level` 1) or L2 (`level` 2)
+    /// lands in the next level if resident, else goes to DRAM.
+    fn writeback_inner(&mut self, core: usize, ev: Eviction, level: u8, now: u64) {
+        if ev.dirty && !(level == 1 && self.l2s[core].set_dirty(ev.addr)) {
+            self.sink_dirty(ev.addr, now);
         }
     }
 
-    /// Performs one demand access, returning its latency in cycles.
-    ///
-    /// `xmem` supplies the AMU + PATs when the system runs with XMem
-    /// enabled; `None` reproduces the baseline exactly (no lookups at all).
+    /// Dirty data leaving the private levels lands in the L3 if the line
+    /// is resident there, else goes to DRAM.
+    fn sink_dirty(&mut self, line_addr: u64, now: u64) {
+        if !self.l3.set_dirty(line_addr) {
+            let _ = self.dram.serve(line_addr, OpAttrs::write(), now);
+        }
+    }
+
+    /// Performs one demand access by core 0, returning its latency in
+    /// cycles (see [`Hierarchy::serve_core`]).
     ///
     /// Named `serve` to match the batched memory-path vocabulary
-    /// ([`cpu_sim::batch::MemoryPath`]); the extra [`XmemContext`]
-    /// parameter keeps this the one signature the whole hierarchy exposes.
+    /// ([`cpu_sim::batch::MemoryPath`]).
     #[inline]
     pub fn serve(
         &mut self,
@@ -407,31 +448,106 @@ impl Hierarchy {
         now: u64,
         xmem: Option<XmemContext<'_>>,
     ) -> u64 {
-        // The dominant outcome by far — keep it inlinable at call sites and
-        // push everything below L1 out of line.
-        if self.l1.probe(pa, is_write) {
-            return self.l1_lat;
-        }
-        self.serve_l1_miss(pa, is_write, now, xmem)
+        self.serve_core(0, pa, is_write, now, xmem)
     }
 
-    /// The below-L1 continuation of [`Hierarchy::serve`].
-    fn serve_l1_miss(
+    /// Performs one demand access by `core`, returning its latency in
+    /// cycles.
+    ///
+    /// `xmem` supplies the AMU + PATs when the system runs with XMem
+    /// enabled; `None` reproduces the baseline exactly (no lookups at all).
+    #[inline]
+    pub fn serve_core(
         &mut self,
+        core: usize,
         pa: u64,
         is_write: bool,
         now: u64,
+        xmem: Option<XmemContext<'_>>,
+    ) -> u64 {
+        if let Some(bus) = self.bus.as_mut() {
+            let mut domains = MesiDomains {
+                l1s: &mut self.l1s,
+                l2s: &mut self.l2s,
+                bus,
+                l1_lat: self.config.l1.latency,
+                l2_lat: self.config.l2.latency,
+                line_bytes: self.config.l1.line_bytes,
+            };
+            mesi_access(&mut domains, core, pa, is_write, now, &mut self.coh_acc);
+            return self.settle_coherent(core, pa, is_write, now, xmem);
+        }
+        // The dominant outcome by far — keep it inlinable at call sites and
+        // push everything below L1 out of line.
+        if self.l1s[core].probe(pa, is_write) {
+            return self.l1_lat;
+        }
+        self.serve_l1_miss(core, pa, is_write, now, xmem)
+    }
+
+    /// The below-L1 continuation of [`Hierarchy::serve_core`] without a
+    /// bus.
+    fn serve_l1_miss(
+        &mut self,
+        core: usize,
+        pa: u64,
+        is_write: bool,
+        now: u64,
+        xmem: Option<XmemContext<'_>>,
+    ) -> u64 {
+        if self.l2s[core].probe(pa, false) {
+            let line_addr = pa & self.line_mask;
+            if let Some(ev) = self.l1s[core].fill(line_addr, is_write, InsertPriority::Normal) {
+                self.writeback_inner(core, ev, 1, now);
+            }
+            return self.l2_lat;
+        }
+        self.serve_shared(core, pa, is_write, now, self.l3_lat, xmem)
+    }
+
+    /// The rest of a MESI access after the coherence engine has run over
+    /// the private L1/L2 levels and the bus (its outcome is in `coh_acc`):
+    /// coherence writebacks sink into the L3 (or DRAM), and only accesses
+    /// no peer could supply continue into the shared levels. Cache-to-cache
+    /// transfers bypass the L3 entirely, and the stride prefetchers train
+    /// only on the memory path (bus-satisfied accesses carry no locality
+    /// the L3 could exploit).
+    fn settle_coherent(
+        &mut self,
+        core: usize,
+        pa: u64,
+        is_write: bool,
+        now: u64,
+        xmem: Option<XmemContext<'_>>,
+    ) -> u64 {
+        for i in 0..self.coh_acc.writebacks.len() {
+            let (_, line_addr) = self.coh_acc.writebacks[i];
+            self.sink_dirty(line_addr, now);
+        }
+        if !self.coh_acc.from_memory {
+            return self.coh_acc.latency;
+        }
+        // The engine's latency already covers L1, L2 and the bus.
+        let l3_total = self.coh_acc.latency + self.config.l3.latency;
+        self.serve_shared(core, pa, is_write, now, l3_total, xmem)
+    }
+
+    /// The shared levels below `core`'s private miss: pinning refresh, the
+    /// ALB lookup, the L3, DRAM, and prefetching. `l3_total` is the latency
+    /// up to and including the L3 lookup. Without a bus the line is also
+    /// filled into `core`'s L2 and L1; under MESI the engine already did
+    /// (on an L3 hit as on a miss).
+    fn serve_shared(
+        &mut self,
+        core: usize,
+        pa: u64,
+        is_write: bool,
+        now: u64,
+        l3_total: u64,
         mut xmem: Option<XmemContext<'_>>,
     ) -> u64 {
         let line_addr = pa & self.line_mask;
-        let l2_lat = self.l2_lat;
-        if self.l2.probe(pa, false) {
-            if let Some(ev) = self.l1.fill(line_addr, is_write, InsertPriority::Normal) {
-                self.writeback_inner(ev, 1, now);
-            }
-            return l2_lat;
-        }
-
+        let coherent = self.bus.is_some();
         // L3 territory: consult XMem state if present. One ATOM_LOOKUP per
         // L3 access — exactly the query rate the paper's ALB absorbs.
         if let Some(ctx) = xmem.as_mut() {
@@ -445,65 +561,73 @@ impl Hierarchy {
             }
             _ => None,
         };
-        let l3_lat = self.l3_lat;
         let l3_hit = self.l3.probe(pa, false);
 
-        // Baseline stride prefetcher trains on every L3 access.
-        let stride_reqs = self
-            .stride_pf
+        // The stride prefetcher trains on every L3 access.
+        let stride_reqs = self.stride_pfs[core]
             .as_mut()
             .map(|pf| pf.train(pa))
             .unwrap_or_default();
 
         if l3_hit {
-            let was_prefetched = self.inflight_prefetches.remove(&line_addr);
-            if was_prefetched {
-                if let Some(pf) = self.stride_pf.as_mut() {
-                    pf.record_useful();
-                } else {
-                    self.xmem_pf_stats.useful += 1;
-                }
+            self.note_demand_hit(core, line_addr);
+            if !coherent {
+                self.fill_private(core, line_addr, is_write, now);
             }
-            if let Some(ev) = self.l2.fill(line_addr, false, InsertPriority::Normal) {
-                self.writeback_inner(ev, 2, now);
-            }
-            if let Some(ev) = self.l1.fill(line_addr, is_write, InsertPriority::Normal) {
-                self.writeback_inner(ev, 1, now);
-            }
-            // Continuation: a hit on a line the guided engine prefetched
-            // keeps the stream running ahead (like the software prefetching
-            // §5.4 equates XMem-Pref with), without re-scanning on every
-            // ordinary hit.
-            self.issue_stride_prefetches(stride_reqs, now + l3_lat);
-            return l3_lat;
+            self.issue_stride_prefetches(stride_reqs, Some(now + l3_total));
+            return l3_total;
         }
 
         // L3 miss: demand fetch from DRAM.
-        let t_mem = now + self.lat_to_mem();
+        let t_mem = now + l3_total;
         let dram_lat = self.dram.serve(line_addr, OpAttrs::read(), t_mem);
 
         // Fill the hierarchy.
-        let l3_priority = match (self.config.xmem, atom) {
-            (XmemMode::Full, Some(a)) if self.pinned.contains(&a) => InsertPriority::Pinned,
-            _ => InsertPriority::Normal,
-        };
-        if let Some(ev) = self.l3.fill(line_addr, false, l3_priority) {
+        if let Some(ev) = self.l3.fill(line_addr, false, self.l3_priority(atom)) {
             self.writeback_to_dram(ev, t_mem);
         }
-        if let Some(ev) = self.l2.fill(line_addr, false, InsertPriority::Normal) {
-            self.writeback_inner(ev, 2, now);
-        }
-        if let Some(ev) = self.l1.fill(line_addr, is_write, InsertPriority::Normal) {
-            self.writeback_inner(ev, 1, now);
+        if !coherent {
+            self.fill_private(core, line_addr, is_write, now);
         }
 
         // Prefetching: XMem-guided for data whose atom expresses a pattern
         // (§5.2(4)); the hardware stride engine covers everything else.
-        if !self.guided_prefetch(pa, atom, &mut xmem, t_mem) {
-            self.issue_stride_prefetches(stride_reqs, t_mem);
+        if !self.guided_prefetch(pa, atom, &mut xmem, Some(t_mem)) {
+            self.issue_stride_prefetches(stride_reqs, Some(t_mem));
         }
 
-        l3_lat + dram_lat
+        l3_total + dram_lat
+    }
+
+    /// Fills `line_addr` into `core`'s L2, then its L1, sinking dirty
+    /// victims.
+    fn fill_private(&mut self, core: usize, line_addr: u64, is_write: bool, now: u64) {
+        if let Some(ev) = self.l2s[core].fill(line_addr, false, InsertPriority::Normal) {
+            self.writeback_inner(core, ev, 2, now);
+        }
+        if let Some(ev) = self.l1s[core].fill(line_addr, is_write, InsertPriority::Normal) {
+            self.writeback_inner(core, ev, 1, now);
+        }
+    }
+
+    /// The L3 insertion priority of a demand fill for `atom`'s data.
+    fn l3_priority(&self, atom: Option<AtomId>) -> InsertPriority {
+        match (self.config.xmem, atom) {
+            (XmemMode::Full, Some(a)) if self.pinned.contains(&a) => InsertPriority::Pinned,
+            _ => InsertPriority::Normal,
+        }
+    }
+
+    /// Credits a demand L3 hit on a prefetched line: to `core`'s stride
+    /// prefetcher if it has one, else to the guided-prefetch statistics.
+    fn note_demand_hit(&mut self, core: usize, line_addr: u64) {
+        if self.inflight_prefetches.remove(&line_addr) {
+            if let Some(pf) = self.stride_pfs[core].as_mut() {
+                pf.record_useful();
+            } else {
+                self.xmem_pf_stats.useful += 1;
+            }
+        }
     }
 
     /// State-only warmup probe: walks the hierarchy with the same probes,
@@ -523,12 +647,12 @@ impl Hierarchy {
     /// raw counters are a warm+detailed mixture, and the per-window metrics
     /// are computed from deltas across detailed windows only.
     pub fn warm_access(&mut self, pa: u64, is_write: bool, mut xmem: Option<XmemContext<'_>>) {
-        if self.l1.probe(pa, is_write) {
+        if self.l1s[0].probe(pa, is_write) {
             return;
         }
         let line_addr = pa & self.line_mask;
-        if self.l2.probe(pa, false) {
-            let _ = self.l1.fill(line_addr, is_write, InsertPriority::Normal);
+        if self.l2s[0].probe(pa, false) {
+            let _ = self.l1s[0].fill(line_addr, is_write, InsertPriority::Normal);
             return;
         }
         if let Some(ctx) = xmem.as_mut() {
@@ -542,121 +666,72 @@ impl Hierarchy {
             }
             _ => None,
         };
-        let stride_reqs = self
-            .stride_pf
+        let stride_reqs = self.stride_pfs[0]
             .as_mut()
             .map(|pf| pf.train(pa))
             .unwrap_or_default();
         if self.l3.probe(pa, false) {
-            if self.inflight_prefetches.remove(&line_addr) {
-                if let Some(pf) = self.stride_pf.as_mut() {
-                    pf.record_useful();
-                } else {
-                    self.xmem_pf_stats.useful += 1;
-                }
-            }
-            let _ = self.l2.fill(line_addr, false, InsertPriority::Normal);
-            let _ = self.l1.fill(line_addr, is_write, InsertPriority::Normal);
-            self.warm_stride_prefetches(stride_reqs);
+            self.note_demand_hit(0, line_addr);
+            let _ = self.l2s[0].fill(line_addr, false, InsertPriority::Normal);
+            let _ = self.l1s[0].fill(line_addr, is_write, InsertPriority::Normal);
+            self.issue_stride_prefetches(stride_reqs, None);
             return;
         }
         self.dram.warm_access(line_addr);
-        let l3_priority = match (self.config.xmem, atom) {
-            (XmemMode::Full, Some(a)) if self.pinned.contains(&a) => InsertPriority::Pinned,
-            _ => InsertPriority::Normal,
-        };
-        let _ = self.l3.fill(line_addr, false, l3_priority);
-        let _ = self.l2.fill(line_addr, false, InsertPriority::Normal);
-        let _ = self.l1.fill(line_addr, is_write, InsertPriority::Normal);
-        if !self.warm_guided_prefetch(pa, atom, &mut xmem) {
-            self.warm_stride_prefetches(stride_reqs);
-        }
-    }
-
-    /// Warm-path twin of [`Hierarchy::guided_prefetch`]: same mode/atom
-    /// dispatch, warm prefetch mechanics.
-    fn warm_guided_prefetch(
-        &mut self,
-        pa: u64,
-        atom: Option<AtomId>,
-        xmem: &mut Option<XmemContext<'_>>,
-    ) -> bool {
-        match (xmem, self.config.xmem, atom) {
-            (Some(ctx), XmemMode::Full, Some(a)) if self.pinned.contains(&a) => {
-                self.warm_xmem_prefetch(pa, a, ctx);
-                true
-            }
-            (Some(ctx), XmemMode::PrefetchOnly, Some(a)) => {
-                let reuse = ctx.cache_pat.get(a).map(|p| p.reuse).unwrap_or(0);
-                if reuse > 0 {
-                    self.warm_xmem_prefetch(pa, a, ctx);
-                    true
-                } else {
-                    false
-                }
-            }
-            _ => false,
-        }
-    }
-
-    /// Warm-path twin of [`Hierarchy::issue_stride_prefetches`]: fills and
-    /// tracks the prefetched lines, warms their DRAM rows, drops evictions.
-    fn warm_stride_prefetches(&mut self, reqs: crate::prefetch::PrefetchRun) {
-        for req in reqs {
-            let target = req.addr & !(self.config.l3.line_bytes - 1);
-            if self.l3.contains(target) {
-                continue;
-            }
-            self.dram.warm_access(target);
-            let _ = self.l3.fill(target, false, InsertPriority::Normal);
-            self.track_prefetch(target);
+        let _ = self.l3.fill(line_addr, false, self.l3_priority(atom));
+        let _ = self.l2s[0].fill(line_addr, false, InsertPriority::Normal);
+        let _ = self.l1s[0].fill(line_addr, is_write, InsertPriority::Normal);
+        if !self.guided_prefetch(pa, atom, &mut xmem, None) {
+            self.issue_stride_prefetches(stride_reqs, None);
         }
     }
 
     /// Issues XMem-guided prefetches for `pa` if its atom qualifies under
-    /// the current mode; returns whether guided prefetch handled it.
+    /// the current mode; returns whether guided prefetch handled it. `t_mem`
+    /// is as for [`Hierarchy::prefetch_into_l3`].
     fn guided_prefetch(
         &mut self,
         pa: u64,
         atom: Option<AtomId>,
         xmem: &mut Option<XmemContext<'_>>,
-        t_mem: u64,
+        t_mem: Option<u64>,
     ) -> bool {
-        match (xmem, self.config.xmem, atom) {
-            (Some(ctx), XmemMode::Full, Some(a))
-                // §5.2(4): accesses to *pinned* atoms drive guided prefetch.
-                if self.pinned.contains(&a) => {
-                    self.xmem_prefetch(pa, a, ctx, t_mem);
-                    true
-                }
-            (Some(ctx), XmemMode::PrefetchOnly, Some(a)) => {
-                // XMem-Pref: pattern-directed prefetch for any active atom
-                // with expressed reuse (software-prefetch-like, §5.4).
-                let reuse = ctx.cache_pat.get(a).map(|p| p.reuse).unwrap_or(0);
-                if reuse > 0 {
-                    self.xmem_prefetch(pa, a, ctx, t_mem);
-                    true
-                } else {
-                    false
+        let (Some(ctx), Some(a)) = (xmem, atom) else {
+            return false;
+        };
+        let qualifies = match self.config.xmem {
+            // §5.2(4): accesses to *pinned* atoms drive guided prefetch.
+            XmemMode::Full => self.pinned.contains(&a),
+            // XMem-Pref: pattern-directed prefetch for any active atom with
+            // expressed reuse (software-prefetch-like, §5.4).
+            XmemMode::PrefetchOnly => ctx.cache_pat.get(a).map_or(0, |p| p.reuse) > 0,
+            XmemMode::Off => false,
+        };
+        if qualifies {
+            self.xmem_prefetch(pa, a, ctx, t_mem);
+        }
+        qualifies
+    }
+
+    /// Prefetches `atom`'s guided targets after a miss on `pa`, counting
+    /// each one issued.
+    fn xmem_prefetch(&mut self, pa: u64, atom: AtomId, ctx: &XmemContext<'_>, t_mem: Option<u64>) {
+        if let Some((targets, priority)) = self.xmem_prefetch_targets(pa, atom, ctx) {
+            for target in targets {
+                if self.prefetch_into_l3(target, priority, t_mem) {
+                    self.xmem_pf_stats.issued += 1;
                 }
             }
-            _ => false,
         }
     }
 
-    fn issue_stride_prefetches(&mut self, reqs: crate::prefetch::PrefetchRun, t_mem: u64) {
+    /// Issues the stride prefetcher's requests into the L3. Prefetches
+    /// insert with the default policy priority: distant insertion would
+    /// make far-ahead prefetches immediate victims.
+    fn issue_stride_prefetches(&mut self, reqs: PrefetchRun, t_mem: Option<u64>) {
         for req in reqs {
             let target = req.addr & !(self.config.l3.line_bytes - 1);
-            if self.l3.contains(target) {
-                continue;
-            }
-            let _ = self.dram.serve_prefetch(target, t_mem);
-            // Prefetches insert with the default policy priority: distant
-            // insertion would make far-ahead prefetches immediate victims.
-            if let Some(ev) = self.l3.fill(target, false, InsertPriority::Normal) {
-                self.writeback_to_dram(ev, t_mem);
-            }
-            self.track_prefetch(target);
+            self.prefetch_into_l3(target, InsertPriority::Normal, t_mem);
         }
     }
 }
@@ -666,8 +741,8 @@ mod tests {
     use super::*;
     use dram_sim::{AddressMapping, DramConfig};
 
-    fn small_hierarchy(mode: XmemMode) -> Hierarchy {
-        let cfg = HierarchyConfig {
+    fn small_config(mode: XmemMode) -> HierarchyConfig {
+        HierarchyConfig {
             l1: CacheConfig {
                 size_bytes: 4 << 10,
                 ways: 4,
@@ -694,11 +769,55 @@ mod tests {
             prefetch_degree: 2,
             xmem_prefetch_degree: 4,
             xmem: mode,
-        };
-        Hierarchy::new(
-            cfg,
-            Dram::new(DramConfig::ddr3_1066(3.6), AddressMapping::scheme1()),
-        )
+        }
+    }
+
+    fn small_dram() -> Dram {
+        Dram::new(DramConfig::ddr3_1066(3.6), AddressMapping::scheme1())
+    }
+
+    fn small_hierarchy(mode: XmemMode) -> Hierarchy {
+        Hierarchy::new(small_config(mode), small_dram())
+    }
+
+    fn two_domains() -> Hierarchy {
+        Hierarchy::with_domains(small_config(XmemMode::Off), small_dram(), 2, None)
+    }
+
+    #[test]
+    fn peer_line_is_a_shared_l3_hit() {
+        let mut h = two_domains();
+        assert!(h.serve_core(0, 0x4000, false, 0, None) > 39, "cold miss");
+        let dram = h.dram_stats();
+        let (l1, l2) = (h.core_l1_stats(0), h.core_l2_stats(0));
+        // Core 1 misses its own L1/L2 and hits the line core 0 brought
+        // into the shared L3, at the cumulative L3 latency (4+8+27).
+        assert_eq!(h.serve_core(1, 0x4000, false, 10_000, None), 39);
+        assert_eq!(h.dram_stats(), dram, "no new DRAM traffic");
+        assert_eq!(h.serve_core(1, 0x4000, false, 20_000, None), 4, "now in L1");
+        assert_eq!(h.core_l1_stats(1).misses(), 1);
+        assert_eq!(
+            (h.core_l1_stats(0), h.core_l2_stats(0)),
+            (l1, l2),
+            "core 1's accesses leave core 0's private levels alone"
+        );
+    }
+
+    #[test]
+    fn stride_prefetchers_train_per_core() {
+        // Two strided streams interleaved in one 4 KB region: a shared
+        // trainer would see alternating deltas and never gain confidence.
+        // Each private one sees a constant stride: 8 accesses give 6
+        // confident triggers of degree 2.
+        let mut h = two_domains();
+        for i in 0..8u64 {
+            h.serve_core(0, 0x10000 + i * 64, false, i * 1000, None);
+            h.serve_core(1, 0x10800 + i * 128, false, i * 1000 + 500, None);
+        }
+        for core in 0..2 {
+            let pf = h.core_stride_prefetch_stats(core).unwrap();
+            assert_eq!(pf.issued, 12, "core {core}: {pf:?}");
+        }
     }
 
     #[test]
@@ -737,7 +856,7 @@ mod tests {
         let run = |stride_on: bool| {
             let mut h = small_hierarchy(XmemMode::Off);
             if !stride_on {
-                h.stride_pf = None;
+                h.stride_pfs[0] = None;
             }
             let mut total = 0u64;
             for i in 0..2048u64 {

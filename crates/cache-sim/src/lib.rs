@@ -9,7 +9,11 @@
 //! * [`prefetch::MultiStridePrefetcher`] — the Table 3 baseline prefetcher.
 //! * [`pin`] — the greedy atom-pinning algorithm of §5.2(2).
 //! * [`hierarchy::Hierarchy`] — L1→L2→L3→DRAM with three operating modes
-//!   (Baseline / XMem-Pref / XMem) matching the paper's evaluated systems.
+//!   (Baseline / XMem-Pref / XMem) matching the paper's evaluated systems;
+//!   one private L1/L2 domain per core over a shared L3, single-core runs
+//!   and co-runs alike.
+//! * [`coherence`] — the MESI protocol, snooping bus, and the engine that
+//!   keeps a hierarchy's private domains coherent.
 //!
 //! ```
 //! use cache_sim::hierarchy::{Hierarchy, HierarchyConfig};
@@ -37,7 +41,8 @@ pub mod prefetch;
 
 pub use crate::cache::{Cache, CacheStats, Eviction, InsertPriority, Slot};
 pub use crate::coherence::{
-    local_next, snoop_transition, BusConfig, BusOp, BusStats, MesiState, SnoopAction, SnoopBus,
+    local_next, mesi_access, snoop_transition, BusConfig, BusOp, BusStats, CoherentAccess,
+    MesiDomains, MesiState, SnoopAction, SnoopBus,
 };
 pub use crate::config::{CacheConfig, ReplacementPolicy};
 pub use crate::dram_cache::{DramCache, DramCacheConfig, DramCacheStats};

@@ -1,248 +1,21 @@
-//! The MESI coherence engine: drives the pure protocol of
-//! [`cache_sim::coherence`] over real per-core L1/L2 caches and a timed
-//! snooping bus.
+//! The coherence oracle: [`CoherentCluster`] runs the MESI engine of
+//! [`cache_sim::coherence`] ([`mesi_access`] over per-core L1/L2 domains
+//! and a timed snooping bus) against a flat, value-tracked memory instead
+//! of an L3 and DRAM.
 //!
-//! Each core's *private domain* is its L1+L2 pair; a line's domain state is
-//! its L1 MESI state when L1 holds it, else its L2 state (the two lanes are
-//! kept in lockstep whenever both levels hold the line). The hierarchy is
-//! non-inclusive: an L2 eviction leaves any L1 copy (and its state) in
-//! place, and a line only leaves the domain — writing back if Modified —
-//! when neither level holds it anymore.
-//!
-//! [`mesi_access`] performs one timed access: probe L1, then L2, then
-//! broadcast on the bus and snoop every peer domain. It reports what the
-//! *caller* must settle — coherence writebacks to sink toward memory, and
-//! whether the line must come from memory at all (peers with an M/E copy
-//! supply it cache-to-cache instead) — in a [`CoherentAccess`] the caller
-//! owns and reuses, so an access allocates nothing. A line's MESI state is
-//! read and written through the [`Slot`] its probe or fill resolved, so
-//! each level's set is scanned once per line, not once per state access. `sim::multicore` sinks writebacks
-//! into the shared L3/DRAM; [`CoherentCluster`] — the protocol-test
-//! harness — sinks them into a flat value-tracked memory so litmus and
-//! fuzz tests can assert the SWMR and data-value invariants after every
-//! single transaction.
+//! The engine reports the writebacks and invalidations its caller must
+//! settle; the cluster settles them into `memory` and per-core `copies`,
+//! so litmus and fuzz tests can assert the SWMR and data-value invariants
+//! after every single transaction. It shares the engine and the caches
+//! with the timed memory system ([`cache_sim::hierarchy::Hierarchy`]) but
+//! none of its L3/DRAM settlement, so its value-tracked memory is an
+//! independent golden-memory check of the protocol.
 
-use cache_sim::cache::{Cache, Eviction, InsertPriority, Slot};
-use cache_sim::coherence::{local_next, snoop_transition, BusOp, MesiState, SnoopAction, SnoopBus};
+use cache_sim::cache::Cache;
+use cache_sim::coherence::{mesi_access, CoherentAccess, MesiDomains, MesiState, SnoopBus};
 use cache_sim::config::CacheConfig;
 use cache_sim::{BusConfig, BusStats, ReplacementPolicy};
 use std::collections::{BTreeMap, BTreeSet};
-
-/// The per-core private domains and the bus, bundled for [`mesi_access`].
-#[derive(Debug)]
-pub struct MesiDomains<'a> {
-    /// Per-core private L1s.
-    pub l1s: &'a mut [Cache],
-    /// Per-core private L2s.
-    pub l2s: &'a mut [Cache],
-    /// The shared snooping bus.
-    pub bus: &'a mut SnoopBus,
-    /// L1 hit latency.
-    pub l1_lat: u64,
-    /// L2 hit latency.
-    pub l2_lat: u64,
-    /// Cache line size (power of two).
-    pub line_bytes: u64,
-}
-
-/// The outcome of one coherent access, including everything the caller
-/// must settle against its memory model. [`mesi_access`] overwrites every
-/// field, keeping the lists' capacity, so one value serves every access.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CoherentAccess {
-    /// Cycles spent in the private levels and on the bus. When
-    /// [`from_memory`](Self::from_memory) is set the caller adds its
-    /// L3/DRAM (or flat-memory) latency on top.
-    pub latency: u64,
-    /// The line was supplied by memory: no peer held it in M/E. When
-    /// false, a cache-to-cache transfer supplied it (latency included).
-    pub from_memory: bool,
-    /// `(core, line)` pairs whose dirty data must reach memory: M lines
-    /// flushed by a snoop, and M lines evicted out of a private domain.
-    pub writebacks: Vec<(usize, u64)>,
-    /// `(core, line)` pairs that left their domain entirely (snoop
-    /// invalidations and clean/dirty eviction drops).
-    pub invalidated: Vec<(usize, u64)>,
-    /// The peer that supplied the line cache-to-cache, if any.
-    pub supplier: Option<usize>,
-    /// The requester's final state for the line.
-    pub state: MesiState,
-}
-
-/// Snoops every peer domain for `line` on observing `op`, applying the
-/// protocol transitions. Returns whether any peer (still) holds the line.
-fn snoop_peers(
-    d: &mut MesiDomains<'_>,
-    requester: usize,
-    line: u64,
-    op: BusOp,
-    acc: &mut CoherentAccess,
-) -> bool {
-    let mut sharers = false;
-    for j in 0..d.l1s.len() {
-        if j == requester {
-            continue;
-        }
-        let l1 = d.l1s[j].lookup(line);
-        let s1 = l1.map_or(MesiState::Invalid, |s| d.l1s[j].slot_coh_state(s));
-        // L2 is resolved only when L1 cannot answer, or below when the
-        // transition must update it.
-        let mut l2: Option<Slot> = None;
-        let state = if s1 != MesiState::Invalid {
-            s1
-        } else {
-            l2 = d.l2s[j].lookup(line);
-            l2.map_or(MesiState::Invalid, |s| d.l2s[j].slot_coh_state(s))
-        };
-        if state == MesiState::Invalid {
-            continue;
-        }
-        let Some((next, action)) = snoop_transition(state, op) else {
-            debug_assert!(false, "SWMR violation: core {j} holds {state} on {op:?}");
-            continue;
-        };
-        match action {
-            SnoopAction::None => {}
-            SnoopAction::Supply => acc.supplier = Some(j),
-            SnoopAction::FlushSupply => {
-                acc.supplier = Some(j);
-                acc.writebacks.push((j, line));
-                d.bus.note_writeback();
-            }
-        }
-        if next != state && s1 != MesiState::Invalid {
-            l2 = d.l2s[j].lookup(line);
-        }
-        if next == MesiState::Invalid {
-            if let Some(s) = l1 {
-                d.l1s[j].snoop_invalidate_slot(s);
-            }
-            if let Some(s) = l2 {
-                d.l2s[j].snoop_invalidate_slot(s);
-            }
-            d.bus.note_invalidation();
-            acc.invalidated.push((j, line));
-        } else if next != state {
-            if let Some(s) = l1 {
-                d.l1s[j].set_slot_coh_state(s, next);
-            }
-            if let Some(s) = l2 {
-                d.l2s[j].set_slot_coh_state(s, next);
-            }
-        }
-        sharers = true;
-    }
-    sharers
-}
-
-/// Settles a private-level eviction: if the victim still lives in the
-/// domain's other level nothing happens (its state rides along there);
-/// otherwise the line leaves the domain, writing back if it was Modified.
-fn settle_eviction(
-    core: usize,
-    ev: Eviction,
-    still_held: bool,
-    bus: &mut SnoopBus,
-    acc: &mut CoherentAccess,
-) {
-    if still_held {
-        return;
-    }
-    if ev.dirty {
-        acc.writebacks.push((core, ev.addr));
-        bus.note_writeback();
-    }
-    acc.invalidated.push((core, ev.addr));
-}
-
-/// One coherent access by `core` to `pa` at time `now`: the requester-side
-/// and snooper-side MESI transitions of `cache_sim::coherence`, played out
-/// over the real caches with bus timing. The outcome overwrites `acc`.
-pub fn mesi_access(
-    d: &mut MesiDomains<'_>,
-    core: usize,
-    pa: u64,
-    is_write: bool,
-    now: u64,
-    acc: &mut CoherentAccess,
-) {
-    let line = pa & !(d.line_bytes - 1);
-    acc.latency = 0;
-    acc.from_memory = false;
-    acc.writebacks.clear();
-    acc.invalidated.clear();
-    acc.supplier = None;
-    acc.state = MesiState::Invalid;
-
-    // ── L1 hit ──────────────────────────────────────────────────────────
-    if let Some(s1) = d.l1s[core].probe_slot(pa, is_write) {
-        let state = d.l1s[core].slot_coh_state(s1);
-        debug_assert_ne!(state, MesiState::Invalid, "resident line without state");
-        // `others` only matters from I, which a hit excludes.
-        let (next, bus_op) = local_next(state, is_write, false);
-        let mut lat = d.l1_lat;
-        if let Some(op) = bus_op {
-            debug_assert_eq!(op, BusOp::Upgr, "only S→M upgrades broadcast on a hit");
-            lat += d.bus.transact(op, now);
-            snoop_peers(d, core, line, op, acc);
-        }
-        if next != state {
-            d.l1s[core].set_slot_coh_state(s1, next);
-            d.l2s[core].set_coh_state(line, next);
-        }
-        acc.latency = lat;
-        acc.state = next;
-        return;
-    }
-
-    // ── L2 hit: state lives in L2; refill L1 alongside ──────────────────
-    if let Some(s2) = d.l2s[core].probe_slot(pa, false) {
-        let state = d.l2s[core].slot_coh_state(s2);
-        debug_assert_ne!(state, MesiState::Invalid, "resident line without state");
-        let (next, bus_op) = local_next(state, is_write, false);
-        let mut lat = d.l1_lat + d.l2_lat;
-        if let Some(op) = bus_op {
-            debug_assert_eq!(op, BusOp::Upgr, "only S→M upgrades broadcast on a hit");
-            lat += d.bus.transact(op, now);
-            snoop_peers(d, core, line, op, acc);
-        }
-        d.l2s[core].set_slot_coh_state(s2, next);
-        let (s1, ev) = d.l1s[core].fill_slot(line, false, InsertPriority::Normal);
-        if let Some(ev) = ev {
-            let still = d.l2s[core].contains(ev.addr);
-            settle_eviction(core, ev, still, d.bus, acc);
-        }
-        d.l1s[core].set_slot_coh_state(s1, next);
-        acc.latency = lat;
-        acc.state = next;
-        return;
-    }
-
-    // ── private miss: broadcast, snoop, fill both levels ────────────────
-    let op = if is_write { BusOp::RdX } else { BusOp::Rd };
-    let mut lat = d.l1_lat + d.l2_lat + d.bus.transact(op, now);
-    let sharers = snoop_peers(d, core, line, op, acc);
-    let (next, _) = local_next(MesiState::Invalid, is_write, sharers);
-    if acc.supplier.is_some() {
-        lat += d.bus.cache_to_cache();
-    } else {
-        acc.from_memory = true;
-    }
-    let (s2, ev) = d.l2s[core].fill_slot(line, false, InsertPriority::Normal);
-    if let Some(ev) = ev {
-        let still = d.l1s[core].contains(ev.addr);
-        settle_eviction(core, ev, still, d.bus, acc);
-    }
-    d.l2s[core].set_slot_coh_state(s2, next);
-    let (s1, ev) = d.l1s[core].fill_slot(line, false, InsertPriority::Normal);
-    if let Some(ev) = ev {
-        let still = d.l2s[core].contains(ev.addr);
-        settle_eviction(core, ev, still, d.bus, acc);
-    }
-    d.l1s[core].set_slot_coh_state(s1, next);
-    acc.latency = lat;
-    acc.state = next;
-}
 
 /// A self-contained coherent multicore cluster over a flat value-tracked
 /// memory — the protocol-verification harness behind the litmus, fuzz, and

@@ -329,55 +329,58 @@ pub struct MultiCoreConfig {
 }
 
 impl MultiCoreConfig {
-    /// The full-size Table 3 machine with `cores` cores: 32 KB L1 +
-    /// 128 KB L2 private, a shared L3 of 1 MB per core, DDR3-1066.
-    pub fn westmere_like(cores: usize) -> Self {
-        let phys_bytes = 256 << 20;
-        let base = HierarchyConfig::westmere_like();
+    /// `cores` copies of `system`'s core and private caches over its L3,
+    /// DRAM and OS, without coherence. `system`'s `ideal_rbl` and `tlb`
+    /// have no co-run equivalent and are dropped.
+    pub fn from_system(system: &SystemConfig, cores: usize) -> Self {
+        let h = &system.hierarchy;
         MultiCoreConfig {
             cores,
-            core: CoreConfig::westmere_like(),
-            l1: base.l1,
-            l2: base.l2,
-            l3: base.l3.with_size(cores as u64 * (1 << 20)),
-            stride_prefetcher: true,
-            stride_streams: 16,
-            prefetch_degree: 2,
-            xmem_prefetch_degree: 4,
-            xmem: XmemMode::Off,
-            dram: DramConfig::ddr3_1066(3.6).with_capacity(phys_bytes),
-            mapping: AddressMapping::scheme1(),
-            phys_bytes,
-            frame_policy: FramePolicyKind::Sequential,
+            core: system.core,
+            l1: h.l1,
+            l2: h.l2,
+            l3: h.l3,
+            stride_prefetcher: h.stride_prefetcher,
+            stride_streams: h.stride_streams,
+            prefetch_degree: h.prefetch_degree,
+            xmem_prefetch_degree: h.xmem_prefetch_degree,
+            xmem: h.xmem,
+            dram: system.dram,
+            mapping: system.mapping,
+            phys_bytes: system.phys_bytes,
+            frame_policy: system.frame_policy,
             coherence: CoherenceMode::None,
             bus: BusConfig::default(),
             coherence_aware_pinning: true,
         }
     }
 
+    /// The full-size Table 3 machine with `cores` cores: 32 KB L1 +
+    /// 128 KB L2 private, a shared L3 of 1 MB per core, DDR3-1066.
+    pub fn westmere_like(cores: usize) -> Self {
+        let mut cfg = Self::from_system(&SystemConfig::westmere_like(), cores);
+        cfg.l3 = cfg.l3.with_size(cores as u64 * (1 << 20));
+        cfg
+    }
+
     /// The scaled co-run machine matching
     /// [`SystemConfig::scaled_use_case1`]: the shared L3 is `l3_bytes`
     /// *total* (co-runners genuinely compete for it).
     pub fn scaled_corun(cores: usize, l3_bytes: u64, kind: SystemKind) -> Self {
-        let single = SystemConfig::scaled_use_case1(l3_bytes, kind);
-        MultiCoreConfig {
-            cores,
-            core: single.core,
-            l1: single.hierarchy.l1,
-            l2: single.hierarchy.l2,
-            l3: single.hierarchy.l3,
-            stride_prefetcher: single.hierarchy.stride_prefetcher,
-            stride_streams: single.hierarchy.stride_streams,
-            prefetch_degree: single.hierarchy.prefetch_degree,
-            xmem_prefetch_degree: single.hierarchy.xmem_prefetch_degree,
-            xmem: kind.xmem_mode(),
-            dram: single.dram,
-            mapping: single.mapping,
-            phys_bytes: single.phys_bytes,
-            frame_policy: single.frame_policy,
-            coherence: CoherenceMode::None,
-            bus: BusConfig::default(),
-            coherence_aware_pinning: true,
+        Self::from_system(&SystemConfig::scaled_use_case1(l3_bytes, kind), cores)
+    }
+
+    /// The geometry and policy of each core's domain and the shared L3.
+    pub(crate) fn hierarchy(&self) -> HierarchyConfig {
+        HierarchyConfig {
+            l1: self.l1,
+            l2: self.l2,
+            l3: self.l3,
+            stride_prefetcher: self.stride_prefetcher,
+            stride_streams: self.stride_streams,
+            prefetch_degree: self.prefetch_degree,
+            xmem_prefetch_degree: self.xmem_prefetch_degree,
+            xmem: self.xmem,
         }
     }
 

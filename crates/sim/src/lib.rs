@@ -16,6 +16,8 @@
 //! epoch telemetry and interval sampling — and is the one way into it;
 //! [`experiments`] wraps it in the exact system configurations the paper's
 //! figures compare, and [`harness`] runs grids of it on a worker pool.
+//! [`run_corun`] replays one recorded log per core on the same
+//! `Hierarchy`, built with one private L1/L2 domain per core.
 //!
 //! ```
 //! use xmem_sim::{run, SystemConfig, SystemKind, WorkloadSpec};
@@ -42,7 +44,7 @@ pub mod report_sink;
 pub mod sampling;
 pub mod telemetry;
 
-pub use crate::coherence::{mesi_access, CoherentAccess, CoherentCluster, MesiDomains};
+pub use crate::coherence::CoherentCluster;
 pub use crate::config::{
     CoherenceMode, FramePolicyKind, MultiCoreConfig, SystemConfig, SystemConfigBuilder, SystemKind,
 };

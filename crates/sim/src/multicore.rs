@@ -1,14 +1,17 @@
-//! Multi-core simulation: private L1/L2 per core, shared L3 and DRAM —
-//! the Table 3 machine shape, and the setting both use cases presume
-//! (§5.1: cache space changes "as a result of co-running applications";
-//! §5.2(2): the pinning algorithm "takes the active atoms in *all the
-//! cores*"; §6.2: placement considers "the program semantics of *all
-//! co-running applications*").
+//! Multi-core co-runs: private L1/L2 per core, shared L3 and DRAM — the
+//! Table 3 machine shape, and the setting both use cases presume (§5.1:
+//! cache space changes "as a result of co-running applications"; §5.2(2):
+//! the pinning algorithm "takes the active atoms in *all the cores*"; §6.2:
+//! placement considers "the program semantics of *all co-running
+//! applications*").
 //!
-//! Each core replays a pre-recorded workload log
-//! ([`workloads::sink::LogSink`]); the driver advances whichever core is
-//! earliest in simulated time, so accesses from different cores interleave
-//! at the shared L3 and memory controller in timestamp order.
+//! This module replays co-runs; the memory system is the same
+//! [`Hierarchy`] single-core runs use, built with one private domain per
+//! core ([`Hierarchy::with_domains`]). Each core replays a pre-recorded
+//! workload log ([`workloads::sink::LogSink`]); the replay advances
+//! whichever core is earliest in simulated time, so accesses from
+//! different cores interleave at the shared L3 and memory controller in
+//! timestamp order. One AMU, one set of PATs and one OS serve all cores.
 //!
 //! # Scheduling
 //!
@@ -43,20 +46,20 @@
 //!
 //! # Coherence
 //!
-//! Under [`CoherenceMode::None`] (the default) the private hierarchies
-//! never observe each other's writes — only correct for disjoint data,
-//! and byte-identical to the original co-run model. Shared-data scenarios
-//! require [`CoherenceMode::Mesi`], which routes every access through the
-//! MESI snooping engine ([`crate::coherence`]) before falling through to
-//! the shared L3/DRAM; coherence writebacks and invalidations surface in
-//! [`CorunReport::bus`] and the per-cache snoop counters.
+//! Under [`CoherenceMode::None`] (the default) the hierarchy has no bus
+//! and the private domains never observe each other's writes — only
+//! correct for disjoint data. Shared-data scenarios require
+//! [`CoherenceMode::Mesi`], which gives the hierarchy a snooping bus: every
+//! access runs the MESI engine ([`cache_sim::coherence::mesi_access`])
+//! before falling through to the shared L3/DRAM; coherence writebacks and
+//! invalidations surface in [`CorunReport::bus`] and the per-cache snoop
+//! counters.
 
-use crate::coherence::{mesi_access, CoherentAccess, MesiDomains};
 use crate::config::{CoherenceMode, FramePolicyKind, MultiCoreConfig};
-use cache_sim::cache::{Cache, CacheStats, Eviction, InsertPriority};
-use cache_sim::coherence::{BusStats, SnoopBus};
-use cache_sim::pin::{select_pinned, PinCandidate};
-use cache_sim::prefetch::{MultiStridePrefetcher, PrefetchRun};
+use cache_sim::cache::CacheStats;
+use cache_sim::coherence::BusStats;
+use cache_sim::hierarchy::{Hierarchy, XmemContext};
+use cache_sim::prefetch::PrefetchStats;
 use cache_sim::XmemMode;
 use cpu_sim::batch::{MemoryPath, OpAttrs};
 use cpu_sim::core::{Core, CoreStats};
@@ -67,7 +70,7 @@ use os_sim::placement::FramePolicy;
 use std::collections::{BTreeMap, BTreeSet};
 use workloads::sink::TraceEvent;
 use xmem_core::aam::AamConfig;
-use xmem_core::addr::{PhysAddr, VirtAddr};
+use xmem_core::addr::VirtAddr;
 use xmem_core::alb::AlbStats;
 use xmem_core::amu::{AmuConfig, AtomManagementUnit, Mmu};
 use xmem_core::atom::{AtomId, StaticAtom};
@@ -96,6 +99,10 @@ pub struct CorunReport {
     pub alb: AlbStats,
     /// Snooping-bus traffic (all zero under [`CoherenceMode::None`]).
     pub bus: BusStats,
+    /// Per-core stride-prefetcher statistics (`None` when disabled).
+    pub stride_prefetch: Vec<Option<PrefetchStats>>,
+    /// XMem-guided prefetch statistics (one engine at the shared L3).
+    pub xmem_prefetch: PrefetchStats,
 }
 
 impl CorunReport {
@@ -105,313 +112,15 @@ impl CorunReport {
     }
 }
 
-/// The shared memory system every core's accesses flow into.
-#[derive(Debug)]
-struct SharedMem {
-    l1s: Vec<Cache>,
-    l2s: Vec<Cache>,
-    l3: Cache,
-    dram: Dram,
-    stride_pfs: Vec<Option<MultiStridePrefetcher>>,
-    amu: AtomManagementUnit,
-    cache_pat: Pat<CachePrimitive>,
-    pf_pat: Pat<PrefetcherPrimitive>,
-    os: Os,
-    mode: XmemMode,
-    coherence: CoherenceMode,
-    bus: SnoopBus,
-    /// Reused outcome buffer for [`mesi_access`].
-    coh_acc: CoherentAccess,
-    pinned: Vec<AtomId>,
-    /// Atoms excluded from pinning (coherence-aware placement: migratory
-    /// shared data whose lines bounce between private caches anyway).
-    pin_exempt: BTreeSet<AtomId>,
-    last_epoch: u64,
-    l1_lat: u64,
-    l2_lat: u64,
-    l3_lat: u64,
-    xmem_prefetch_degree: usize,
-    line_bytes: u64,
-}
-
-impl SharedMem {
-    /// §5.2(2): re-run the greedy pinning over the active atoms of *all*
-    /// cores whenever the (shared) AMU epoch changes.
-    fn refresh_pinning(&mut self) {
-        let epoch = self.amu.epoch();
-        if epoch == self.last_epoch {
-            return;
-        }
-        self.last_epoch = epoch;
-        if self.mode != XmemMode::Full {
-            return;
-        }
-        let candidates: Vec<PinCandidate> = self
-            .amu
-            .active_atoms()
-            .into_iter()
-            .filter_map(|atom| {
-                if self.pin_exempt.contains(&atom) {
-                    return None;
-                }
-                let prim = self.cache_pat.get(atom)?;
-                prim.pin_candidate.then_some(PinCandidate {
-                    atom,
-                    reuse: prim.reuse,
-                    size_bytes: self.amu.mapped_bytes(atom),
-                })
-            })
-            .collect();
-        self.l3.age_pinned();
-        self.pinned = select_pinned(&candidates, self.l3.config().size_bytes);
-    }
-
-    fn writeback_shared(&mut self, ev: Eviction, now: u64) {
-        if ev.dirty {
-            let _ = self.dram.serve(ev.addr, OpAttrs::write(), now);
-        }
-    }
-
-    fn guided_prefetch(&mut self, pa: u64, atom: AtomId, t_mem: u64) {
-        let Some(prim) = self.pf_pat.get(atom) else {
-            return;
-        };
-        let Some(stride) = prim.stride else {
-            return;
-        };
-        let line = self.line_bytes;
-        let forward = stride >= 0;
-        let exts = self.amu.extents(atom);
-        if exts.is_empty() {
-            return;
-        }
-        let mut ei = exts
-            .iter()
-            .position(|e| pa >= e.start.raw() && pa < e.start.raw() + e.len)
-            .unwrap_or(0);
-        let mut pos = pa & !(line - 1);
-        let mut targets = Vec::with_capacity(self.xmem_prefetch_degree);
-        for _ in 0..self.xmem_prefetch_degree {
-            if forward {
-                pos += line;
-                if pos >= exts[ei].start.raw() + exts[ei].len {
-                    ei = (ei + 1) % exts.len();
-                    pos = exts[ei].start.raw() & !(line - 1);
-                }
-            } else {
-                let ext_start = exts[ei].start.raw() & !(line - 1);
-                if pos <= ext_start {
-                    ei = (ei + exts.len() - 1) % exts.len();
-                    pos = (exts[ei].start.raw() + exts[ei].len - 1) & !(line - 1);
-                } else {
-                    pos -= line;
-                }
-            }
-            targets.push(pos);
-        }
-        let priority = if self.pinned.contains(&atom) {
-            InsertPriority::Pinned
-        } else {
-            InsertPriority::Normal
-        };
-        for target in targets {
-            if self.l3.contains(target) {
-                continue;
-            }
-            let _ = self.dram.serve_prefetch(target, t_mem);
-            if let Some(ev) = self.l3.fill(target, false, priority) {
-                self.writeback_shared(ev, t_mem);
-            }
-        }
-    }
-
-    /// One access from `core` (same policy structure as the single-core
-    /// [`cache_sim::hierarchy::Hierarchy`], with private L1/L2/prefetcher
-    /// and shared L3/DRAM/AMU).
-    fn serve_core(&mut self, core: usize, pa: u64, is_write: bool, now: u64) -> u64 {
-        if self.coherence == CoherenceMode::Mesi {
-            return self.serve_core_mesi(core, pa, is_write, now);
-        }
-        let line_addr = pa & !(self.line_bytes - 1);
-        if self.l1s[core].probe(pa, is_write) {
-            return self.l1_lat;
-        }
-        if self.l2s[core].probe(pa, false) {
-            if let Some(ev) = self.l1s[core].fill(line_addr, is_write, InsertPriority::Normal) {
-                if ev.dirty && !self.l2s[core].set_dirty(ev.addr) && !self.l3.set_dirty(ev.addr) {
-                    let _ = self.dram.serve(ev.addr, OpAttrs::write(), now);
-                }
-            }
-            return self.l1_lat + self.l2_lat;
-        }
-
-        if self.mode != XmemMode::Off {
-            self.refresh_pinning();
-        }
-        let atom = if self.mode != XmemMode::Off {
-            self.amu.active_atom_at(PhysAddr::new(pa))
-        } else {
-            None
-        };
-        let l3_total = self.l1_lat + self.l2_lat + self.l3_lat;
-        let l3_hit = self.l3.probe(pa, false);
-        let stride_reqs = self.stride_pfs[core]
-            .as_mut()
-            .map(|pf| pf.train(pa))
-            .unwrap_or_default();
-
-        if l3_hit {
-            if let Some(ev) = self.l2s[core].fill(line_addr, false, InsertPriority::Normal) {
-                if ev.dirty && !self.l3.set_dirty(ev.addr) {
-                    let _ = self.dram.serve(ev.addr, OpAttrs::write(), now);
-                }
-            }
-            if let Some(ev) = self.l1s[core].fill(line_addr, is_write, InsertPriority::Normal) {
-                if ev.dirty && !self.l2s[core].set_dirty(ev.addr) && !self.l3.set_dirty(ev.addr) {
-                    let _ = self.dram.serve(ev.addr, OpAttrs::write(), now);
-                }
-            }
-            self.issue_stride(stride_reqs, now + l3_total);
-            return l3_total;
-        }
-
-        let t_mem = now + l3_total;
-        let dram_lat = self.dram.serve(line_addr, OpAttrs::read(), t_mem);
-        let priority = match (self.mode, atom) {
-            (XmemMode::Full, Some(a)) if self.pinned.contains(&a) => InsertPriority::Pinned,
-            _ => InsertPriority::Normal,
-        };
-        if let Some(ev) = self.l3.fill(line_addr, false, priority) {
-            self.writeback_shared(ev, t_mem);
-        }
-        if let Some(ev) = self.l2s[core].fill(line_addr, false, InsertPriority::Normal) {
-            if ev.dirty && !self.l3.set_dirty(ev.addr) {
-                let _ = self.dram.serve(ev.addr, OpAttrs::write(), now);
-            }
-        }
-        if let Some(ev) = self.l1s[core].fill(line_addr, is_write, InsertPriority::Normal) {
-            if ev.dirty && !self.l2s[core].set_dirty(ev.addr) && !self.l3.set_dirty(ev.addr) {
-                let _ = self.dram.serve(ev.addr, OpAttrs::write(), now);
-            }
-        }
-
-        let guided = match (self.mode, atom) {
-            (XmemMode::Full, Some(a)) if self.pinned.contains(&a) => {
-                self.guided_prefetch(pa, a, t_mem);
-                true
-            }
-            (XmemMode::PrefetchOnly, Some(a)) => {
-                let reuse = self.cache_pat.get(a).map(|p| p.reuse).unwrap_or(0);
-                if reuse > 0 {
-                    self.guided_prefetch(pa, a, t_mem);
-                    true
-                } else {
-                    false
-                }
-            }
-            _ => false,
-        };
-        if !guided {
-            self.issue_stride(stride_reqs, t_mem);
-        }
-        l3_total + dram_lat
-    }
-
-    /// The MESI variant of [`SharedMem::serve_core`]: the coherence engine
-    /// owns the private L1/L2 levels and the bus; this wrapper sinks the
-    /// coherence writebacks toward L3/DRAM and runs the shared-level
-    /// (L3/DRAM/prefetch/pinning) policy for accesses the peers could not
-    /// supply. Cache-to-cache transfers bypass the L3 entirely, and the
-    /// stride prefetchers train only on the memory path (bus-satisfied
-    /// accesses carry no locality the L3 could exploit).
-    fn serve_core_mesi(&mut self, core: usize, pa: u64, is_write: bool, now: u64) -> u64 {
-        let line_addr = pa & !(self.line_bytes - 1);
-        let mut domains = MesiDomains {
-            l1s: &mut self.l1s,
-            l2s: &mut self.l2s,
-            bus: &mut self.bus,
-            l1_lat: self.l1_lat,
-            l2_lat: self.l2_lat,
-            line_bytes: self.line_bytes,
-        };
-        mesi_access(&mut domains, core, pa, is_write, now, &mut self.coh_acc);
-        for &(_, wb) in &self.coh_acc.writebacks {
-            if !self.l3.set_dirty(wb) {
-                let _ = self.dram.serve(wb, OpAttrs::write(), now);
-            }
-        }
-        if !self.coh_acc.from_memory {
-            return self.coh_acc.latency;
-        }
-
-        if self.mode != XmemMode::Off {
-            self.refresh_pinning();
-        }
-        let atom = if self.mode != XmemMode::Off {
-            self.amu.active_atom_at(PhysAddr::new(pa))
-        } else {
-            None
-        };
-        let l3_total = self.coh_acc.latency + self.l3_lat;
-        let l3_hit = self.l3.probe(pa, false);
-        let stride_reqs = self.stride_pfs[core]
-            .as_mut()
-            .map(|pf| pf.train(pa))
-            .unwrap_or_default();
-
-        if l3_hit {
-            self.issue_stride(stride_reqs, now + l3_total);
-            return l3_total;
-        }
-
-        let t_mem = now + l3_total;
-        let dram_lat = self.dram.serve(line_addr, OpAttrs::read(), t_mem);
-        let priority = match (self.mode, atom) {
-            (XmemMode::Full, Some(a)) if self.pinned.contains(&a) => InsertPriority::Pinned,
-            _ => InsertPriority::Normal,
-        };
-        if let Some(ev) = self.l3.fill(line_addr, false, priority) {
-            self.writeback_shared(ev, t_mem);
-        }
-        let guided = match (self.mode, atom) {
-            (XmemMode::Full, Some(a)) if self.pinned.contains(&a) => {
-                self.guided_prefetch(pa, a, t_mem);
-                true
-            }
-            (XmemMode::PrefetchOnly, Some(a)) => {
-                let reuse = self.cache_pat.get(a).map(|p| p.reuse).unwrap_or(0);
-                if reuse > 0 {
-                    self.guided_prefetch(pa, a, t_mem);
-                    true
-                } else {
-                    false
-                }
-            }
-            _ => false,
-        };
-        if !guided {
-            self.issue_stride(stride_reqs, t_mem);
-        }
-        l3_total + dram_lat
-    }
-
-    fn issue_stride(&mut self, reqs: PrefetchRun, t_mem: u64) {
-        for req in reqs {
-            let target = req.addr & !(self.line_bytes - 1);
-            if self.l3.contains(target) {
-                continue;
-            }
-            let _ = self.dram.serve_prefetch(target, t_mem);
-            if let Some(ev) = self.l3.fill(target, false, InsertPriority::Normal) {
-                self.writeback_shared(ev, t_mem);
-            }
-        }
-    }
-}
-
-/// Adapter giving one core's `Core::step` a view of the shared memory.
+/// One core's view of the machine for `Core::step`: its VA ranges, then
+/// the shared page table, then its domain of the shared hierarchy.
 struct CoreMemView<'a> {
-    mem: &'a mut SharedMem,
+    hierarchy: &'a mut Hierarchy,
+    amu: &'a mut AtomManagementUnit,
+    cache_pat: &'a Pat<CachePrimitive>,
+    pf_pat: &'a Pat<PrefetcherPrimitive>,
+    os: &'a Os,
+    xmem_enabled: bool,
     core: usize,
     /// Per-core VA translation table: (recorded base, len, actual base),
     /// sorted by recorded base.
@@ -443,12 +152,17 @@ impl MemoryPath for CoreMemView<'_> {
     fn serve(&mut self, va: u64, attrs: OpAttrs, now: u64) -> u64 {
         let actual_va = translate_va(self.ranges, self.core, va);
         let pa = self
-            .mem
             .os
             .page_table()
             .translate(VirtAddr::new(actual_va))
             .unwrap_or_else(|| unallocated(self.core, va));
-        self.mem.serve_core(self.core, pa.raw(), attrs.write, now)
+        let ctx = self.xmem_enabled.then_some(XmemContext {
+            amu: &mut *self.amu,
+            cache_pat: self.cache_pat,
+            pf_pat: self.pf_pat,
+        });
+        self.hierarchy
+            .serve_core(self.core, pa.raw(), attrs.write, now, ctx)
     }
 }
 
@@ -565,42 +279,22 @@ pub fn run_corun(config: &MultiCoreConfig, logs: &[Vec<TraceEvent>]) -> CorunRep
         pf_pat.fill_from_gat(&loaded.process.gat, |a| translator.for_prefetcher(a));
     }
 
-    let mut mem = SharedMem {
-        l1s: (0..config.cores).map(|_| Cache::new(config.l1)).collect(),
-        l2s: (0..config.cores).map(|_| Cache::new(config.l2)).collect(),
-        l3: Cache::new(config.l3),
-        dram: Dram::new(config.dram, config.mapping),
-        stride_pfs: (0..config.cores)
-            .map(|_| {
-                config.stride_prefetcher.then(|| {
-                    MultiStridePrefetcher::new(config.stride_streams, config.prefetch_degree)
-                })
-            })
-            .collect(),
-        amu: AtomManagementUnit::new(AmuConfig {
-            aam: AamConfig {
-                phys_bytes: config.phys_bytes,
-                ..AamConfig::default()
-            },
-            alb_entries: 256,
-            page_size: 4096,
-        }),
-        cache_pat,
-        pf_pat,
-        os: Os::new(config.phys_bytes, 4096, policy),
-        mode: config.xmem,
-        pinned: Vec::new(),
-        last_epoch: u64::MAX,
-        l1_lat: config.l1.latency,
-        l2_lat: config.l2.latency,
-        l3_lat: config.l3.latency,
-        xmem_prefetch_degree: config.xmem_prefetch_degree,
-        line_bytes: config.l1.line_bytes,
-        coherence: config.coherence,
-        bus: SnoopBus::new(config.bus),
-        coh_acc: CoherentAccess::default(),
-        pin_exempt,
-    };
+    let mut hierarchy = Hierarchy::with_domains(
+        config.hierarchy(),
+        Dram::new(config.dram, config.mapping),
+        config.cores,
+        (config.coherence == CoherenceMode::Mesi).then_some(config.bus),
+    );
+    hierarchy.set_pin_exempt(pin_exempt);
+    let mut amu = AtomManagementUnit::new(AmuConfig {
+        aam: AamConfig {
+            phys_bytes: config.phys_bytes,
+            ..AamConfig::default()
+        },
+        alb_entries: 256,
+        page_size: 4096,
+    });
+    let mut os = Os::new(config.phys_bytes, 4096, policy);
 
     // ── replay ───────────────────────────────────────────────────────────
     let mut cores: Vec<Core> = (0..config.cores).map(|_| Core::new(config.core)).collect();
@@ -646,7 +340,12 @@ pub fn run_corun(config: &MultiCoreConfig, logs: &[Vec<TraceEvent>]) -> CorunRep
             match *ev {
                 TraceEvent::Op(op) => {
                     let mut view = CoreMemView {
-                        mem: &mut mem,
+                        hierarchy: &mut hierarchy,
+                        amu: &mut amu,
+                        cache_pat: &cache_pat,
+                        pf_pat: &pf_pat,
+                        os: &os,
+                        xmem_enabled,
                         core: i,
                         ranges: &ranges[i],
                     };
@@ -660,8 +359,7 @@ pub fn run_corun(config: &MultiCoreConfig, logs: &[Vec<TraceEvent>]) -> CorunRep
                 }
                 TraceEvent::Alloc { bytes, atom, base } => {
                     let global_atom = atom.map(|a| rename(i, a));
-                    let actual = mem
-                        .os
+                    let actual = os
                         .malloc(bytes, global_atom)
                         // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
                         .expect("physical memory exhausted")
@@ -681,8 +379,7 @@ pub fn run_corun(config: &MultiCoreConfig, logs: &[Vec<TraceEvent>]) -> CorunRep
                         Some(&pa) => pa,
                         None => {
                             let global_atom = atom.map(|a| rename(i, a));
-                            let pa = mem
-                                .os
+                            let pa = os
                                 .malloc(bytes, global_atom)
                                 // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
                                 .expect("physical memory exhausted")
@@ -706,8 +403,8 @@ pub fn run_corun(config: &MultiCoreConfig, logs: &[Vec<TraceEvent>]) -> CorunRep
                             }
                         }
                         lib.atom_map(
-                            &mut mem.amu,
-                            mem.os.page_table(),
+                            &mut amu,
+                            os.page_table(),
                             global,
                             VirtAddr::new(actual),
                             len,
@@ -725,14 +422,9 @@ pub fn run_corun(config: &MultiCoreConfig, logs: &[Vec<TraceEvent>]) -> CorunRep
                                 continue; // other cores still map this range
                             }
                         }
-                        lib.atom_unmap(
-                            &mut mem.amu,
-                            mem.os.page_table(),
-                            VirtAddr::new(actual),
-                            len,
-                        )
-                        // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
-                        .expect("unmap");
+                        lib.atom_unmap(&mut amu, os.page_table(), VirtAddr::new(actual), len)
+                            // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
+                            .expect("unmap");
                     }
                 }
                 TraceEvent::Map2d {
@@ -745,8 +437,8 @@ pub fn run_corun(config: &MultiCoreConfig, logs: &[Vec<TraceEvent>]) -> CorunRep
                     if xmem_enabled {
                         let actual = translate_va(&ranges[i], i, base);
                         lib.atom_map_2d(
-                            &mut mem.amu,
-                            mem.os.page_table(),
+                            &mut amu,
+                            os.page_table(),
                             rename(i, atom),
                             VirtAddr::new(actual),
                             size_x,
@@ -766,8 +458,8 @@ pub fn run_corun(config: &MultiCoreConfig, logs: &[Vec<TraceEvent>]) -> CorunRep
                     if xmem_enabled {
                         let actual = translate_va(&ranges[i], i, base);
                         lib.atom_unmap_2d(
-                            &mut mem.amu,
-                            mem.os.page_table(),
+                            &mut amu,
+                            os.page_table(),
                             VirtAddr::new(actual),
                             size_x,
                             size_y,
@@ -787,7 +479,7 @@ pub fn run_corun(config: &MultiCoreConfig, logs: &[Vec<TraceEvent>]) -> CorunRep
                                 continue; // already active on another core's behalf
                             }
                         }
-                        lib.atom_activate(&mut mem.amu, mem.os.page_table(), global)
+                        lib.atom_activate(&mut amu, os.page_table(), global)
                             // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
                             .expect("activate");
                     }
@@ -801,7 +493,7 @@ pub fn run_corun(config: &MultiCoreConfig, logs: &[Vec<TraceEvent>]) -> CorunRep
                                 continue; // other cores still want it active
                             }
                         }
-                        lib.atom_deactivate(&mut mem.amu, mem.os.page_table(), global)
+                        lib.atom_deactivate(&mut amu, os.page_table(), global)
                             // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
                             .expect("deactivate");
                     }
@@ -810,14 +502,25 @@ pub fn run_corun(config: &MultiCoreConfig, logs: &[Vec<TraceEvent>]) -> CorunRep
         }
     }
 
+    let per_core = 0..config.cores;
     CorunReport {
         cores: cores.iter().map(|c| c.stats()).collect(),
-        l1s: mem.l1s.iter().map(|c| c.stats()).collect(),
-        l2s: mem.l2s.iter().map(|c| c.stats()).collect(),
-        l3: mem.l3.stats(),
-        dram: mem.dram.stats(),
-        alb: mem.amu.alb_stats(),
-        bus: mem.bus.stats(),
+        l1s: per_core
+            .clone()
+            .map(|c| hierarchy.core_l1_stats(c))
+            .collect(),
+        l2s: per_core
+            .clone()
+            .map(|c| hierarchy.core_l2_stats(c))
+            .collect(),
+        l3: hierarchy.l3_stats(),
+        dram: hierarchy.dram_stats(),
+        alb: amu.alb_stats(),
+        bus: hierarchy.bus_stats(),
+        stride_prefetch: per_core
+            .map(|c| hierarchy.core_stride_prefetch_stats(c))
+            .collect(),
+        xmem_prefetch: hierarchy.xmem_prefetch_stats(),
     }
 }
 

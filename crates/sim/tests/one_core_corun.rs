@@ -1,45 +1,19 @@
 //! Differential gate between the two replay loops: a 1-core
 //! [`run_corun`] and the single-core [`run`] must agree on every counter
-//! both report — core, L1, L2, L3, DRAM and ALB — on quick-sized fig4–fig7
-//! grid points.
+//! both report — core, L1, L2, L3, DRAM, ALB, and stride and guided
+//! prefetch — on quick-sized fig4–fig7 grid points.
 //!
 //! Configurations the co-run machine cannot express are skipped: an
 //! `ideal_rbl` DRAM (Fig 7's "Ideal" system) and a TLB have no
-//! [`MultiCoreConfig`] field. Prefetch statistics are not compared because
-//! [`xmem_sim::CorunReport`] does not carry them (DESIGN.md "Modeling
-//! decisions" lists both gaps).
+//! [`MultiCoreConfig`] field (DESIGN.md "Modeling decisions" lists the
+//! gap).
 
-use cache_sim::BusConfig;
 use workloads::placement::PlacementWorkload;
 use workloads::polybench::{KernelParams, PolybenchKernel};
 use workloads::sink::LogSink;
 use xmem_sim::{
-    placement_specs, run, run_corun, CoherenceMode, KernelRun, MultiCoreConfig, RunSpec,
-    SystemConfig, SystemKind, Uc2System,
+    placement_specs, run, run_corun, KernelRun, MultiCoreConfig, RunSpec, SystemKind, Uc2System,
 };
-
-/// The 1-core co-run machine equivalent to `cfg`, field for field.
-fn one_core(cfg: &SystemConfig) -> MultiCoreConfig {
-    MultiCoreConfig {
-        cores: 1,
-        core: cfg.core,
-        l1: cfg.hierarchy.l1,
-        l2: cfg.hierarchy.l2,
-        l3: cfg.hierarchy.l3,
-        stride_prefetcher: cfg.hierarchy.stride_prefetcher,
-        stride_streams: cfg.hierarchy.stride_streams,
-        prefetch_degree: cfg.hierarchy.prefetch_degree,
-        xmem_prefetch_degree: cfg.hierarchy.xmem_prefetch_degree,
-        xmem: cfg.hierarchy.xmem,
-        dram: cfg.dram,
-        mapping: cfg.mapping,
-        phys_bytes: cfg.phys_bytes,
-        frame_policy: cfg.frame_policy,
-        coherence: CoherenceMode::None,
-        bus: BusConfig::default(),
-        coherence_aware_pinning: true,
-    }
-}
 
 /// Runs `spec` through both and asserts every shared counter
 /// matches. Returns `false` (without running) for configurations the
@@ -51,7 +25,10 @@ fn assert_runs_agree(spec: &RunSpec) -> bool {
     let single = run(&spec.config, &spec.workload, None, None).report;
     let mut log = LogSink::new();
     spec.workload.generate(&mut log);
-    let corun = run_corun(&one_core(&spec.config), &[log.into_events()]);
+    let corun = run_corun(
+        &MultiCoreConfig::from_system(&spec.config, 1),
+        &[log.into_events()],
+    );
     let label = &spec.label;
     assert_eq!(corun.cores[0], single.core, "{label}: core");
     assert_eq!(corun.l1s[0], single.l1, "{label}: L1");
@@ -59,6 +36,14 @@ fn assert_runs_agree(spec: &RunSpec) -> bool {
     assert_eq!(corun.l3, single.l3, "{label}: L3");
     assert_eq!(corun.dram, single.dram, "{label}: DRAM");
     assert_eq!(corun.alb, single.alb, "{label}: ALB");
+    assert_eq!(
+        corun.stride_prefetch[0], single.stride_prefetch,
+        "{label}: stride prefetch"
+    );
+    assert_eq!(
+        corun.xmem_prefetch, single.xmem_prefetch,
+        "{label}: guided prefetch"
+    );
     true
 }
 
