@@ -154,10 +154,7 @@ fn render_json(rows: &[BenchRow]) -> String {
 }
 
 fn main() {
-    let out = std::env::args().find_map(|a| {
-        a.strip_prefix("--out=")
-            .map(|p| std::path::PathBuf::from(p))
-    });
+    let out = std::env::args().find_map(|a| a.strip_prefix("--out=").map(std::path::PathBuf::from));
     println!("# Memory-path microbenchmarks (ops/sec per layer)");
     let mut t = Timer::new("microbench");
     bench_layers(&mut t);

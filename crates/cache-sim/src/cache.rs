@@ -41,12 +41,38 @@ pub struct Eviction {
 /// right after finding it does so without scanning the set again.
 ///
 /// A slot names a way, not a line: it is valid only until the next
-/// [`Cache::fill`]/[`Cache::fill_slot`], snoop invalidation or
-/// [`Cache::flush`] on the same cache. Debug builds check every use.
+/// [`Cache::fill`]/[`Cache::fill_slot`]/[`Cache::fill_if_absent`], snoop
+/// invalidation or [`Cache::flush`] on the same cache. Debug builds check
+/// every use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Slot {
     index: usize,
     tag: u64,
+}
+
+/// What [`Cache::fill_if_absent`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FillOutcome {
+    /// The line was resident; the cache is unchanged.
+    Resident,
+    /// The line was installed, displacing the eviction (if any).
+    Filled(Option<Eviction>),
+}
+
+/// What one pass over a set finds for a fill. Indices are lane indices
+/// (`set * ways + way`).
+#[derive(Debug, Clone, Copy, Default)]
+struct SetScan {
+    /// The way already holding the line; the other fields are then unset.
+    resident: Option<usize>,
+    /// The first invalid way.
+    invalid: Option<usize>,
+    /// Valid pinned lines in the set.
+    pinned: usize,
+    /// The replacement candidate among unpinned valid ways.
+    candidate: Option<usize>,
+    /// RRIP family: the largest RRPV over unpinned valid ways.
+    max_rrpv: u8,
 }
 
 /// Hit/miss statistics for one cache.
@@ -134,13 +160,27 @@ const DUEL_PERIOD: usize = 64;
 /// `find_way` scan on the tag lane alone (no metadata load per way).
 const TAG_INVALID: u64 = u64::MAX;
 
-/// Per-line metadata bits, packed into one byte so a set's metadata scan
-/// touches a single contiguous lane.
+/// Per-line state, packed into one byte so a set's victim scan and a
+/// fill's state write touch a single contiguous lane: four flag bits, the
+/// RRIP re-reference prediction value, and the MESI state.
 const META_VALID: u8 = 1 << 0;
 const META_DIRTY: u8 = 1 << 1;
 const META_PINNED: u8 = 1 << 2;
 /// SHiP: whether the line was re-referenced since insertion.
 const META_OUTCOME: u8 = 1 << 3;
+/// The RRPV field (`0..=RRPV_MAX`).
+const RRPV_SHIFT: u32 = 4;
+const META_RRPV: u8 = RRPV_MAX << RRPV_SHIFT;
+/// The MESI field ([`MesiState`] as u8). Written only through
+/// [`Cache::set_coh_state`], so in coherence-free runs it stays zero.
+const COH_SHIFT: u32 = 6;
+const META_COH: u8 = 3 << COH_SHIFT;
+
+/// The RRPV field of a meta byte.
+#[inline]
+fn rrpv_of(meta: u8) -> u8 {
+    (meta & META_RRPV) >> RRPV_SHIFT
+}
 
 /// The cache model.
 ///
@@ -149,10 +189,11 @@ const META_OUTCOME: u8 = 1 << 3;
 /// `fill` installs a line after a miss and reports any eviction.
 ///
 /// Line state is stored struct-of-arrays: one lane per field (`tags`,
-/// `lru`, `rrpv`, `sigs`, packed `meta` bits), all indexed by
-/// `set * ways + way`. The hot probe loop scans the tag lane and one
-/// metadata byte per way — a handful of contiguous cache lines per set —
-/// instead of striding over a wide per-line struct.
+/// `lru`, `sigs`, and the packed `meta` byte holding the flags, RRPV and
+/// MESI state), all indexed by `set * ways + way`. The hot probe loop
+/// scans the tag lane and a fill's victim search one metadata byte per
+/// way — a handful of contiguous cache lines per set — instead of
+/// striding over a wide per-line struct.
 ///
 /// # Examples
 ///
@@ -179,17 +220,10 @@ pub struct Cache {
     tags: Vec<u64>,
     /// LRU stamps (same indexing).
     lru: Vec<u64>,
-    /// RRIP re-reference prediction values.
-    rrpv: Vec<u8>,
     /// SHiP signatures of the inserting region.
     sigs: Vec<u16>,
-    /// Packed valid/dirty/pinned/outcome bits ([`META_VALID`] etc.).
+    /// Packed flag bits ([`META_VALID`] etc.), RRPV and MESI state.
     meta: Vec<u8>,
-    /// MESI state lane ([`MesiState`] as u8). Written only through
-    /// [`Cache::set_coh_state`]/[`Cache::snoop_invalidate`], so in
-    /// coherence-free runs the lane stays all-zero and costs nothing on
-    /// the hot probe/fill paths.
-    coh: Vec<u8>,
     clock: u64,
     /// DRRIP policy-select counter (positive favors BRRIP).
     psel: i32,
@@ -221,10 +255,8 @@ impl Cache {
             set_mask: sets as u64 - 1,
             tags: vec![TAG_INVALID; lines],
             lru: vec![0; lines],
-            rrpv: vec![0; lines],
             sigs: vec![0; lines],
             meta: vec![0; lines],
-            coh: vec![0; lines],
             clock: 0,
             psel: 0,
             brrip_ctr: 0,
@@ -292,21 +324,17 @@ impl Cache {
         (found != usize::MAX).then(|| base + found)
     }
 
-    /// First (lowest-way) index minimizing the LRU stamp over `base..base+ways`,
-    /// restricted to lines whose meta bits match `mask`/`want`. Mirrors the
-    /// old `iter().filter(..).min_by_key(lru)` scan: ties keep the earliest
-    /// way, preserving the deterministic victim choice.
-    #[inline]
-    fn min_lru_where(&self, base: usize, ways: usize, mask: u8, want: u8) -> Option<usize> {
-        let metas = &self.meta[base..base + ways];
+    /// First (lowest-way) index minimizing the LRU stamp over
+    /// `base..base+ways`: strict `<`, so ties keep the earliest way.
+    fn first_min_lru(&self, base: usize, ways: usize) -> usize {
         let lrus = &self.lru[base..base + ways];
-        let mut best: Option<usize> = None;
-        for w in 0..ways {
-            if metas[w] & mask == want && best.is_none_or(|b: usize| lrus[w] < lrus[b]) {
-                best = Some(w);
+        let mut best = 0;
+        for w in 1..ways {
+            if lrus[w] < lrus[best] {
+                best = w;
             }
         }
-        best.map(|w| base + w)
+        base + best
     }
 
     /// Looks up `addr`; on a hit, promotes the line and (for writes) marks
@@ -343,11 +371,10 @@ impl Cache {
     #[inline]
     fn probe_hit(&mut self, i: usize, is_write: bool) {
         self.lru[i] = self.clock;
-        // The RRPV lane is only consulted by RRIP-family victim searches;
-        // under plain LRU the promote write would dirty a lane nothing
-        // reads.
+        // The RRPV field is only consulted by RRIP-family victim
+        // searches; under plain LRU nothing reads it.
         if self.config.policy != ReplacementPolicy::Lru {
-            self.rrpv[i] = 0;
+            self.meta[i] &= !META_RRPV;
         }
         if is_write {
             self.meta[i] |= META_DIRTY;
@@ -414,11 +441,148 @@ impl Cache {
     ) -> (Slot, Option<Eviction>) {
         self.clock += 1;
         let clock = self.clock;
+        let brrip_long = self.next_brrip_long();
         let (set, tag) = self.line_index(addr);
-        let line_shift = self.line_shift;
-        let sets_shift = self.set_shift;
-        let set_mask_base = set as u64;
+        let scan = self.scan_for_fill(set, tag);
+        // If the line is somehow already present (e.g. racing prefetch),
+        // just refresh it.
+        if let Some(i) = scan.resident {
+            self.lru[i] = clock;
+            if dirty {
+                self.meta[i] |= META_DIRTY;
+            }
+            return (Slot { index: i, tag }, None);
+        }
+        self.install(addr, &scan, dirty, priority, brrip_long)
+    }
 
+    /// Installs `addr` unless it is resident, with one scan of its set. A
+    /// resident line is left exactly as it was: no replacement update, no
+    /// dirty bit, and not even the fill clock or the BRRIP throttle
+    /// advances, so the call is then indistinguishable from
+    /// [`Cache::contains`]. Otherwise it is [`Cache::fill`].
+    #[inline]
+    pub fn fill_if_absent(
+        &mut self,
+        addr: u64,
+        dirty: bool,
+        priority: InsertPriority,
+    ) -> FillOutcome {
+        let (set, tag) = self.line_index(addr);
+        let scan = self.scan_for_fill(set, tag);
+        if scan.resident.is_some() {
+            return FillOutcome::Resident;
+        }
+        self.clock += 1;
+        let brrip_long = self.next_brrip_long();
+        FillOutcome::Filled(self.install(addr, &scan, dirty, priority, brrip_long).1)
+    }
+
+    /// Advances the BRRIP throttle counter and returns whether this fill
+    /// gets the long interval. The counter advances once per fill whenever
+    /// BRRIP can be in play (directly or as a DRRIP arm); under other
+    /// policies it is never read, so skipping the update is unobservable.
+    #[inline]
+    fn next_brrip_long(&mut self) -> bool {
+        if matches!(
+            self.config.policy,
+            ReplacementPolicy::Brrip | ReplacementPolicy::Drrip
+        ) {
+            self.brrip_ctr = self.brrip_ctr.wrapping_add(1);
+            self.brrip_ctr.is_multiple_of(BRRIP_LONG_EVERY)
+        } else {
+            false
+        }
+    }
+
+    /// The one pass a fill makes over `set`: the way already holding
+    /// `tag`, the first invalid way, the pinned-line census, and the
+    /// replacement candidate among the unpinned valid ways.
+    #[inline]
+    fn scan_for_fill(&self, set: usize, tag: u64) -> SetScan {
+        let ways = self.config.ways;
+        let base = set * ways;
+        let scan = if self.config.policy == ReplacementPolicy::Lru {
+            self.scan_set::<true>(base, ways, tag)
+        } else {
+            self.scan_set::<false>(base, ways, tag)
+        };
+        debug_assert!(
+            scan.resident.is_none() || self.find_way(base, ways, tag) == scan.resident,
+            "a tag is resident in at most one way of its set"
+        );
+        scan
+    }
+
+    /// [`Cache::scan_for_fill`]'s loop. Tags are unique within a set, so
+    /// the first match is the only one and ends the scan. The candidate is
+    /// the first way with the smallest LRU stamp (`LRU`) or the first way
+    /// with the largest RRPV (RRIP family); strict comparisons keep the
+    /// earliest way on ties, as [`Cache::first_min_lru`] does.
+    #[inline]
+    fn scan_set<const LRU: bool>(&self, base: usize, ways: usize, tag: u64) -> SetScan {
+        let tags = &self.tags[base..base + ways];
+        let metas = &self.meta[base..base + ways];
+        let lrus = &self.lru[base..base + ways];
+        let mut invalid = usize::MAX;
+        let mut pinned = 0;
+        let mut candidate = usize::MAX;
+        // LRU stamps stay below `u64::MAX` (the clock never gets there),
+        // and an RRIP key is the RRPV field with the low bit set, so it is
+        // never 0: the first unpinned way always beats the start value.
+        let mut best_lru = u64::MAX;
+        let mut best_key = 0u8;
+        for w in 0..ways {
+            let t = tags[w];
+            if t == tag {
+                return SetScan {
+                    resident: Some(base + w),
+                    ..SetScan::default()
+                };
+            }
+            if t == TAG_INVALID {
+                if invalid == usize::MAX {
+                    invalid = w;
+                }
+                continue;
+            }
+            let m = metas[w];
+            if m & META_PINNED != 0 {
+                pinned += 1;
+            } else if LRU {
+                if lrus[w] < best_lru {
+                    best_lru = lrus[w];
+                    candidate = w;
+                }
+            } else {
+                let key = (m & META_RRPV) | 1;
+                if key > best_key {
+                    best_key = key;
+                    candidate = w;
+                }
+            }
+        }
+        SetScan {
+            resident: None,
+            invalid: (invalid != usize::MAX).then(|| base + invalid),
+            pinned,
+            candidate: (candidate != usize::MAX).then(|| base + candidate),
+            max_rrpv: rrpv_of(best_key),
+        }
+    }
+
+    /// Installs `addr` (absent, per `scan` of its set): picks the victim,
+    /// writes the new line's lanes and reports the eviction.
+    fn install(
+        &mut self,
+        addr: u64,
+        scan: &SetScan,
+        dirty: bool,
+        priority: InsertPriority,
+        brrip_long: bool,
+    ) -> (Slot, Option<Eviction>) {
+        let clock = self.clock;
+        let (set, tag) = self.line_index(addr);
         // SHiP signature work only matters under the SHiP policy; the sigs
         // lane is read exclusively from SHiP-gated paths, so a zero
         // signature under other policies is unobservable.
@@ -440,93 +604,40 @@ impl Cache {
             },
             p => p,
         };
-        // The BRRIP throttle counter advances once per fill whenever BRRIP
-        // can be in play (directly or as a DRRIP arm); under other policies
-        // it is never read, so skipping the update is unobservable.
-        let brrip_long = if matches!(
-            self.config.policy,
-            ReplacementPolicy::Brrip | ReplacementPolicy::Drrip
-        ) {
-            self.brrip_ctr = self.brrip_ctr.wrapping_add(1);
-            self.brrip_ctr.is_multiple_of(BRRIP_LONG_EVERY)
-        } else {
-            false
-        };
-        let pin_cap = self.pin_cap_ways;
         let ways = self.config.ways;
         let base = set * ways;
 
-        // The per-set pin census is only needed to apply the pin cap to an
-        // incoming pinned fill.
+        // The pin cap applies to an incoming pinned fill.
         let effective_priority = match priority {
-            InsertPriority::Pinned => {
-                let pinned_count = self.meta[base..base + ways]
-                    .iter()
-                    .filter(|&&m| m & (META_VALID | META_PINNED) == META_VALID | META_PINNED)
-                    .count();
-                if pinned_count >= pin_cap {
-                    InsertPriority::Normal
-                } else {
-                    InsertPriority::Pinned
-                }
-            }
+            InsertPriority::Pinned if scan.pinned >= self.pin_cap_ways => InsertPriority::Normal,
             p => p,
         };
 
-        // If the line is somehow already present (e.g. racing prefetch),
-        // just refresh it.
-        if let Some(i) = self.find_way(base, ways, tag) {
-            self.lru[i] = clock;
-            if dirty {
-                self.meta[i] |= META_DIRTY;
-            }
-            return (Slot { index: i, tag }, None);
-        }
-
         // Victim selection: an invalid way wins outright (invalid ways hold
-        // [`TAG_INVALID`] exactly when their `META_VALID` bit is clear).
-        let victim = if let Some(w) = self.tags[base..base + ways]
-            .iter()
-            .position(|&t| t == TAG_INVALID)
-        {
-            base + w
-        } else {
-            match policy {
-                ReplacementPolicy::Lru => self
-                    .min_lru_where(base, ways, META_PINNED, 0)
-                    .unwrap_or_else(|| {
-                        // Every way pinned (pin cap == ways): fall back to LRU
-                        // over all lines.
-                        self.min_lru_where(base, ways, 0, 0)
-                            // simlint: allow(unwrap, reason = "a cache set always has at least one way")
-                            .expect("non-empty set")
-                    }),
-                _ => {
-                    // RRIP victim search: find RRPV == MAX among unpinned,
-                    // aging as needed.
-                    loop {
-                        if let Some(i) = (base..base + ways)
-                            .find(|&i| self.meta[i] & META_PINNED == 0 && self.rrpv[i] >= RRPV_MAX)
-                        {
-                            break i;
-                        }
-                        let mut any_unpinned = false;
-                        for i in base..base + ways {
-                            if self.meta[i] & META_PINNED == 0 {
-                                any_unpinned = true;
-                                self.rrpv[i] = (self.rrpv[i] + 1).min(RRPV_MAX);
-                            }
-                        }
-                        if !any_unpinned {
-                            // Fully pinned set: evict the LRU pinned line.
-                            break self
-                                .min_lru_where(base, ways, 0, 0)
-                                // simlint: allow(unwrap, reason = "a cache set always has at least one way")
-                                .expect("non-empty set");
+        // [`TAG_INVALID`] exactly when their `META_VALID` bit is clear),
+        // then the scan's unpinned candidate.
+        let victim = if let Some(i) = scan.invalid {
+            i
+        } else if let Some(i) = scan.candidate {
+            if policy != ReplacementPolicy::Lru {
+                // RRIP aging in closed form: repeatedly aging every
+                // unpinned way until one reaches RRPV_MAX adds
+                // `RRPV_MAX - max` to each of them, and the first way that
+                // reaches RRPV_MAX is the first that held the maximum.
+                let age = (RRPV_MAX - scan.max_rrpv) << RRPV_SHIFT;
+                if age != 0 {
+                    for m in &mut self.meta[base..base + ways] {
+                        if *m & META_PINNED == 0 {
+                            *m += age;
                         }
                     }
                 }
             }
+            i
+        } else {
+            // Every way pinned (pin cap == ways): evict the least-recent
+            // line, and no RRPV changes.
+            self.first_min_lru(base, ways)
         };
 
         let ev_meta = self.meta[victim];
@@ -564,24 +675,24 @@ impl Cache {
         };
         self.tags[victim] = tag;
         self.lru[victim] = lru;
-        self.rrpv[victim] = rrpv;
         self.sigs[victim] = sig;
-        // A fresh line never inherits the victim's MESI state; the
-        // coherence engine assigns the real state right after the fill.
-        self.coh[victim] = 0;
+        // A fresh line never inherits the victim's MESI state (the field
+        // is left 0); the coherence engine assigns the real state right
+        // after the fill.
         self.meta[victim] = META_VALID
             | if dirty { META_DIRTY } else { 0 }
             | if effective_priority == InsertPriority::Pinned {
                 META_PINNED
             } else {
                 0
-            };
+            }
+            | rrpv << RRPV_SHIFT;
         self.stats.fills += 1;
         let slot = Slot { index: victim, tag };
         let eviction = if ev_meta & META_VALID != 0 {
             // SHiP feedback: a line evicted without re-reference votes its
             // signature down.
-            if self.config.policy == ReplacementPolicy::Ship && ev_meta & META_OUTCOME == 0 {
+            if ship && ev_meta & META_OUTCOME == 0 {
                 let c = &mut self.shct[ev_sig as usize];
                 *c = c.saturating_sub(1);
             }
@@ -589,9 +700,9 @@ impl Cache {
             if ev_meta & META_DIRTY != 0 {
                 self.stats.writebacks += 1;
             }
-            let line_no = (ev_tag << sets_shift) | set_mask_base;
+            let line_no = (ev_tag << self.set_shift) | set as u64;
             Some(Eviction {
-                addr: line_no << line_shift,
+                addr: line_no << self.line_shift,
                 dirty: ev_meta & META_DIRTY != 0,
             })
         } else {
@@ -606,8 +717,7 @@ impl Cache {
     pub fn age_pinned(&mut self) {
         for i in 0..self.meta.len() {
             if self.meta[i] & META_PINNED != 0 {
-                self.meta[i] &= !META_PINNED;
-                self.rrpv[i] = RRPV_MAX;
+                self.meta[i] = (self.meta[i] & !META_PINNED) | META_RRPV;
                 self.lru[i] = self.lru[i].saturating_sub(1 << 20);
             }
         }
@@ -648,7 +758,7 @@ impl Cache {
     /// The MESI state of the line in `slot`.
     #[inline]
     pub fn slot_coh_state(&self, slot: Slot) -> MesiState {
-        MesiState::from_lane(self.coh[self.slot_index(slot)])
+        MesiState::from_lane(self.meta[self.slot_index(slot)] >> COH_SHIFT)
     }
 
     /// Sets the MESI state of the resident line holding `addr`, keeping the
@@ -669,12 +779,13 @@ impl Cache {
     #[inline]
     pub fn set_slot_coh_state(&mut self, slot: Slot, state: MesiState) {
         let i = self.slot_index(slot);
-        self.coh[i] = state as u8;
-        if state == MesiState::Modified {
-            self.meta[i] |= META_DIRTY;
+        let m = self.meta[i] & !(META_COH | META_DIRTY);
+        let dirty = if state == MesiState::Modified {
+            META_DIRTY
         } else {
-            self.meta[i] &= !META_DIRTY;
-        }
+            0
+        };
+        self.meta[i] = m | (state as u8) << COH_SHIFT | dirty;
     }
 
     /// Removes the line holding `addr` in response to a coherence snoop.
@@ -693,10 +804,8 @@ impl Cache {
         let dirty = self.meta[i] & META_DIRTY != 0;
         self.tags[i] = TAG_INVALID;
         self.lru[i] = 0;
-        self.rrpv[i] = 0;
         self.sigs[i] = 0;
         self.meta[i] = 0;
-        self.coh[i] = 0;
         self.stats.snoop_invalidations += 1;
         if dirty {
             self.stats.snoop_writebacks += 1;
@@ -708,10 +817,8 @@ impl Cache {
     pub fn flush(&mut self) {
         self.tags.fill(TAG_INVALID);
         self.lru.fill(0);
-        self.rrpv.fill(0);
         self.sigs.fill(0);
         self.meta.fill(0);
-        self.coh.fill(0);
     }
 }
 

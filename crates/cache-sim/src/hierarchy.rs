@@ -31,11 +31,12 @@
 //! private L1/L2s, and only accesses no peer could supply continue into
 //! the shared levels, through the same L3/DRAM/pinning/prefetch code.
 
-use crate::cache::{Cache, CacheStats, Eviction, InsertPriority};
+use crate::cache::{Cache, CacheStats, Eviction, FillOutcome, InsertPriority};
 use crate::coherence::{mesi_access, BusConfig, BusStats, CoherentAccess, MesiDomains, SnoopBus};
 use crate::config::CacheConfig;
 use crate::pin::{select_pinned, PinCandidate};
 use crate::prefetch::{MultiStridePrefetcher, PrefetchRun, PrefetchStats};
+use crate::tracker::PrefetchTracker;
 use cpu_sim::batch::OpAttrs;
 use dram_sim::{Dram, DramStats};
 use std::collections::BTreeSet;
@@ -155,17 +156,13 @@ pub struct Hierarchy {
     /// AMU epoch at the last pinning evaluation.
     last_epoch: u64,
     /// Lines prefetched but not yet demanded (bounded; for accuracy stats).
-    inflight_prefetches: BTreeSet<u64>,
+    inflight_prefetches: PrefetchTracker,
     xmem_pf_stats: PrefetchStats,
     /// The MESI snooping bus; `None` means no coherence.
     bus: Option<SnoopBus>,
     /// Reused outcome buffer for [`mesi_access`].
     coh_acc: CoherentAccess,
 }
-
-/// Cap on the prefetch-tracking set (oldest entries are simply forgotten —
-/// this only affects the accuracy statistic, not behaviour).
-const PF_TRACK_CAP: usize = 1 << 16;
 
 impl Hierarchy {
     /// Creates an empty one-core hierarchy in front of `dram`.
@@ -203,7 +200,7 @@ impl Hierarchy {
             pinned: Vec::new(),
             pin_exempt: BTreeSet::new(),
             last_epoch: u64::MAX,
-            inflight_prefetches: BTreeSet::new(),
+            inflight_prefetches: PrefetchTracker::new(config.l3.line_bytes),
             xmem_pf_stats: PrefetchStats::default(),
             bus: bus.map(SnoopBus::new),
             coh_acc: CoherentAccess::default(),
@@ -334,22 +331,20 @@ impl Hierarchy {
         priority: InsertPriority,
         t_mem: Option<u64>,
     ) -> bool {
-        if self.l3.contains(target) {
+        let FillOutcome::Filled(evicted) = self.l3.fill_if_absent(target, false, priority) else {
             return false;
-        }
+        };
         match t_mem {
+            // DRAM sees the prefetch read before the victim's writeback.
             Some(t) => {
                 let _ = self.dram.serve_prefetch(target, t);
-                if let Some(ev) = self.l3.fill(target, false, priority) {
+                if let Some(ev) = evicted {
                     self.writeback_to_dram(ev, t);
                 }
             }
-            None => {
-                self.dram.warm_access(target);
-                let _ = self.l3.fill(target, false, priority);
-            }
+            None => self.dram.warm_access(target),
         }
-        self.track_prefetch(target);
+        self.inflight_prefetches.insert(target);
         true
     }
 
@@ -404,13 +399,6 @@ impl Hierarchy {
             InsertPriority::Normal
         };
         Some((targets, priority))
-    }
-
-    fn track_prefetch(&mut self, line_addr: u64) {
-        if self.inflight_prefetches.len() >= PF_TRACK_CAP {
-            self.inflight_prefetches.clear();
-        }
-        self.inflight_prefetches.insert(line_addr);
     }
 
     fn writeback_to_dram(&mut self, ev: Eviction, now: u64) {
@@ -621,7 +609,7 @@ impl Hierarchy {
     /// Credits a demand L3 hit on a prefetched line: to `core`'s stride
     /// prefetcher if it has one, else to the guided-prefetch statistics.
     fn note_demand_hit(&mut self, core: usize, line_addr: u64) {
-        if self.inflight_prefetches.remove(&line_addr) {
+        if self.inflight_prefetches.remove(line_addr) {
             if let Some(pf) = self.stride_pfs[core].as_mut() {
                 pf.record_useful();
             } else {
@@ -801,6 +789,36 @@ mod tests {
             (l1, l2),
             "core 1's accesses leave core 0's private levels alone"
         );
+    }
+
+    /// DESIGN.md "Modeling decisions" 11: a tracked prefetch that is
+    /// evicted unused stays tracked, so when demand refills the line and a
+    /// later access hits it in the L3, the hit still counts as useful.
+    #[test]
+    fn stale_prefetch_entry_is_credited_after_demand_refill() {
+        let mut h = two_domains();
+        h.stride_pfs = vec![None, None];
+        let line = 0x8000u64;
+        assert!(h.prefetch_into_l3(line, InsertPriority::Normal, Some(0)));
+        assert!(
+            !h.prefetch_into_l3(line, InsertPriority::Normal, Some(0)),
+            "resident"
+        );
+        let stride = h.config.l3.sets() as u64 * 64;
+        let mut k = 1;
+        while h.l3.contains(line) {
+            let _ = h.l3.fill(line + k * stride, false, InsertPriority::Normal);
+            k += 1;
+        }
+        // Core 0's demand miss refills the line from DRAM; misses do not
+        // consult the tracker.
+        assert!(h.serve_core(0, line, false, 10_000, None) > 39);
+        assert_eq!(h.xmem_prefetch_stats().useful, 0);
+        // Core 1's first access hits the shared L3 and takes the credit,
+        // which consumes the entry.
+        assert_eq!(h.serve_core(1, line, false, 20_000, None), 39);
+        assert_eq!(h.xmem_prefetch_stats().useful, 1);
+        assert!(!h.inflight_prefetches.contains(line));
     }
 
     #[test]

@@ -38,8 +38,9 @@ pub mod dram_cache;
 pub mod hierarchy;
 pub mod pin;
 pub mod prefetch;
+mod tracker;
 
-pub use crate::cache::{Cache, CacheStats, Eviction, InsertPriority, Slot};
+pub use crate::cache::{Cache, CacheStats, Eviction, FillOutcome, InsertPriority, Slot};
 pub use crate::coherence::{
     local_next, mesi_access, snoop_transition, BusConfig, BusOp, BusStats, CoherentAccess,
     MesiDomains, MesiState, SnoopAction, SnoopBus,

@@ -183,6 +183,24 @@ mod tests {
         );
     }
 
+    /// Migration remaps the page in place: the table's page count is
+    /// unchanged and the old frame no longer backs the VPN.
+    #[test]
+    fn migrate_page_remaps_without_adding_pages() {
+        let mut os = Os::new(1 << 20, 4096, FramePolicy::Sequential);
+        let va = os.malloc(3 * 4096, None).unwrap();
+        let vpn = va.raw() / 4096 + 1;
+        let old = os.page_table().frame_of(vpn).unwrap();
+        let new = os.migrate_page(va + 4096, None).unwrap();
+        assert_ne!(new, old);
+        assert_eq!(os.page_table().frame_of(vpn), Some(new));
+        assert_eq!(os.page_table().mapped_pages(), 3);
+        assert_eq!(
+            os.page_table().translate(va + 4096 + 5).unwrap().raw(),
+            new * 4096 + 5
+        );
+    }
+
     #[test]
     fn randomized_backing_differs_from_sequential() {
         let mut seq = Os::new(1 << 20, 4096, FramePolicy::Sequential);

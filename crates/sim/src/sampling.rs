@@ -749,7 +749,7 @@ mod tests {
             );
             let next = i + run;
             assert!(
-                spec.phase_of(next) != phase || next % spec.interval == 0,
+                spec.phase_of(next) != phase || next.is_multiple_of(spec.interval),
                 "run at {i} stops short of the boundary"
             );
         }

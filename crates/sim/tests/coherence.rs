@@ -214,7 +214,7 @@ fn randomized_streams_preserve_swmr_and_data_value_invariants() {
             let core = (rng.next_u64() % 4) as usize;
             let addr = (rng.next_u64() % 48) * 64;
             let now = step * 7;
-            if rng.next_u64() % 3 == 0 {
+            if rng.next_u64().is_multiple_of(3) {
                 let value = rng.next_u64();
                 cluster.write(core, addr, value, now);
                 golden.insert(addr, value);

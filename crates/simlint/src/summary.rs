@@ -436,10 +436,7 @@ fn collect_call(
         let mut segs = vec![t.text.clone()];
         // Walk back over `seg::`+ pairs.
         let mut k = i;
-        loop {
-            let Some(sep) = toks[..k].iter().rposition(|n| n.kind != TokKind::Comment) else {
-                break;
-            };
+        while let Some(sep) = toks[..k].iter().rposition(|n| n.kind != TokKind::Comment) {
             if !toks[sep].is_punct("::") {
                 break;
             }
@@ -493,11 +490,9 @@ fn collect_source(toks: &[Tok], i: usize, caller: usize, out: &mut Vec<SourceSit
         })
     };
     match t.text.as_str() {
-        "Instant" | "SystemTime" => {
-            // `Instant::now(` — the constructor, not type mentions.
-            if path_call_ahead(toks, i, "now") {
-                push(format!("{}::now()", t.text), "wall-clock");
-            }
+        // `Instant::now(` — the constructor, not type mentions.
+        "Instant" | "SystemTime" if path_call_ahead(toks, i, "now") => {
+            push(format!("{}::now()", t.text), "wall-clock");
         }
         "elapsed" => {
             let after_dot = i > 0 && toks[i - 1].is_punct(".");
@@ -510,20 +505,14 @@ fn collect_source(toks: &[Tok], i: usize, caller: usize, out: &mut Vec<SourceSit
                 push(format!("env::{f}()"), "env");
             }
         }
-        "thread" => {
-            if qualified_call_ahead(toks, i, &["current"]).is_some() {
-                push("thread::current()".to_string(), "thread-id");
-            }
+        "thread" if qualified_call_ahead(toks, i, &["current"]).is_some() => {
+            push("thread::current()".to_string(), "thread-id");
         }
-        "process" => {
-            if qualified_call_ahead(toks, i, &["id"]).is_some() {
-                push("process::id()".to_string(), "thread-id");
-            }
+        "process" if qualified_call_ahead(toks, i, &["id"]).is_some() => {
+            push("process::id()".to_string(), "thread-id");
         }
-        "thread_rng" => {
-            if nc(i).is_some_and(|n| n.is_punct("(")) {
-                push("thread_rng()".to_string(), "ambient-rand");
-            }
+        "thread_rng" if nc(i).is_some_and(|n| n.is_punct("(")) => {
+            push("thread_rng()".to_string(), "ambient-rand");
         }
         "RandomState" => push("RandomState".to_string(), "ambient-rand"),
         _ => {}
@@ -586,13 +575,12 @@ fn collect_hazard(toks: &[Tok], i: usize, caller: usize, out: &mut Vec<(usize, u
                 ));
             }
         }
-        "borrow" | "borrow_mut" => {
+        "borrow" | "borrow_mut"
             if toks
                 .get(i + 1)
-                .is_some_and(|n| n.is_punct("(") || n.is_punct("::"))
-            {
-                out.push((caller, t.line, t.col, format!(".{}()", t.text)));
-            }
+                .is_some_and(|n| n.is_punct("(") || n.is_punct("::")) =>
+        {
+            out.push((caller, t.line, t.col, format!(".{}()", t.text)));
         }
         _ => {}
     }
