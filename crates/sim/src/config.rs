@@ -370,17 +370,28 @@ impl MultiCoreConfig {
         Self::from_system(&SystemConfig::scaled_use_case1(l3_bytes, kind), cores)
     }
 
-    /// The geometry and policy of each core's domain and the shared L3.
-    pub(crate) fn hierarchy(&self) -> HierarchyConfig {
-        HierarchyConfig {
-            l1: self.l1,
-            l2: self.l2,
-            l3: self.l3,
-            stride_prefetcher: self.stride_prefetcher,
-            stride_streams: self.stride_streams,
-            prefetch_degree: self.prefetch_degree,
-            xmem_prefetch_degree: self.xmem_prefetch_degree,
-            xmem: self.xmem,
+    /// The machine each core of the co-run sees: its core and private
+    /// caches over the shared L3, DRAM and OS, with no TLB and a real DRAM
+    /// (the inverse of [`MultiCoreConfig::from_system`]).
+    pub(crate) fn system(&self) -> SystemConfig {
+        SystemConfig {
+            core: self.core,
+            hierarchy: HierarchyConfig {
+                l1: self.l1,
+                l2: self.l2,
+                l3: self.l3,
+                stride_prefetcher: self.stride_prefetcher,
+                stride_streams: self.stride_streams,
+                prefetch_degree: self.prefetch_degree,
+                xmem_prefetch_degree: self.xmem_prefetch_degree,
+                xmem: self.xmem,
+            },
+            dram: self.dram,
+            mapping: self.mapping,
+            phys_bytes: self.phys_bytes,
+            frame_policy: self.frame_policy,
+            ideal_rbl: false,
+            tlb: None,
         }
     }
 

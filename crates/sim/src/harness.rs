@@ -77,22 +77,26 @@ where
     // drew that index.
     let slots: Vec<Mutex<Option<T>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for worker in 0..workers {
-            let slots = &slots;
-            let next = &next;
-            let run = &run;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs {
-                    break;
-                }
-                let result = run(i, worker);
-                // simlint: allow(unwrap, reason = "slot mutexes are never poisoned: worker panics are caught by catch_unwind inside run()")
-                // simlint: allow(panic-in-worker, reason = "the expect fires only on lock poisoning, which the catch_unwind inside run() rules out")
-                *slots[i].lock().expect("result slot") = Some(result);
-            });
+    let work = |worker: usize| loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= jobs {
+            break;
         }
+        let result = run(i, worker);
+        // simlint: allow(unwrap, reason = "slot mutexes are never poisoned: worker panics are caught by catch_unwind inside run()")
+        // simlint: allow(panic-in-worker, reason = "the expect fires only on lock poisoning, which the catch_unwind inside run() rules out")
+        *slots[i].lock().expect("result slot") = Some(result);
+    };
+    // The calling thread is worker 0, so a one-worker pool spawns no
+    // thread. A fresh thread per serial pool would race the previous one's
+    // exit for its malloc arena and, when it lost, fill a new arena, so
+    // the peak RSS of a run of serial sweeps would depend on scheduling.
+    std::thread::scope(|scope| {
+        let work = &work;
+        for worker in 1..workers {
+            scope.spawn(move || work(worker));
+        }
+        work(0);
     });
     slots
         .into_iter()

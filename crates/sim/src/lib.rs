@@ -5,19 +5,21 @@
 //!
 //! ```text
 //! workload generator ──TraceSink──▶ Machine
-//!                                    ├─ Core (cpu-sim)
-//!                                    ├─ Hierarchy L1/L2/L3 (cache-sim)
-//!                                    │    └─ Dram (dram-sim)
-//!                                    ├─ AMU + PATs (xmem-core)
-//!                                    └─ Os: page table + frames (os-sim)
+//! one log per core ──run_corun────▶   ├─ Cores 0..N (cpu-sim)
+//!                                     ├─ Hierarchy (cache-sim): a private
+//!                                     │    L1/L2 per core, shared L3
+//!                                     │    └─ Dram (dram-sim)
+//!                                     ├─ AMU + PATs (xmem-core)
+//!                                     └─ Os: page table + frames (os-sim)
 //! ```
 //!
-//! [`run`] executes the two-pass compile/load/run flow — optionally with
-//! epoch telemetry and interval sampling — and is the one way into it;
-//! [`experiments`] wraps it in the exact system configurations the paper's
-//! figures compare, and [`harness`] runs grids of it on a worker pool.
-//! [`run_corun`] replays one recorded log per core on the same
-//! `Hierarchy`, built with one private L1/L2 domain per core.
+//! [`run`] executes the two-pass compile/load/run flow on a one-core
+//! machine — optionally with epoch telemetry and interval sampling — and
+//! is the one way into it; [`experiments`] wraps it in the exact system
+//! configurations the paper's figures compare, and [`harness`] runs grids
+//! of it on a worker pool. [`run_corun`] replays one recorded log per core
+//! into the same machine built with N cores, scheduling the cores in
+//! simulated-time order.
 //!
 //! ```
 //! use xmem_sim::{run, SystemConfig, SystemKind, WorkloadSpec};

@@ -1,5 +1,5 @@
-//! The full-system machine: core + hierarchy + DRAM + OS + XMem, driven by
-//! a workload generator through the [`TraceSink`] interface.
+//! The full-system machine: cores + hierarchy + DRAM + OS + XMem, driven
+//! by a workload generator through the [`TraceSink`] interface.
 //!
 //! A run has two passes, mirroring the paper's compile/load/execute flow:
 //!
@@ -11,24 +11,33 @@
 //!    policy is constructed (for XMem placement, from the atoms' placement
 //!    primitives), and then the trace runs for real — ops through the core
 //!    model, XMem calls through `XMemLib` into the AMU.
+//!
+//! The machine is the only place a run builds its memory system. A
+//! [`run`] has one core; a co-run ([`crate::multicore::run_corun`]) builds
+//! the same machine with one core per log — each with a private L1/L2
+//! domain of the one [`Hierarchy`] — and steps its cores itself, while the
+//! OS, the AMU and the PATs serve them all. Telemetry, sampling and the
+//! TLB belong to the single-core [`run`].
 
 use crate::config::{FramePolicyKind, SystemConfig};
 use crate::report::RunReport;
 use crate::sampling::{SamplePhase, SamplingSpec, SamplingSummary, WindowFeatures};
 use crate::telemetry::{TelemetrySample, TelemetrySeries};
 use cache_sim::hierarchy::{Hierarchy, XmemContext};
+use cache_sim::BusConfig;
 use cpu_sim::batch::{MemoryPath, OpAttrs, OpBatch, OpKind};
 use cpu_sim::core::Core;
 use cpu_sim::trace::Op;
 use dram_sim::Dram;
-use os_sim::loader::{load_segment, LoadedProcess};
+use os_sim::loader::load_segment;
 use os_sim::os::{Os, OsError};
 use os_sim::placement::FramePolicy;
 use os_sim::tlb::Tlb;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use workloads::sink::{BatchEmitter, TraceSink};
 use xmem_core::aam::AamConfig;
 use xmem_core::addr::{addr_to_index, VirtAddr};
+use xmem_core::alb::AlbStats;
 use xmem_core::amu::{AmuConfig, AtomManagementUnit, Mmu};
 use xmem_core::atom::{AtomId, StaticAtom};
 use xmem_core::attrs::AtomAttributes;
@@ -104,6 +113,9 @@ struct MemSystem {
     os: Os,
     tlb: Option<Tlb>,
     xmem_enabled: bool,
+    /// The core whose op is being served: accesses go to its private
+    /// domain of the hierarchy.
+    core: usize,
     /// Small direct-mapped VPN→PFN translate cache over the OS page table
     /// (indexed by the VPN's low bits). Workloads alternate between a few
     /// data structures on different pages — gemm touches three arrays per
@@ -225,7 +237,9 @@ impl MemoryPath for MemSystem {
             cache_pat: &self.cache_pat,
             pf_pat: &self.pf_pat,
         });
-        walk + self.hierarchy.serve(pa, attrs.write, now + walk, ctx)
+        walk + self
+            .hierarchy
+            .serve_core(self.core, pa, attrs.write, now + walk, ctx)
     }
 }
 
@@ -301,10 +315,10 @@ struct SamplingState {
 }
 
 /// The executing machine (pass 2). Implements [`TraceSink`] so the workload
-/// generator drives it directly.
+/// generator drives it directly; the sink interface runs core 0.
 #[derive(Debug)]
 pub struct Machine {
-    core: Core,
+    cores: Vec<Core>,
     mem: MemSystem,
     lib: XMemLib,
     labels: BTreeMap<String, AtomId>,
@@ -325,9 +339,26 @@ pub struct Machine {
 const SINK_SITE_FILE: &str = "<workload>";
 
 impl Machine {
-    /// Builds the machine for `config`, loading `loaded` (the scanned
-    /// program) into the OS/XMem tables.
-    fn new(config: &SystemConfig, loaded: &LoadedProcess) -> Self {
+    /// Builds the machine for `config` with `cores` cores, loading
+    /// `segment` (the scanned program) into the OS/XMem tables. `lib`
+    /// holds the atoms already created (a co-run creates all of them
+    /// before it runs); `bus` makes the private domains MESI-coherent, and
+    /// `pin_exempt` atoms are never pinned in the L3.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the segment does not load.
+    pub(crate) fn new(
+        config: &SystemConfig,
+        segment: &AtomSegment,
+        lib: XMemLib,
+        cores: usize,
+        bus: Option<BusConfig>,
+        pin_exempt: BTreeSet<AtomId>,
+    ) -> Self {
+        let translator = AttributeTranslator::with_row_bytes(config.dram.row_bytes);
+        // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
+        let loaded = load_segment(ProcessId(0), segment, &translator).expect("program load failed");
         let policy = match config.frame_policy {
             FramePolicyKind::Sequential => FramePolicy::Sequential,
             FramePolicyKind::Randomized { seed } => FramePolicy::Randomized { seed },
@@ -355,19 +386,21 @@ impl Machine {
         let mut cache_pat = Pat::new();
         let mut pf_pat = Pat::new();
         if xmem_enabled {
-            let translator = AttributeTranslator::with_row_bytes(config.dram.row_bytes);
             cache_pat.fill_from_gat(&loaded.process.gat, |a| translator.for_cache(a));
             pf_pat.fill_from_gat(&loaded.process.gat, |a| translator.for_prefetcher(a));
         }
+        let mut hierarchy = Hierarchy::with_domains(config.hierarchy, dram, cores, bus);
+        hierarchy.set_pin_exempt(pin_exempt);
         Machine {
-            core: Core::new(config.core),
+            cores: (0..cores).map(|_| Core::new(config.core)).collect(),
             mem: MemSystem {
-                hierarchy: Hierarchy::new(config.hierarchy, dram),
+                hierarchy,
                 amu,
                 cache_pat,
                 pf_pat,
                 tlb: config.tlb.map(Tlb::new),
                 xmem_enabled,
+                core: 0,
                 tc_vpn: [TC_EMPTY; TC_ENTRIES],
                 tc_pfn: [0; TC_ENTRIES],
                 page_shift: os.page_table().page_size().trailing_zeros(),
@@ -375,7 +408,7 @@ impl Machine {
                 warm_dirty: [false; WARM_FILTER_ENTRIES],
                 os,
             },
-            lib: XMemLib::new(),
+            lib,
             labels: BTreeMap::new(),
             next_site: 0,
             next_sample_at: u64::MAX,
@@ -383,6 +416,28 @@ impl Machine {
             sampling: None,
             warm_load_latency: config.hierarchy.l1.latency,
         }
+    }
+
+    /// Runs `op` on core `core`, its accesses served by that core's domain.
+    #[inline]
+    pub(crate) fn step_core(&mut self, core: usize, op: Op) {
+        self.mem.core = core;
+        self.cores[core].step(op, &mut self.mem);
+    }
+
+    /// The cores, in index order.
+    pub(crate) fn cores(&self) -> &[Core] {
+        &self.cores
+    }
+
+    /// The cache hierarchy and DRAM shared by the cores.
+    pub(crate) fn hierarchy(&self) -> &Hierarchy {
+        &self.mem.hierarchy
+    }
+
+    /// The AMU's lookaside-buffer statistics.
+    pub(crate) fn alb_stats(&self) -> AlbStats {
+        self.mem.amu.alb_stats()
     }
 
     /// Turns on epoch sampling: one [`TelemetrySample`] per
@@ -477,7 +532,7 @@ impl Machine {
         match phase {
             SamplePhase::Detailed => {
                 self.open_window();
-                self.core.step(op, &mut self.mem);
+                self.cores[0].step(op, &mut self.mem);
                 if let Some(st) = self.sampling.as_mut() {
                     st.detailed_ops += 1;
                     st.window_detailed += 1;
@@ -492,7 +547,7 @@ impl Machine {
                     Op::Store { addr, .. } => self.mem.warm_access(addr, true),
                     Op::Compute(_) => {}
                 }
-                self.core.step_fixed(op, self.warm_load_latency);
+                self.cores[0].step_fixed(op, self.warm_load_latency);
                 if let Some(st) = self.sampling.as_mut() {
                     st.warm_ops += 1;
                 }
@@ -511,13 +566,13 @@ impl Machine {
                     Op::Store { addr, .. } => self.mem.warm_access(addr, true),
                     Op::Compute(_) => {}
                 }
-                self.core.skip(op);
+                self.cores[0].skip(op);
             }
         }
         if let Some(st) = self.sampling.as_mut() {
             st.ops_seen += 1;
         }
-        if self.core.instructions() >= self.next_sample_at {
+        if self.cores[0].instructions() >= self.next_sample_at {
             self.take_sample();
         }
     }
@@ -556,7 +611,7 @@ impl Machine {
     /// which the per-op path's boundary check fires.
     fn sample_split(&self, batch: &OpBatch, start: usize, end: usize) -> (usize, bool) {
         // Positive: every sample re-arms the boundary above the count.
-        let mut room = self.next_sample_at - self.core.instructions();
+        let mut room = self.next_sample_at - self.cores[0].instructions();
         // An op retires at most `u32::MAX` instructions (an `Op::Compute`
         // count), so a boundary this far out cannot fall in the range.
         if room > (end - start) as u64 * u64::from(u32::MAX) {
@@ -588,7 +643,7 @@ impl Machine {
 
     /// Captures the current cumulative counters across all layers.
     fn snapshot(&self) -> Snapshot {
-        let core = self.core.stats();
+        let core = self.cores[0].stats();
         let dram = self.mem.hierarchy.dram_stats();
         let alb = self.mem.amu.alb_stats();
         let stride = self
@@ -628,15 +683,15 @@ impl Machine {
         let d_cycles = cur.cycles.saturating_sub(prev.cycles);
         let ratio = |n: u64, d: u64| if d == 0 { 0.0 } else { n as f64 / d as f64 };
         let per_kilo = |n: u64| ratio(n, d_instr) * 1000.0;
-        let now = self.core.now();
+        let now = self.cores[0].now();
         let dram = self.mem.hierarchy.dram();
         let total_banks = dram.config().total_banks() as u64;
         let sample = TelemetrySample {
             instructions: cur.instructions,
             cycles: cur.cycles,
             ipc: ratio(d_instr, d_cycles),
-            rob_load_occupancy: self.core.rob_load_occupancy() as u64,
-            outstanding_loads: self.core.outstanding_loads() as u64,
+            rob_load_occupancy: self.cores[0].rob_load_occupancy() as u64,
+            outstanding_loads: self.cores[0].outstanding_loads() as u64,
             l1_mpki: per_kilo(cur.l1_misses - prev.l1_misses),
             l2_mpki: per_kilo(cur.l2_misses - prev.l2_misses),
             l3_mpki: per_kilo(cur.l3_misses - prev.l3_misses),
@@ -684,12 +739,12 @@ impl Machine {
             )
         });
         if let Some(state) = &self.telemetry {
-            if self.core.instructions() > state.prev.instructions {
+            if self.cores[0].instructions() > state.prev.instructions {
                 self.take_sample();
             }
         }
         let telemetry = self.telemetry.take().map(|t| t.series);
-        let core = self.core.stats();
+        let core = self.cores[0].stats();
         self.lib.counter_mut().count_program(core.instructions);
         let report = RunReport {
             core,
@@ -717,8 +772,8 @@ impl TraceSink for Machine {
             self.sampled_op(op);
             return;
         }
-        self.core.step(op, &mut self.mem);
-        if self.core.instructions() >= self.next_sample_at {
+        self.cores[0].step(op, &mut self.mem);
+        if self.cores[0].instructions() >= self.next_sample_at {
             self.take_sample();
         }
     }
@@ -737,7 +792,7 @@ impl TraceSink for Machine {
             let (end, sample_due) = self.sample_split(batch, i, i + run);
             match phase {
                 SamplePhase::Detailed => {
-                    self.core.step_batch_range(batch, i, end, &mut self.mem);
+                    self.cores[0].step_batch_range(batch, i, end, &mut self.mem);
                 }
                 SamplePhase::Warm => {
                     for j in i..end {
@@ -746,7 +801,7 @@ impl TraceSink for Machine {
                             OpKind::Store => self.mem.warm_access(batch.addr(j), true),
                             OpKind::Compute => {}
                         }
-                        self.core.step_fixed(batch.op(j), self.warm_load_latency);
+                        self.cores[0].step_fixed(batch.op(j), self.warm_load_latency);
                     }
                 }
                 SamplePhase::FastForward => {
@@ -767,10 +822,10 @@ impl TraceSink for Machine {
                                 self.mem.warm_access(batch.addr(j), true);
                                 stores += 1;
                             }
-                            OpKind::Compute => self.core.skip(batch.op(j)),
+                            OpKind::Compute => self.cores[0].skip(batch.op(j)),
                         }
                     }
-                    self.core.skip_bulk(loads, stores);
+                    self.cores[0].skip_bulk(loads, stores);
                 }
             }
             if let Some(st) = self.sampling.as_mut() {
@@ -1016,11 +1071,14 @@ fn prologue<G: Generator>(
 ) -> Machine {
     let mut scan = ScanSink::new();
     generator.emit(&mut scan);
-    let segment = scan.segment();
-    let translator = AttributeTranslator::with_row_bytes(config.dram.row_bytes);
-    // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
-    let loaded = load_segment(ProcessId(0), &segment, &translator).expect("program load failed");
-    let mut machine = Machine::new(config, &loaded);
+    let mut machine = Machine::new(
+        config,
+        &scan.segment(),
+        XMemLib::new(),
+        1,
+        None,
+        BTreeSet::new(),
+    );
     if let Some(epoch) = epoch {
         machine.enable_telemetry(epoch);
     }
@@ -1186,7 +1244,7 @@ mod tests {
         // Accesses keep flowing through the migrated page.
         m.op(Op::load(va + 64));
         m.op(Op::store(va + 128));
-        assert!(m.core.stats().loads == 2 && m.core.stats().stores == 1);
+        assert!(m.cores[0].stats().loads == 2 && m.cores[0].stats().stores == 1);
     }
 
     #[test]

@@ -5,13 +5,17 @@
 //! placement considers "the program semantics of *all co-running
 //! applications*").
 //!
-//! This module replays co-runs; the memory system is the same
-//! [`Hierarchy`] single-core runs use, built with one private domain per
-//! core ([`Hierarchy::with_domains`]). Each core replays a pre-recorded
-//! workload log ([`workloads::sink::LogSink`]); the replay advances
-//! whichever core is earliest in simulated time, so accesses from
-//! different cores interleave at the shared L3 and memory controller in
-//! timestamp order. One AMU, one set of PATs and one OS serve all cores.
+//! A co-run is the one [`Machine`] built with one core per workload log:
+//! each core gets a private L1/L2 domain of the machine's
+//! [`Hierarchy`](cache_sim::hierarchy::Hierarchy) over the shared L3 and
+//! DRAM, and one AMU, one set of PATs and one OS serve all cores. Each core
+//! replays a pre-recorded log ([`workloads::sink::LogSink`]). This module
+//! owns only what a co-run adds to a run: merging every log's atoms into
+//! one space, renaming each core's atoms and addresses into it, the
+//! reference counts of shared hints, and the scheduler that steps the
+//! machine's cores in simulated-time order, so accesses from different
+//! cores interleave at the shared L3 and memory controller in timestamp
+//! order.
 //!
 //! # Scheduling
 //!
@@ -25,8 +29,9 @@
 //! # Address translation
 //!
 //! Each core's recorded VAs map to the machine's through that core's
-//! (recorded base → actual base) ranges, one per replayed `Alloc`, and then
-//! through the page table. A recorded VA outside every range panics with
+//! [`VaRanges`] (recorded base → actual base, one range per replayed
+//! `Alloc`), and then through the machine's translate cache and page table
+//! into the core's domain. A recorded VA outside every range panics with
 //! the core and VA: a malformed log must not alias another core's frames.
 //!
 //! # Renaming and shared segments
@@ -55,30 +60,20 @@
 //! invalidations surface in [`CorunReport::bus`] and the per-cache snoop
 //! counters.
 
-use crate::config::{CoherenceMode, FramePolicyKind, MultiCoreConfig};
+use crate::config::{CoherenceMode, MultiCoreConfig};
+use crate::machine::Machine;
 use cache_sim::cache::CacheStats;
 use cache_sim::coherence::BusStats;
-use cache_sim::hierarchy::{Hierarchy, XmemContext};
 use cache_sim::prefetch::PrefetchStats;
-use cache_sim::XmemMode;
-use cpu_sim::batch::{MemoryPath, OpAttrs};
 use cpu_sim::core::{Core, CoreStats};
-use dram_sim::{Dram, DramStats};
-use os_sim::loader::load_segment;
-use os_sim::os::Os;
-use os_sim::placement::FramePolicy;
+use cpu_sim::trace::Op;
+use dram_sim::DramStats;
 use std::collections::{BTreeMap, BTreeSet};
-use workloads::sink::TraceEvent;
-use xmem_core::aam::AamConfig;
-use xmem_core::addr::VirtAddr;
+use workloads::sink::{TraceEvent, TraceSink};
+use workloads::trace_file::VaRanges;
 use xmem_core::alb::AlbStats;
-use xmem_core::amu::{AmuConfig, AtomManagementUnit, Mmu};
-use xmem_core::atom::{AtomId, StaticAtom};
+use xmem_core::atom::AtomId;
 use xmem_core::attrs::{DataProps, RwChar};
-use xmem_core::pat::Pat;
-use xmem_core::process::ProcessId;
-use xmem_core::segment::AtomSegment;
-use xmem_core::translate::{AttributeTranslator, CachePrimitive, PrefetcherPrimitive};
 use xmem_core::xmemlib::{CallSite, XMemLib};
 
 /// Result of a co-run: per-core core statistics plus the shared components.
@@ -112,57 +107,33 @@ impl CorunReport {
     }
 }
 
-/// One core's view of the machine for `Core::step`: its VA ranges, then
-/// the shared page table, then its domain of the shared hierarchy.
-struct CoreMemView<'a> {
-    hierarchy: &'a mut Hierarchy,
-    amu: &'a mut AtomManagementUnit,
-    cache_pat: &'a Pat<CachePrimitive>,
-    pf_pat: &'a Pat<PrefetcherPrimitive>,
-    os: &'a Os,
-    xmem_enabled: bool,
-    core: usize,
-    /// Per-core VA translation table: (recorded base, len, actual base),
-    /// sorted by recorded base.
-    ranges: &'a [(u64, u64, u64)],
-}
-
 #[cold]
 fn unallocated(core: usize, va: u64) -> ! {
     panic!("core {core}: unallocated VA {va:#x}")
 }
 
-/// Translates a recorded VA through a core's (recorded → actual) ranges,
-/// sorted by recorded base. Panics, naming the core, when no range holds
-/// `va`.
-fn translate_va(ranges: &[(u64, u64, u64)], core: usize, va: u64) -> u64 {
-    let i = match ranges.binary_search_by(|&(base, _, _)| base.cmp(&va)) {
-        Ok(i) => i,
-        Err(0) => unallocated(core, va),
-        Err(i) => i - 1,
-    };
-    let (base, len, actual) = ranges[i];
-    if va >= base + len {
-        unallocated(core, va);
-    }
-    actual + (va - base)
+/// Translates a recorded VA through `core`'s ranges. Panics, naming the
+/// core, when no range holds `va`.
+#[inline]
+fn translate_va(ranges: &VaRanges, core: usize, va: u64) -> u64 {
+    ranges.lookup(va).unwrap_or_else(|| unallocated(core, va))
 }
 
-impl MemoryPath for CoreMemView<'_> {
-    fn serve(&mut self, va: u64, attrs: OpAttrs, now: u64) -> u64 {
-        let actual_va = translate_va(self.ranges, self.core, va);
-        let pa = self
-            .os
-            .page_table()
-            .translate(VirtAddr::new(actual_va))
-            .unwrap_or_else(|| unallocated(self.core, va));
-        let ctx = self.xmem_enabled.then_some(XmemContext {
-            amu: &mut *self.amu,
-            cache_pat: self.cache_pat,
-            pf_pat: self.pf_pat,
-        });
-        self.hierarchy
-            .serve_core(self.core, pa.raw(), attrs.write, now, ctx)
+/// Counts one more user of `key`; `true` for the first.
+fn acquire<K: Ord>(rc: &mut BTreeMap<K, u32>, key: K) -> bool {
+    let n = rc.entry(key).or_insert(0);
+    *n += 1;
+    *n == 1
+}
+
+/// Drops one user of `key` if it is counted; `true` unless users remain.
+fn release<K: Ord>(rc: &mut BTreeMap<K, u32>, key: &K) -> bool {
+    match rc.get_mut(key) {
+        Some(n) => {
+            *n -= 1;
+            *n == 0
+        }
+        None => true,
     }
 }
 
@@ -185,7 +156,6 @@ pub fn run_corun(config: &MultiCoreConfig, logs: &[Vec<TraceEvent>]) -> CorunRep
     // the same key resolve to one global atom for all cores. `atom_maps`
     // records each core's (local creation index → global id) renaming.
     let mut lib = XMemLib::new();
-    let mut segment = AtomSegment::new();
     let mut atom_maps: Vec<BTreeMap<u8, AtomId>> = vec![BTreeMap::new(); config.cores];
     let mut shared_atoms: BTreeMap<u64, AtomId> = BTreeMap::new();
     let mut shared_ids: BTreeSet<AtomId> = BTreeSet::new();
@@ -194,116 +164,72 @@ pub fn run_corun(config: &MultiCoreConfig, logs: &[Vec<TraceEvent>]) -> CorunRep
     for (core, log) in logs.iter().enumerate() {
         let mut count = 0u8;
         for ev in log {
-            match ev {
-                TraceEvent::Create { label, attrs } => {
-                    let id = lib
-                        .create_atom(
-                            CallSite {
-                                file: "<corun>",
-                                line: (core as u32) << 16 | count as u32,
-                            },
-                            format!("c{core}:{label}"),
-                            attrs.clone(),
-                        )
-                        // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
-                        .expect("combined atom space exhausted");
-                    atom_maps[core].insert(count, id);
-                    segment.push(StaticAtom::new(
-                        id,
+            // A new shared atom also carries its key and attributes.
+            let (id, new_shared) = match ev {
+                TraceEvent::Create { label, attrs } => (
+                    lib.create_atom(
+                        CallSite {
+                            file: "<corun>",
+                            line: (core as u32) << 16 | count as u32,
+                        },
                         format!("c{core}:{label}"),
                         attrs.clone(),
-                    ));
-                    count += 1;
+                    ),
+                    None,
+                ),
+                TraceEvent::CreateShared { key, label, attrs } => match shared_atoms.get(key) {
+                    Some(&id) => (Ok(id), None),
+                    None => (
+                        lib.create_atom(
+                            CallSite {
+                                file: "<corun-shared>",
+                                line: *key as u32,
+                            },
+                            format!("shared:{label}"),
+                            attrs.clone(),
+                        ),
+                        Some((*key, attrs)),
+                    ),
+                },
+                _ => continue,
+            };
+            // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
+            let id = id.expect("combined atom space exhausted");
+            if let Some((key, attrs)) = new_shared {
+                shared_atoms.insert(key, id);
+                shared_ids.insert(id);
+                // Coherence-aware placement: a read-write shared atom is
+                // migratory — its lines ping-pong between private caches,
+                // so L3 pin budget spent on it is wasted. Read-only shared
+                // tables stay pinnable.
+                if coherence_aware
+                    && attrs.props().contains(DataProps::SHARED)
+                    && attrs.rw() != RwChar::ReadOnly
+                {
+                    pin_exempt.insert(id);
                 }
-                TraceEvent::CreateShared { key, label, attrs } => {
-                    let id = match shared_atoms.get(key) {
-                        Some(&id) => id,
-                        None => {
-                            let id = lib
-                                .create_atom(
-                                    CallSite {
-                                        file: "<corun-shared>",
-                                        line: *key as u32,
-                                    },
-                                    format!("shared:{label}"),
-                                    attrs.clone(),
-                                )
-                                // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
-                                .expect("combined atom space exhausted");
-                            shared_atoms.insert(*key, id);
-                            shared_ids.insert(id);
-                            segment.push(StaticAtom::new(
-                                id,
-                                format!("shared:{label}"),
-                                attrs.clone(),
-                            ));
-                            // Coherence-aware placement: a read-write shared
-                            // atom is migratory — its lines ping-pong between
-                            // private caches, so L3 pin budget spent on it is
-                            // wasted. Read-only shared tables stay pinnable.
-                            if coherence_aware
-                                && attrs.props().contains(DataProps::SHARED)
-                                && attrs.rw() != RwChar::ReadOnly
-                            {
-                                pin_exempt.insert(id);
-                            }
-                            id
-                        }
-                    };
-                    atom_maps[core].insert(count, id);
-                    count += 1;
-                }
-                _ => {}
             }
+            atom_maps[core].insert(count, id);
+            count += 1;
         }
     }
 
-    // ── load time: GAT + PATs + frame policy over the merged atom set ───
-    let translator = AttributeTranslator::with_row_bytes(config.dram.row_bytes);
-    // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
-    let loaded = load_segment(ProcessId(0), &segment, &translator).expect("load");
-    let policy = match config.frame_policy {
-        FramePolicyKind::Sequential => FramePolicy::Sequential,
-        FramePolicyKind::Randomized { seed } => FramePolicy::Randomized { seed },
-        FramePolicyKind::XmemPlacement => FramePolicy::Xmem {
-            atoms: loaded.placement.clone(),
-            mapping: config.mapping,
-            dram: config.dram,
-        },
-    };
-    let xmem_enabled = config.xmem != XmemMode::Off;
-    let mut cache_pat = Pat::new();
-    let mut pf_pat = Pat::new();
-    if xmem_enabled {
-        cache_pat.fill_from_gat(&loaded.process.gat, |a| translator.for_cache(a));
-        pf_pat.fill_from_gat(&loaded.process.gat, |a| translator.for_prefetcher(a));
-    }
-
-    let mut hierarchy = Hierarchy::with_domains(
-        config.hierarchy(),
-        Dram::new(config.dram, config.mapping),
+    // ── load time: the one machine, with a core per log ─────────────────
+    let mut machine = Machine::new(
+        &config.system(),
+        &lib.segment(),
+        lib,
         config.cores,
         (config.coherence == CoherenceMode::Mesi).then_some(config.bus),
+        pin_exempt,
     );
-    hierarchy.set_pin_exempt(pin_exempt);
-    let mut amu = AtomManagementUnit::new(AmuConfig {
-        aam: AamConfig {
-            phys_bytes: config.phys_bytes,
-            ..AamConfig::default()
-        },
-        alb_entries: 256,
-        page_size: 4096,
-    });
-    let mut os = Os::new(config.phys_bytes, 4096, policy);
 
     // ── replay ───────────────────────────────────────────────────────────
-    let mut cores: Vec<Core> = (0..config.cores).map(|_| Core::new(config.core)).collect();
     let mut pos = vec![0usize; config.cores];
-    let mut created = vec![0u32; config.cores]; // creates seen during replay
-    let mut ranges: Vec<Vec<(u64, u64, u64)>> = vec![Vec::new(); config.cores];
+    let mut ranges = vec![VaRanges::new(); config.cores];
     // Shared-segment replay state: one physical allocation per key, and
     // reference counts so only the first mapper/activator (and last
-    // unmapper/deactivator) touches the AMU for a shared atom.
+    // unmapper/deactivator) reaches the AMU for a shared atom.
     let mut shared_bases: BTreeMap<u64, u64> = BTreeMap::new();
     let mut shared_map_rc: BTreeMap<(u64, u64), u32> = BTreeMap::new();
     let mut act_rc: BTreeMap<AtomId, u32> = BTreeMap::new();
@@ -315,7 +241,7 @@ pub fn run_corun(config: &MultiCoreConfig, logs: &[Vec<TraceEvent>]) -> CorunRep
         let mut first: Option<(u64, usize)> = None;
         let mut second: Option<(u64, usize)> = None;
         for j in (0..config.cores).filter(|&j| pos[j] < logs[j].len()) {
-            let key = (cores[j].now(), j);
+            let key = (machine.cores()[j].now(), j);
             if first.is_none_or(|f| key < f) {
                 second = first;
                 first = Some(key);
@@ -329,8 +255,8 @@ pub fn run_corun(config: &MultiCoreConfig, logs: &[Vec<TraceEvent>]) -> CorunRep
         // or, after an op, another live core's key is strictly smaller.
         // The other keys cannot change meanwhile.
         while pos[i] < logs[i].len() {
-            let rename = |core: usize, id: AtomId| {
-                *atom_maps[core]
+            let rename = |id: AtomId| {
+                *atom_maps[i]
                     .get(&id.raw())
                     // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
                     .expect("atom referenced before creation")
@@ -339,33 +265,25 @@ pub fn run_corun(config: &MultiCoreConfig, logs: &[Vec<TraceEvent>]) -> CorunRep
             pos[i] += 1;
             match *ev {
                 TraceEvent::Op(op) => {
-                    let mut view = CoreMemView {
-                        hierarchy: &mut hierarchy,
-                        amu: &mut amu,
-                        cache_pat: &cache_pat,
-                        pf_pat: &pf_pat,
-                        os: &os,
-                        xmem_enabled,
-                        core: i,
-                        ranges: &ranges[i],
+                    let op = match op {
+                        Op::Compute(n) => Op::Compute(n),
+                        Op::Load { addr, dep } => Op::Load {
+                            addr: translate_va(&ranges[i], i, addr),
+                            dep,
+                        },
+                        Op::Store { addr } => Op::Store {
+                            addr: translate_va(&ranges[i], i, addr),
+                        },
                     };
-                    cores[i].step(op, &mut view);
-                    if second.is_some_and(|s| s < (cores[i].now(), i)) {
+                    machine.step_core(i, op);
+                    if second.is_some_and(|s| s < (machine.cores()[i].now(), i)) {
                         break;
                     }
                 }
-                TraceEvent::Create { .. } | TraceEvent::CreateShared { .. } => {
-                    created[i] += 1; // already merged in pass 1
-                }
+                TraceEvent::Create { .. } | TraceEvent::CreateShared { .. } => {}
                 TraceEvent::Alloc { bytes, atom, base } => {
-                    let global_atom = atom.map(|a| rename(i, a));
-                    let actual = os
-                        .malloc(bytes, global_atom)
-                        // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
-                        .expect("physical memory exhausted")
-                        .raw();
-                    ranges[i].push((base, bytes.next_multiple_of(4096).max(4096), actual));
-                    ranges[i].sort_unstable();
+                    let actual = machine.alloc(bytes, atom.map(rename));
+                    ranges[i].insert(base, bytes, actual);
                 }
                 TraceEvent::AllocShared {
                     key,
@@ -375,56 +293,22 @@ pub fn run_corun(config: &MultiCoreConfig, logs: &[Vec<TraceEvent>]) -> CorunRep
                 } => {
                     // One physical allocation per key; every core's local VA
                     // range for it translates to the same frames.
-                    let actual = match shared_bases.get(&key) {
-                        Some(&pa) => pa,
-                        None => {
-                            let global_atom = atom.map(|a| rename(i, a));
-                            let pa = os
-                                .malloc(bytes, global_atom)
-                                // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
-                                .expect("physical memory exhausted")
-                                .raw();
-                            shared_bases.insert(key, pa);
-                            pa
-                        }
-                    };
-                    ranges[i].push((base, bytes.next_multiple_of(4096).max(4096), actual));
-                    ranges[i].sort_unstable();
+                    let actual = *shared_bases
+                        .entry(key)
+                        .or_insert_with(|| machine.alloc(bytes, atom.map(rename)));
+                    ranges[i].insert(base, bytes, actual);
                 }
                 TraceEvent::Map { atom, start, len } => {
-                    if xmem_enabled {
-                        let global = rename(i, atom);
-                        let actual = translate_va(&ranges[i], i, start);
-                        if shared_ids.contains(&global) {
-                            let rc = shared_map_rc.entry((actual, len)).or_insert(0);
-                            *rc += 1;
-                            if *rc > 1 {
-                                continue; // later mappers: range already live
-                            }
-                        }
-                        lib.atom_map(
-                            &mut amu,
-                            os.page_table(),
-                            global,
-                            VirtAddr::new(actual),
-                            len,
-                        )
-                        // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
-                        .expect("map");
+                    let global = rename(atom);
+                    let actual = translate_va(&ranges[i], i, start);
+                    if !shared_ids.contains(&global) || acquire(&mut shared_map_rc, (actual, len)) {
+                        machine.map(global, actual, len);
                     }
                 }
                 TraceEvent::Unmap { start, len } => {
-                    if xmem_enabled {
-                        let actual = translate_va(&ranges[i], i, start);
-                        if let Some(rc) = shared_map_rc.get_mut(&(actual, len)) {
-                            *rc -= 1;
-                            if *rc > 0 {
-                                continue; // other cores still map this range
-                            }
-                        }
-                        lib.atom_unmap(&mut amu, os.page_table(), VirtAddr::new(actual), len)
-                            // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
-                            .expect("unmap");
+                    let actual = translate_va(&ranges[i], i, start);
+                    if release(&mut shared_map_rc, &(actual, len)) {
+                        machine.unmap(actual, len);
                     }
                 }
                 TraceEvent::Map2d {
@@ -434,20 +318,8 @@ pub fn run_corun(config: &MultiCoreConfig, logs: &[Vec<TraceEvent>]) -> CorunRep
                     size_y,
                     len_x,
                 } => {
-                    if xmem_enabled {
-                        let actual = translate_va(&ranges[i], i, base);
-                        lib.atom_map_2d(
-                            &mut amu,
-                            os.page_table(),
-                            rename(i, atom),
-                            VirtAddr::new(actual),
-                            size_x,
-                            size_y,
-                            len_x,
-                        )
-                        // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
-                        .expect("map2d");
-                    }
+                    let actual = translate_va(&ranges[i], i, base);
+                    machine.map_2d(rename(atom), actual, size_x, size_y, len_x);
                 }
                 TraceEvent::Unmap2d {
                     base,
@@ -455,72 +327,37 @@ pub fn run_corun(config: &MultiCoreConfig, logs: &[Vec<TraceEvent>]) -> CorunRep
                     size_y,
                     len_x,
                 } => {
-                    if xmem_enabled {
-                        let actual = translate_va(&ranges[i], i, base);
-                        lib.atom_unmap_2d(
-                            &mut amu,
-                            os.page_table(),
-                            VirtAddr::new(actual),
-                            size_x,
-                            size_y,
-                            len_x,
-                        )
-                        // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
-                        .expect("unmap2d");
-                    }
+                    let actual = translate_va(&ranges[i], i, base);
+                    machine.unmap_2d(actual, size_x, size_y, len_x);
                 }
                 TraceEvent::Activate(atom) => {
-                    if xmem_enabled {
-                        let global = rename(i, atom);
-                        if shared_ids.contains(&global) {
-                            let rc = act_rc.entry(global).or_insert(0);
-                            *rc += 1;
-                            if *rc > 1 {
-                                continue; // already active on another core's behalf
-                            }
-                        }
-                        lib.atom_activate(&mut amu, os.page_table(), global)
-                            // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
-                            .expect("activate");
+                    let global = rename(atom);
+                    if !shared_ids.contains(&global) || acquire(&mut act_rc, global) {
+                        machine.activate(global);
                     }
                 }
                 TraceEvent::Deactivate(atom) => {
-                    if xmem_enabled {
-                        let global = rename(i, atom);
-                        if let Some(rc) = act_rc.get_mut(&global) {
-                            *rc -= 1;
-                            if *rc > 0 {
-                                continue; // other cores still want it active
-                            }
-                        }
-                        lib.atom_deactivate(&mut amu, os.page_table(), global)
-                            // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
-                            .expect("deactivate");
+                    let global = rename(atom);
+                    if release(&mut act_rc, &global) {
+                        machine.deactivate(global);
                     }
                 }
             }
         }
     }
 
+    let h = machine.hierarchy();
     let per_core = 0..config.cores;
     CorunReport {
-        cores: cores.iter().map(|c| c.stats()).collect(),
-        l1s: per_core
-            .clone()
-            .map(|c| hierarchy.core_l1_stats(c))
-            .collect(),
-        l2s: per_core
-            .clone()
-            .map(|c| hierarchy.core_l2_stats(c))
-            .collect(),
-        l3: hierarchy.l3_stats(),
-        dram: hierarchy.dram_stats(),
-        alb: amu.alb_stats(),
-        bus: hierarchy.bus_stats(),
-        stride_prefetch: per_core
-            .map(|c| hierarchy.core_stride_prefetch_stats(c))
-            .collect(),
-        xmem_prefetch: hierarchy.xmem_prefetch_stats(),
+        cores: machine.cores().iter().map(Core::stats).collect(),
+        l1s: per_core.clone().map(|c| h.core_l1_stats(c)).collect(),
+        l2s: per_core.clone().map(|c| h.core_l2_stats(c)).collect(),
+        l3: h.l3_stats(),
+        dram: h.dram_stats(),
+        alb: machine.alb_stats(),
+        bus: h.bus_stats(),
+        stride_prefetch: per_core.map(|c| h.core_stride_prefetch_stats(c)).collect(),
+        xmem_prefetch: h.xmem_prefetch_stats(),
     }
 }
 

@@ -1,12 +1,12 @@
-//! Differential gate between the two replay loops: a 1-core
-//! [`run_corun`] and the single-core [`run`] must agree on every counter
-//! both report — core, L1, L2, L3, DRAM, ALB, and stride and guided
-//! prefetch — on quick-sized fig4–fig7 grid points.
+//! Differential gate between the two ways into `Machine`: a 1-core
+//! [`run_corun`] (a recorded log, replayed by the co-run scheduler) and
+//! the single-core [`run`] (the generator itself) must agree on every
+//! counter both report — core, L1, L2, L3, DRAM, ALB, and stride and
+//! guided prefetch — on quick-sized fig4–fig7 grid points.
 //!
-//! Configurations the co-run machine cannot express are skipped: an
-//! `ideal_rbl` DRAM (Fig 7's "Ideal" system) and a TLB have no
-//! [`MultiCoreConfig`] field (DESIGN.md "Modeling decisions" lists the
-//! gap).
+//! Configurations a co-run cannot be given are skipped: an `ideal_rbl`
+//! DRAM (Fig 7's "Ideal" system) and a TLB have no [`MultiCoreConfig`]
+//! field (DESIGN.md "Modeling decisions" lists the gap).
 
 use workloads::placement::PlacementWorkload;
 use workloads::polybench::{KernelParams, PolybenchKernel};

@@ -40,4 +40,4 @@ pub use crate::placement::{AccessKind, PlacementWorkload, StructSpec};
 pub use crate::polybench::{KernelParams, PolybenchKernel};
 pub use crate::shared::{lock_counter, producer_consumer, read_mostly_reader, PcRole};
 pub use crate::sink::{CollectSink, HintEvent, LogSink, TraceEvent, TraceSink};
-pub use crate::trace_file::{read_trace, write_trace};
+pub use crate::trace_file::{read_trace, write_trace, VaRanges};

@@ -276,28 +276,48 @@ pub fn read_trace<R: Read>(mut r: R) -> io::Result<Vec<TraceEvent>> {
     Ok(events)
 }
 
+/// The recorded → actual address table of one replayed log: one range per
+/// replayed allocation, page-rounded as the allocators round them, kept
+/// sorted by recorded base.
+#[derive(Debug, Clone, Default)]
+pub struct VaRanges {
+    /// `(recorded base, len, actual base)`, sorted by recorded base.
+    ranges: Vec<(u64, u64, u64)>,
+}
+
+impl VaRanges {
+    /// An empty table.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Records that the `bytes` allocated at `recorded` in the log now live
+    /// at `actual`.
+    pub fn insert(&mut self, recorded: u64, bytes: u64, actual: u64) {
+        let entry = (recorded, bytes.next_multiple_of(4096).max(4096), actual);
+        let i = self.ranges.partition_point(|r| *r < entry);
+        self.ranges.insert(i, entry);
+    }
+
+    /// The actual address of recorded address `va`, or `None` when no
+    /// range holds it.
+    #[inline]
+    pub fn lookup(&self, va: u64) -> Option<u64> {
+        let i = self.ranges.partition_point(|&(base, _, _)| base <= va);
+        let (base, len, actual) = *self.ranges.get(i.checked_sub(1)?)?;
+        (va - base < len).then(|| actual + (va - base))
+    }
+}
+
 /// Replays a recorded trace into a sink, re-binding allocations.
 ///
 /// Recorded `Alloc` events are re-executed through the sink (whose allocator
 /// may return different base addresses); every subsequent address is
-/// translated from the recorded address space to the actual one.
+/// translated from the recorded address space to the actual one. An address
+/// outside every recorded allocation passes through untranslated.
 pub fn replay(events: &[TraceEvent], sink: &mut dyn crate::sink::TraceSink) {
-    // (recorded base, len, actual base), sorted by recorded base.
-    let mut ranges: Vec<(u64, u64, u64)> = Vec::new();
-    let translate = |ranges: &[(u64, u64, u64)], va: u64| -> u64 {
-        match ranges.binary_search_by(|&(b, _, _)| b.cmp(&va)) {
-            Ok(i) => ranges[i].2,
-            Err(0) => va,
-            Err(i) => {
-                let (b, l, a) = ranges[i - 1];
-                if va < b + l {
-                    a + (va - b)
-                } else {
-                    va
-                }
-            }
-        }
-    };
+    let mut ranges = VaRanges::new();
+    let translate = |ranges: &VaRanges, va: u64| ranges.lookup(va).unwrap_or(va);
     for ev in events {
         match ev {
             TraceEvent::Op(Op::Compute(n)) => sink.compute(*n),
@@ -315,8 +335,7 @@ pub fn replay(events: &[TraceEvent], sink: &mut dyn crate::sink::TraceSink) {
             }
             TraceEvent::Alloc { bytes, atom, base } => {
                 let actual = sink.alloc(*bytes, *atom);
-                ranges.push((*base, bytes.next_multiple_of(4096).max(4096), actual));
-                ranges.sort_unstable();
+                ranges.insert(*base, *bytes, actual);
             }
             TraceEvent::Map { atom, start, len } => {
                 sink.map(*atom, translate(&ranges, *start), *len)
@@ -347,8 +366,7 @@ pub fn replay(events: &[TraceEvent], sink: &mut dyn crate::sink::TraceSink) {
                 base,
             } => {
                 let actual = sink.alloc_shared(*key, *bytes, *atom);
-                ranges.push((*base, bytes.next_multiple_of(4096).max(4096), actual));
-                ranges.sort_unstable();
+                ranges.insert(*base, *bytes, actual);
             }
         }
     }
@@ -413,6 +431,35 @@ mod tests {
             .filter(|e| matches!(e, TraceEvent::Op(_)))
             .count();
         assert_eq!(sink.ops.len(), original_ops);
+    }
+
+    /// Two ranges: one page recorded at 0x1000 living at 0x9000, and two
+    /// pages recorded at 0x4000 living at 0x20000.
+    fn two_ranges() -> VaRanges {
+        let mut r = VaRanges::new();
+        r.insert(0x4000, 5000, 0x20000);
+        r.insert(0x1000, 1, 0x9000);
+        r
+    }
+
+    #[test]
+    fn va_ranges_translate_inside_a_range() {
+        let r = two_ranges();
+        assert_eq!(r.lookup(0x1000), Some(0x9000), "va == base");
+        assert_eq!(r.lookup(0x1fff), Some(0x9fff), "base + len - 1");
+        assert_eq!(r.lookup(0x4000), Some(0x20000));
+        assert_eq!(r.lookup(0x5fff), Some(0x21fff), "rounded up to pages");
+    }
+
+    #[test]
+    fn va_ranges_miss_outside_every_range() {
+        let r = two_ranges();
+        assert_eq!(r.lookup(0x2000), None, "base + len");
+        assert_eq!(r.lookup(0xfff), None, "below the first range");
+        assert_eq!(r.lookup(0), None);
+        assert_eq!(r.lookup(0x3000), None, "between two ranges");
+        assert_eq!(r.lookup(0x6000), None, "past the last range");
+        assert_eq!(VaRanges::new().lookup(0x1000), None, "empty table");
     }
 
     #[test]
