@@ -6,13 +6,12 @@
 //! ```
 
 use workloads::polybench::PolybenchKernel;
-use xmem_bench::microbench::Timer;
 use xmem_bench::reports::{require_complete, ReportWriter};
 use xmem_bench::{mean, print_table, quick_mode, uc1_params, UC1_L3, UC1_N};
 use xmem_core::aam::AamConfig;
 use xmem_core::overhead::storage_overhead;
 use xmem_core::process::ContextSwitchCost;
-use xmem_sim::{run, KernelRun, Sweep, SystemConfig, SystemKind, WorkloadSpec};
+use xmem_sim::{KernelRun, Sweep, SystemKind};
 
 fn main() {
     let n = if quick_mode() { 48 } else { UC1_N };
@@ -123,20 +122,6 @@ fn main() {
         cost.overhead_fraction(5000.0) * 100.0,
         cost.overhead_fraction(3000.0) * 100.0,
     );
-    // ---- telemetry sampling overhead (the disabled path must be free) ----
-    // The sampled case bounds what `--epoch` costs a sweep.
-    println!("\n# Telemetry sampling overhead (disabled path vs. epoch sampling)");
-    let tp = uc1_params(if quick_mode() { 16 } else { 32 }, 2 << 10);
-    let gemm = WorkloadSpec::kernel(PolybenchKernel::Gemm, tp);
-    let tcfg = SystemConfig::scaled_use_case1(UC1_L3, SystemKind::Xmem);
-    let mut timer = Timer::new("full run, gemm");
-    timer.case("telemetry disabled (epoch=None)", || {
-        run(&tcfg, &gemm, None, None).report.core.cycles
-    });
-    timer.case("telemetry sampling (epoch=10k)", || {
-        run(&tcfg, &gemm, Some(10_000), None).report.core.cycles
-    });
-    timer.finish();
 
     writer.finish();
 }

@@ -11,9 +11,9 @@
 //! | `fig7` | DRAM placement speedup, 27 workloads (+ Fig 8 latencies) | Fig 7–8, §6.4 |
 //! | `overheads` | Storage / instruction / ALB / context-switch overheads | §4.2, §4.4 |
 //!
-//! Criterion microbenches for the substrates and ablations live under
-//! `benches/`. All parameters here are the *scaled* configuration described
-//! in DESIGN.md; `--quick` shrinks problem sizes further for smoke runs.
+//! The simulator's own speed is measured by the `xmembench` suite, not
+//! here. All parameters here are the *scaled* configuration described in
+//! DESIGN.md; `--quick` shrinks problem sizes further for smoke runs.
 
 #![warn(missing_docs)]
 
@@ -416,156 +416,6 @@ pub mod reports {
             std::process::exit(1);
         }
         records
-    }
-}
-
-pub mod microbench {
-    //! A minimal wall-clock micro-benchmark timer (std-only; the offline
-    //! build cannot depend on criterion).
-    //!
-    //! Each case is warmed up, then run in growing batches until it has
-    //! accumulated enough wall time for a stable per-iteration figure. The
-    //! result table reports the *median* of several batch measurements,
-    //! which is robust to scheduler noise without statistics machinery.
-
-    use std::hint::black_box;
-    use std::time::Instant;
-
-    /// Target accumulated measurement time per case.
-    const TARGET_NANOS: u128 = 200_000_000;
-    /// Number of batch samples the median is taken over.
-    const SAMPLES: usize = 7;
-
-    /// One finished measurement: the median time per iteration and how many
-    /// simulated operations each iteration performed (for ops/sec).
-    #[derive(Debug, Clone)]
-    pub struct BenchRow {
-        /// Case name (stable across runs; the perf trajectory keys on it).
-        pub name: String,
-        /// Median wall-clock nanoseconds per iteration.
-        pub median_ns: f64,
-        /// Simulated operations per iteration (1 when unspecified).
-        pub ops_per_iter: u64,
-    }
-
-    impl BenchRow {
-        /// Operations per wall-clock second.
-        pub fn ops_per_sec(&self) -> f64 {
-            if self.median_ns <= 0.0 {
-                0.0
-            } else {
-                self.ops_per_iter as f64 * 1e9 / self.median_ns
-            }
-        }
-    }
-
-    /// Collects timed cases and prints one table at the end.
-    #[derive(Debug, Default)]
-    pub struct Timer {
-        group: String,
-        rows: Vec<BenchRow>,
-    }
-
-    impl Timer {
-        /// A new timer for a named group of cases.
-        pub fn new(group: &str) -> Self {
-            Timer {
-                group: group.to_string(),
-                rows: Vec::new(),
-            }
-        }
-
-        /// Times `f`, recording median ns/iteration under `name`.
-        pub fn case<T>(&mut self, name: &str, f: impl FnMut() -> T) {
-            self.case_ops(name, 1, f);
-        }
-
-        /// Times `f`, recording median ns/iteration under `name`; each
-        /// iteration is credited with `ops` simulated operations, so the
-        /// row also reports a throughput (ops/sec) figure.
-        pub fn case_ops<T>(&mut self, name: &str, ops: u64, mut f: impl FnMut() -> T) {
-            // Warm-up and batch-size calibration: grow until one batch
-            // takes a measurable slice of the target.
-            let mut batch = 1u64;
-            loop {
-                let t = Instant::now();
-                for _ in 0..batch {
-                    black_box(f());
-                }
-                let elapsed = t.elapsed().as_nanos().max(1);
-                if elapsed * (SAMPLES as u128) >= TARGET_NANOS || batch >= 1 << 20 {
-                    break;
-                }
-                batch = batch.saturating_mul(2);
-            }
-            let mut samples: Vec<f64> = (0..SAMPLES)
-                .map(|_| {
-                    let t = Instant::now();
-                    for _ in 0..batch {
-                        black_box(f());
-                    }
-                    t.elapsed().as_nanos() as f64 / batch as f64
-                })
-                .collect();
-            samples.sort_by(|a, b| a.total_cmp(b));
-            self.rows.push(BenchRow {
-                name: name.to_string(),
-                median_ns: samples[SAMPLES / 2],
-                ops_per_iter: ops,
-            });
-        }
-
-        /// The measurements recorded so far.
-        pub fn rows(&self) -> &[BenchRow] {
-            &self.rows
-        }
-
-        /// Prints the result table for this group.
-        pub fn finish(self) -> Vec<BenchRow> {
-            println!("\n## {}", self.group);
-            let headers = ["case", "median", "ops/sec"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect::<Vec<_>>();
-            let rows: Vec<Vec<String>> = self
-                .rows
-                .iter()
-                .map(|r| {
-                    let rate = if r.ops_per_iter > 1 {
-                        fmt_rate(r.ops_per_sec())
-                    } else {
-                        "-".to_string()
-                    };
-                    vec![r.name.clone(), fmt_nanos(r.median_ns), rate]
-                })
-                .collect();
-            super::print_table(&headers, &rows);
-            self.rows
-        }
-    }
-
-    /// Formats an ops/sec figure with an adaptive unit (K/M/G ops/s).
-    pub fn fmt_rate(ops_per_sec: f64) -> String {
-        if ops_per_sec >= 1e9 {
-            format!("{:.2} Gop/s", ops_per_sec / 1e9)
-        } else if ops_per_sec >= 1e6 {
-            format!("{:.2} Mop/s", ops_per_sec / 1e6)
-        } else if ops_per_sec >= 1e3 {
-            format!("{:.2} Kop/s", ops_per_sec / 1e3)
-        } else {
-            format!("{ops_per_sec:.1} op/s")
-        }
-    }
-
-    /// Formats nanoseconds with an adaptive unit (ns / µs / ms).
-    pub fn fmt_nanos(ns: f64) -> String {
-        if ns < 1_000.0 {
-            format!("{ns:.1} ns")
-        } else if ns < 1_000_000.0 {
-            format!("{:.2} µs", ns / 1_000.0)
-        } else {
-            format!("{:.3} ms", ns / 1_000_000.0)
-        }
     }
 }
 

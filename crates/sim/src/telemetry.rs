@@ -21,7 +21,8 @@
 //! [Perfetto](https://ui.perfetto.dev).
 //!
 //! Sampling is off by default and costs one bound check per op batch when
-//! disabled (see the `overheads` binary's microbench).
+//! disabled (xmembench's traced runs report the armed path's cost as
+//! `telemetry_overhead`).
 
 use crate::report_sink::JsonValue;
 

@@ -373,16 +373,11 @@ impl AtomManagementUnit {
         self.ast.is_active(atom).then_some(atom)
     }
 
-    /// Like [`Self::active_atom_at`] but bypassing the ALB (no stats impact);
-    /// used by software (OS) queries where ALB modelling is irrelevant.
+    /// Like [`Self::active_atom_at`] but walking the AAM directly (no ALB,
+    /// no stats impact): the reference the ALB must agree with.
     pub fn active_atom_at_uncached(&self, pa: PhysAddr) -> Option<AtomId> {
         let atom = self.aam.lookup(pa)?;
         self.ast.is_active(atom).then_some(atom)
-    }
-
-    /// The atom mapped at `pa` regardless of active state.
-    pub fn atom_at_uncached(&self, pa: PhysAddr) -> Option<AtomId> {
-        self.aam.lookup(pa)
     }
 
     /// Whether `atom` is currently active.
@@ -653,6 +648,71 @@ mod tests {
         amu.execute(&XmemInst::Unmap { range }, &mmu).unwrap();
         assert_eq!(amu.active_atom_at(PhysAddr::new(0x18_000)), None);
         assert_eq!(amu.mapped_bytes(a), 0);
+    }
+
+    /// Oracle for the ALB: on random streams of map, unmap, 2D-map,
+    /// activate and deactivate instructions, every ALB-served lookup equals
+    /// a direct AAM walk. A fixed probe set keeps ALB entries resident
+    /// across instructions, so a missed invalidation shows up as a stale hit.
+    #[test]
+    fn alb_lookups_match_aam_walk_on_random_streams() {
+        use crate::rng::SplitMix64;
+        // Instructions start inside SPAN; probes also reach past it, where
+        // only long ranges and 2D blocks land.
+        const SPAN: u64 = 64 << 10;
+        let mmu = IdentityMmu::new();
+        let mut hits = 0;
+        for case in 0..32u64 {
+            let mut rng = SplitMix64::new(0xA1B0 + case);
+            let mut amu = small_amu();
+            let probes: Vec<u64> = (0..24).map(|_| rng.below(2 * SPAN)).collect();
+            for step in 0..200 {
+                let atom = AtomId::new(rng.below(4) as u8);
+                let base = rng.below(SPAN);
+                let (inst, footprint) = match rng.below(5) {
+                    0 | 1 => {
+                        let range = VaRange::new(VirtAddr::new(base), rng.range(1, 8 << 10));
+                        let inst = if rng.below(2) == 0 {
+                            XmemInst::Map { atom, range }
+                        } else {
+                            XmemInst::Unmap { range }
+                        };
+                        (inst, range.len())
+                    }
+                    2 => {
+                        let len_x = rng.range(1, 4) * 4096;
+                        let (size_x, size_y) = (rng.range(1, len_x), rng.range(1, 6));
+                        let inst = XmemInst::Map2d {
+                            atom,
+                            base: VirtAddr::new(base),
+                            size_x,
+                            size_y,
+                            len_x,
+                        };
+                        (inst, (size_y - 1) * len_x + size_x)
+                    }
+                    3 => (XmemInst::Activate(atom), 1),
+                    _ => (XmemInst::Deactivate(atom), 1),
+                };
+                amu.execute(&inst, &mmu).unwrap();
+                let sampled: Vec<u64> = (0..8)
+                    .map(|i| match i % 2 {
+                        0 => base + rng.below(footprint),
+                        _ => rng.below(2 * SPAN),
+                    })
+                    .collect();
+                for pa in probes.iter().chain(&sampled).copied() {
+                    let pa = PhysAddr::new(pa);
+                    assert_eq!(
+                        amu.active_atom_at(pa),
+                        amu.active_atom_at_uncached(pa),
+                        "case {case}, step {step}, after {inst:?}, at {pa:?}"
+                    );
+                }
+            }
+            hits += amu.alb_stats().hits;
+        }
+        assert!(hits > 0, "the probes never hit the ALB");
     }
 
     #[test]
