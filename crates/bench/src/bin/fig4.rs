@@ -18,10 +18,8 @@
 
 use workloads::polybench::PolybenchKernel;
 use xmem_bench::reports::{require_complete, ReportWriter};
-use xmem_bench::{
-    fig4_tiles, fmt_bytes, geomean, print_table, quick_mode, uc1_params, UC1_L3, UC1_N,
-};
-use xmem_sim::{KernelRun, RunRecord, RunSpec, Sweep, SystemKind};
+use xmem_bench::{fig4_tiles, fmt_bytes, geomean, grids, print_table, quick_mode, UC1_L3, UC1_N};
+use xmem_sim::{RunRecord, Sweep};
 
 fn main() {
     let n = if quick_mode() { 48 } else { UC1_N };
@@ -33,25 +31,8 @@ fn main() {
     );
     println!("# Values are execution time normalized to each kernel's best Baseline tile.\n");
 
-    // One spec per (kernel, system, tile), kernel-major so the records
-    // slice back into per-kernel chunks.
     let kernels = PolybenchKernel::all();
-    let systems = [SystemKind::Baseline, SystemKind::Xmem];
-    let specs: Vec<RunSpec> = kernels
-        .iter()
-        .flat_map(|&kernel| {
-            systems.iter().flat_map(move |&kind| {
-                fig4_tiles().into_iter().map(move |t| {
-                    let mut spec = KernelRun::new(kernel, uc1_params(n, t))
-                        .l3_bytes(UC1_L3)
-                        .system(kind)
-                        .spec();
-                    spec.label = format!("{}/{kind}/tile={}", kernel.name(), fmt_bytes(t));
-                    spec
-                })
-            })
-        })
-        .collect();
+    let specs = grids::fig4(n);
     let mut writer = ReportWriter::new("fig4");
     let outcomes = writer.sweep(Sweep::new(specs)).run_outcomes();
     let records = require_complete(&mut writer, outcomes);

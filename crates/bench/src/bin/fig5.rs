@@ -13,15 +13,13 @@
 
 use workloads::polybench::PolybenchKernel;
 use xmem_bench::reports::{require_complete, ReportWriter};
-use xmem_bench::{
-    fig4_tiles, fmt_bytes, geomean, print_table, quick_mode, uc1_params, FIG5_L3, UC1_N,
-};
-use xmem_sim::{KernelRun, RunSpec, Sweep, SystemKind};
+use xmem_bench::{fmt_bytes, geomean, grids, print_table, quick_mode, UC1_N};
+use xmem_sim::Sweep;
 
 fn main() {
     let n = if quick_mode() { 48 } else { UC1_N };
-    let l3_full = FIG5_L3;
-    let cache_sizes = [l3_full, l3_full / 2, l3_full / 4];
+    let cache_sizes = grids::fig5_cache_sizes();
+    let l3_full = cache_sizes[0];
     println!(
         "# Figure 5: max execution time across L3 = {{{}, {}, {}}}, tile tuned for {}",
         fmt_bytes(cache_sizes[0]),
@@ -31,35 +29,10 @@ fn main() {
     );
     println!("# Normalized to Baseline at the tuned cache size.\n");
 
-    // Tune per the sizing heuristic the paper describes (§5.4: "many
-    // optimizations typically size the tile to be as big as what can
-    // fit in the available cache space" [65, 78]): the largest sweep
-    // tile that fits the full cache.
-    let tuned_tile = fig4_tiles()
-        .into_iter()
-        .filter(|&t| t <= l3_full)
-        .max()
-        .expect("non-empty sweep");
-    let systems = [SystemKind::Baseline, SystemKind::Xmem];
-
-    // One spec per (kernel, system, cache size), kernel-major; within a
-    // kernel the first record is the Baseline-at-full-cache reference.
+    let tuned_tile = grids::fig5_tile();
+    let systems = grids::UC1_SYSTEMS;
     let kernels = PolybenchKernel::all();
-    let specs: Vec<RunSpec> = kernels
-        .iter()
-        .flat_map(|&kernel| {
-            systems.iter().flat_map(move |&kind| {
-                cache_sizes.into_iter().map(move |l3| {
-                    let mut spec = KernelRun::new(kernel, uc1_params(n, tuned_tile))
-                        .l3_bytes(l3)
-                        .system(kind)
-                        .spec();
-                    spec.label = format!("{}/{kind}/L3={}", kernel.name(), fmt_bytes(l3));
-                    spec
-                })
-            })
-        })
-        .collect();
+    let specs = grids::fig5(n);
     let mut writer = ReportWriter::new("fig5");
     let outcomes = writer.sweep(Sweep::new(specs)).run_outcomes();
     let records = require_complete(&mut writer, outcomes);

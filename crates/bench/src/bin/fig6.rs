@@ -14,36 +14,18 @@
 
 use workloads::polybench::PolybenchKernel;
 use xmem_bench::reports::{require_complete, ReportWriter};
-use xmem_bench::{fig4_tiles, geomean, print_table, quick_mode, uc1_params, UC1_L3, UC1_N};
-use xmem_sim::{KernelRun, RunSpec, Sweep, SystemKind};
+use xmem_bench::{geomean, grids, print_table, quick_mode, UC1_N};
+use xmem_sim::Sweep;
 
 fn main() {
     let n = if quick_mode() { 48 } else { UC1_N };
-    let tile = *fig4_tiles().last().expect("non-empty sweep");
-    let bandwidths = [4.0, 2.0, 1.0, 0.5];
-    let systems = [SystemKind::Baseline, SystemKind::XmemPref, SystemKind::Xmem];
+    let bandwidths = grids::FIG6_BANDWIDTHS;
+    let systems = grids::FIG6_SYSTEMS;
     println!("# Figure 6: speedup over Baseline at the largest tile size");
     println!("# (per-core bandwidth sweep: 4 / 2 / 1 / 0.5 GB/s; the paper reports 2/1/0.5)\n");
 
-    // One spec per (kernel, bandwidth, system): kernel-major, bandwidth
-    // next, so each (kernel, bandwidth) group of three is contiguous.
     let kernels = PolybenchKernel::all();
-    let specs: Vec<RunSpec> = kernels
-        .iter()
-        .flat_map(|&kernel| {
-            bandwidths.into_iter().flat_map(move |bw| {
-                systems.into_iter().map(move |kind| {
-                    let mut spec = KernelRun::new(kernel, uc1_params(n, tile))
-                        .l3_bytes(UC1_L3)
-                        .system(kind)
-                        .per_core_gbps(bw)
-                        .spec();
-                    spec.label = format!("{}/{kind}/{bw}GBps", kernel.name());
-                    spec
-                })
-            })
-        })
-        .collect();
+    let specs = grids::fig6(n);
     let mut writer = ReportWriter::new("fig6");
     let outcomes = writer.sweep(Sweep::new(specs)).run_outcomes();
     let records = require_complete(&mut writer, outcomes);

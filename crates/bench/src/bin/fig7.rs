@@ -22,46 +22,30 @@
 //! cargo run --release -p xmem-bench --bin fig7 [--quick] [--csv]
 //! ```
 
-use workloads::placement::PlacementWorkload;
+use xmem_bench::grids;
 use xmem_bench::reports::{require_complete, ReportWriter};
 use xmem_bench::{geomean, print_table, quick_mode};
-use xmem_sim::{placement_specs, RunRecord, Sweep, Uc2System};
-
-const SYSTEMS: [Uc2System; 3] = [Uc2System::Baseline, Uc2System::Xmem, Uc2System::IdealRbl];
+use xmem_sim::{RunRecord, Sweep, Uc2System};
 
 fn main() {
-    let quick = quick_mode();
     println!("# Figure 7: speedup over strengthened Baseline (27 workloads)");
     println!("# Figure 8: memory read latency normalized to Baseline\n");
 
     // Flatten every (workload, system) grid into one sweep, remembering
     // each grid's extent so the best point can be picked per grid.
-    let mut workloads = PlacementWorkload::all();
-    if quick {
-        for w in &mut workloads {
-            w.accesses = 40_000;
-        }
-    }
-    let mut specs = Vec::new();
-    let mut grids = Vec::new(); // (workload idx, system, start, len)
-    for (wi, w) in workloads.iter().enumerate() {
-        for sys in SYSTEMS {
-            let grid = placement_specs(w, sys);
-            grids.push((wi, sys, specs.len(), grid.len()));
-            specs.extend(grid);
-        }
-    }
+    let workloads = grids::fig7_workloads(quick_mode());
+    let (specs, grids) = grids::fig7(&workloads);
     let mut writer = ReportWriter::new("fig7");
     let outcomes = writer.sweep(Sweep::new(specs)).run_outcomes();
     let records = require_complete(&mut writer, outcomes);
 
     // Ties break by grid order, matching a serial min_by_key.
     let best = |wi: usize, sys: Uc2System| -> &RunRecord {
-        let &(_, _, start, len) = grids
+        let g = grids
             .iter()
-            .find(|&&(i, s, _, _)| i == wi && s == sys)
+            .find(|g| g.workload == wi && g.system == sys)
             .expect("grid exists");
-        records[start..start + len]
+        records[g.start..g.start + g.len]
             .iter()
             .min_by_key(|r| r.report.cycles())
             .expect("non-empty grid")

@@ -17,6 +17,8 @@
 
 #![warn(missing_docs)]
 
+pub mod grids;
+
 use workloads::polybench::KernelParams;
 
 /// The scaled L3 capacity used for the Fig 4 / Fig 6 experiments (the

@@ -61,7 +61,7 @@ pub enum FillOutcome {
 
 /// What one pass over a set finds for a fill. Indices are lane indices
 /// (`set * ways + way`).
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct SetScan {
     /// The way already holding the line; the other fields are then unset.
     resident: Option<usize>,
@@ -453,7 +453,7 @@ impl Cache {
             }
             return (Slot { index: i, tag }, None);
         }
-        self.install(addr, &scan, dirty, priority, brrip_long)
+        self.install(addr, (set, tag), &scan, dirty, priority, brrip_long)
     }
 
     /// Installs `addr` unless it is resident, with one scan of its set. A
@@ -475,7 +475,10 @@ impl Cache {
         }
         self.clock += 1;
         let brrip_long = self.next_brrip_long();
-        FillOutcome::Filled(self.install(addr, &scan, dirty, priority, brrip_long).1)
+        FillOutcome::Filled(
+            self.install(addr, (set, tag), &scan, dirty, priority, brrip_long)
+                .1,
+        )
     }
 
     /// Advances the BRRIP throttle counter and returns whether this fill
@@ -502,20 +505,80 @@ impl Cache {
     fn scan_for_fill(&self, set: usize, tag: u64) -> SetScan {
         let ways = self.config.ways;
         let base = set * ways;
-        let scan = if self.config.policy == ReplacementPolicy::Lru {
-            self.scan_set::<true>(base, ways, tag)
-        } else {
-            self.scan_set::<false>(base, ways, tag)
-        };
-        debug_assert!(
-            scan.resident.is_none() || self.find_way(base, ways, tag) == scan.resident,
-            "a tag is resident in at most one way of its set"
-        );
+        if self.config.policy == ReplacementPolicy::Lru {
+            let scan = self.scan_set::<true>(base, ways, tag);
+            debug_assert!(
+                scan.resident.is_none() || self.find_way(base, ways, tag) == scan.resident,
+                "a tag is resident in at most one way of its set"
+            );
+            return scan;
+        }
+        if let Some(i) = self.find_way(base, ways, tag) {
+            return SetScan {
+                resident: Some(i),
+                ..SetScan::default()
+            };
+        }
+        let scan = self.scan_rrip(base, ways);
+        debug_assert_eq!(scan, self.scan_set::<false>(base, ways, tag));
         scan
     }
 
-    /// [`Cache::scan_for_fill`]'s loop. Tags are unique within a set, so
-    /// the first match is the only one and ends the scan. The candidate is
+    /// The RRIP family's victim search over a set known not to hold the
+    /// line, eight ways to a word of the `meta` lane: the first invalid
+    /// way (its valid bit clear), the valid pinned lines, and the first
+    /// unpinned valid way with the largest RRPV — what
+    /// [`Cache::scan_set`] finds, without a branch per way.
+    #[inline]
+    fn scan_rrip(&self, base: usize, ways: usize) -> SetScan {
+        // The low bit of every byte lane; RRPV_MAX is 3, two bits a lane.
+        const LANES: u64 = 0x0101_0101_0101_0101;
+        let mut scan = SetScan::default();
+        let mut best: Option<(u8, usize)> = None;
+        for (c, chunk) in self.meta[base..base + ways].chunks(8).enumerate() {
+            let mut bytes = [0u8; 8];
+            bytes[..chunk.len()].copy_from_slice(chunk);
+            let word = u64::from_le_bytes(bytes);
+            let live = LANES >> (8 * (8 - chunk.len()));
+            let valid = word & live;
+            let pinned = (word >> META_PINNED.trailing_zeros()) & valid;
+            let unpinned = valid & !pinned;
+            let lane = |mask: u64| base + c * 8 + (mask.trailing_zeros() / 8) as usize;
+            let invalid = live & !valid;
+            if scan.invalid.is_none() && invalid != 0 {
+                scan.invalid = Some(lane(invalid));
+            }
+            scan.pinned += pinned.count_ones() as usize;
+            let rrpv = word >> RRPV_SHIFT;
+            // Lanes at the chunk's largest RRPV, and that RRPV: test the
+            // high bit, then the low bit among the lanes that survive.
+            let high = unpinned & (rrpv >> 1);
+            let (top, hi_bit) = if high != 0 {
+                (high, 2u8)
+            } else {
+                (unpinned, 0)
+            };
+            let low = top & rrpv;
+            let (top, max) = if low != 0 {
+                (low, hi_bit + 1)
+            } else {
+                (top, hi_bit)
+            };
+            if top != 0 && best.is_none_or(|(m, _)| max > m) {
+                best = Some((max, lane(top)));
+            }
+        }
+        if let Some((max, i)) = best {
+            scan.candidate = Some(i);
+            scan.max_rrpv = max;
+        }
+        scan
+    }
+
+    /// The per-way scan: [`Cache::scan_for_fill`]'s loop under LRU, and
+    /// the reference [`Cache::scan_rrip`] is debug-checked against. Tags
+    /// are unique within a set, so the first match is the only one and
+    /// ends the scan. The candidate is
     /// the first way with the smallest LRU stamp (`LRU`) or the first way
     /// with the largest RRPV (RRIP family); strict comparisons keep the
     /// earliest way on ties, as [`Cache::first_min_lru`] does.
@@ -576,13 +639,13 @@ impl Cache {
     fn install(
         &mut self,
         addr: u64,
+        (set, tag): (usize, u64),
         scan: &SetScan,
         dirty: bool,
         priority: InsertPriority,
         brrip_long: bool,
     ) -> (Slot, Option<Eviction>) {
         let clock = self.clock;
-        let (set, tag) = self.line_index(addr);
         // SHiP signature work only matters under the SHiP policy; the sigs
         // lane is read exclusively from SHiP-gated paths, so a zero
         // signature under other policies is unobservable.
@@ -642,7 +705,6 @@ impl Cache {
 
         let ev_meta = self.meta[victim];
         let ev_tag = self.tags[victim];
-        let ev_sig = self.sigs[victim];
 
         let rrpv = match effective_priority {
             InsertPriority::Pinned => 0,
@@ -675,7 +737,13 @@ impl Cache {
         };
         self.tags[victim] = tag;
         self.lru[victim] = lru;
-        self.sigs[victim] = sig;
+        // The sigs lane is read only under SHiP, so other policies leave
+        // it alone.
+        let ev_sig = if ship {
+            std::mem::replace(&mut self.sigs[victim], sig)
+        } else {
+            0
+        };
         // A fresh line never inherits the victim's MESI state (the field
         // is left 0); the coherence engine assigns the real state right
         // after the fill.

@@ -1,6 +1,6 @@
 //! The cache hierarchy with XMem-coordinated cache management and
 //! prefetching (use case 1, §5 of the paper) — the one memory system that
-//! single-core runs and co-runs share.
+//! single-core runs, co-runs and sweep groups share.
 //!
 //! The hierarchy models the Table 3 configuration: per core a private L1
 //! (LRU), L2 (DRRIP) and multi-stride prefetcher, over one shared L3
@@ -16,14 +16,31 @@
 //!   protection, aged when the active-atom list changes) *and* misses to
 //!   pinned atoms trigger pattern-directed prefetch.
 //!
-//! # Domains
+//! # Tiers
 //!
-//! [`Hierarchy::new`] builds one core; [`Hierarchy::with_domains`] builds
-//! N private domains (L1, L2, stride prefetcher per core) over the shared
-//! state: the L3, DRAM, the pinned-atom set with its AMU epoch (§5.2(2):
-//! pinning "takes the active atoms in *all the cores*"), prefetch
-//! tracking, and the guided-prefetch statistics. [`Hierarchy::serve_core`]
-//! is the per-core access; [`Hierarchy::serve`] is core 0's.
+//! The hierarchy is three tiers:
+//!
+//! * the **front**: the private L1/L2 of every core (and, under MESI, the
+//!   bus between them);
+//! * one **L3 node** per distinct L3-side setting: the L3, the per-core
+//!   stride prefetchers, the pinned-atom set with its AMU epoch (§5.2(2):
+//!   pinning "takes the active atoms in *all the cores*"), prefetch
+//!   tracking and guided prefetch;
+//! * one **DRAM** per member.
+//!
+//! [`Hierarchy::new`] and [`Hierarchy::with_domains`] build one member:
+//! one node over one DRAM. [`Hierarchy::serve_core`] is a core's access
+//! served through all three tiers at once; [`Hierarchy::serve`] is core
+//! 0's. [`Hierarchy::with_members`] builds a *group*: one single-core front
+//! over several members that differ only below the private caches, where
+//! members with the same L3-side setting share a node. A group runs a
+//! stretch of accesses at a time: [`Hierarchy::record`] runs the front and
+//! notes what reached below it, [`Hierarchy::fan_out`] runs every node
+//! over those notes and logs each node's DRAM traffic, and
+//! [`Hierarchy::replay`] plays a node's log into one member's DRAM at that
+//! member's own times. This is exact because no cache, prefetcher or
+//! pinning state of a single core ever reads time: only the core and the
+//! DRAM do.
 //!
 //! Without a bus the private domains never observe each other's writes —
 //! only correct for disjoint data. With one (MESI), every access first runs
@@ -37,7 +54,7 @@ use crate::config::CacheConfig;
 use crate::pin::{select_pinned, PinCandidate};
 use crate::prefetch::{MultiStridePrefetcher, PrefetchRun, PrefetchStats};
 use crate::tracker::PrefetchTracker;
-use cpu_sim::batch::OpAttrs;
+use cpu_sim::batch::{MemoryPath, OpAttrs};
 use dram_sim::{Dram, DramStats};
 use std::collections::BTreeSet;
 use xmem_core::addr::PhysAddr;
@@ -59,7 +76,7 @@ pub enum XmemMode {
 }
 
 /// Hierarchy configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HierarchyConfig {
     /// L1 data cache.
     pub l1: CacheConfig,
@@ -109,6 +126,18 @@ impl HierarchyConfig {
         self.l3 = self.l3.with_size(bytes);
         self
     }
+
+    /// Whether an L3 node built for `self` simulates `other` exactly:
+    /// everything below the private levels is equal. The private levels
+    /// themselves belong to the front.
+    fn same_l3_side(&self, other: &HierarchyConfig) -> bool {
+        self.l3 == other.l3
+            && self.stride_prefetcher == other.stride_prefetcher
+            && self.stride_streams == other.stride_streams
+            && self.prefetch_degree == other.prefetch_degree
+            && self.xmem_prefetch_degree == other.xmem_prefetch_degree
+            && self.xmem == other.xmem
+    }
 }
 
 impl Default for HierarchyConfig {
@@ -129,25 +158,160 @@ pub struct XmemContext<'a> {
     pub pf_pat: &'a Pat<PrefetcherPrimitive>,
 }
 
-/// The cache hierarchy + DRAM backend: per-core private domains over one
-/// shared L3 and DRAM (see the module docs).
+/// What an L3 node reads of the XMem state: the AMU's active atoms,
+/// extents and epoch (never its ALB, which the front alone drives) and the
+/// PATs.
+#[derive(Debug, Clone, Copy)]
+struct XmemView<'a> {
+    amu: &'a AtomManagementUnit,
+    cache_pat: &'a Pat<CachePrimitive>,
+    pf_pat: &'a Pat<PrefetcherPrimitive>,
+}
+
+impl<'a> XmemView<'a> {
+    fn of(ctx: &'a XmemContext<'_>) -> Self {
+        XmemView {
+            amu: ctx.amu,
+            cache_pat: ctx.cache_pat,
+            pf_pat: ctx.pf_pat,
+        }
+    }
+}
+
+/// Where the private levels left an access that missed the L1.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Reach {
+    /// An L2 hit (the line filled into the L1).
+    L2,
+    /// A private miss (the line filled into the L2 and L1): the access
+    /// continues into the L3.
+    Shared,
+}
+
+/// Dirty lines leaving the private levels, in order: at most the L2's
+/// victim and then the L1's.
+#[derive(Debug, Clone, Copy, Default)]
+struct Sinks {
+    lines: [u64; 2],
+    len: usize,
+}
+
+impl Sinks {
+    fn push(&mut self, line: u64) {
+        self.lines[self.len] = line;
+        self.len += 1;
+    }
+
+    fn as_slice(&self) -> &[u64] {
+        &self.lines[..self.len]
+    }
+}
+
+/// Where an L3 node sends its DRAM traffic. Every request happens either
+/// at the access's own time (`now`: private dirty lines sinking past the
+/// L3) or at its memory time (`now` plus the latency down to the L3: the
+/// demand read, prefetches and L3 victims).
+trait DramPort {
+    /// The demand read of an L3 miss, at the memory time.
+    fn demand(&mut self, line: u64);
+    /// A dirty private line the L3 does not hold, written back at `now`.
+    fn sink(&mut self, line: u64);
+    /// A dirty L3 victim, written back at the memory time.
+    fn writeback(&mut self, line: u64);
+    /// A prefetch read, at the memory time.
+    fn prefetch(&mut self, line: u64);
+    /// A functional-warming read: the row opens, nothing is timed.
+    fn warm(&mut self, line: u64);
+}
+
+/// A port that serves each request at once: the one-member path.
 #[derive(Debug)]
-pub struct Hierarchy {
+struct Served<'a> {
+    dram: &'a mut Dram,
+    now: u64,
+    t_mem: u64,
+    /// The demand read's latency (0 until one is served).
+    latency: u64,
+}
+
+impl<'a> Served<'a> {
+    fn new(dram: &'a mut Dram, now: u64, t_mem: u64) -> Self {
+        Served {
+            dram,
+            now,
+            t_mem,
+            latency: 0,
+        }
+    }
+}
+
+impl DramPort for Served<'_> {
+    #[inline]
+    fn demand(&mut self, line: u64) {
+        self.latency = self.dram.serve(line, OpAttrs::read(), self.t_mem);
+    }
+    #[inline]
+    fn sink(&mut self, line: u64) {
+        let _ = self.dram.serve(line, OpAttrs::write(), self.now);
+    }
+    #[inline]
+    fn writeback(&mut self, line: u64) {
+        let _ = self.dram.serve(line, OpAttrs::write(), self.t_mem);
+    }
+    #[inline]
+    fn prefetch(&mut self, line: u64) {
+        let _ = self.dram.serve_prefetch(line, self.t_mem);
+    }
+    #[inline]
+    fn warm(&mut self, line: u64) {
+        self.dram.warm_access(line);
+    }
+}
+
+// A node's log holds one word per DRAM request: the line address with the
+// request kind in its low bits (lines are at least 8 bytes).
+const CMD_DEMAND: u64 = 1;
+const CMD_SINK: u64 = 2;
+const CMD_WRITEBACK: u64 = 3;
+const CMD_PREFETCH: u64 = 4;
+const CMD_WARM: u64 = 5;
+const CMD_MASK: u64 = 7;
+
+/// A port that logs each request for the members to replay.
+impl DramPort for Vec<u64> {
+    #[inline]
+    fn demand(&mut self, line: u64) {
+        self.push(line | CMD_DEMAND);
+    }
+    #[inline]
+    fn sink(&mut self, line: u64) {
+        self.push(line | CMD_SINK);
+    }
+    #[inline]
+    fn writeback(&mut self, line: u64) {
+        self.push(line | CMD_WRITEBACK);
+    }
+    #[inline]
+    fn prefetch(&mut self, line: u64) {
+        self.push(line | CMD_PREFETCH);
+    }
+    #[inline]
+    fn warm(&mut self, line: u64) {
+        self.push(line | CMD_WARM);
+    }
+}
+
+/// The shared levels of one L3-side setting: the L3, the per-core stride
+/// prefetchers, pinning, prefetch tracking and guided prefetch.
+#[derive(Debug)]
+struct L3Node {
     config: HierarchyConfig,
-    /// `!(l1.line_bytes - 1)`, precomputed for the per-access line align.
+    /// `!(l1.line_bytes - 1)`: the line a demand access names.
     line_mask: u64,
-    /// Cumulative latencies to each level (L1; L1+L2; L1+L2+L3), hoisted
-    /// out of the per-access path.
-    l1_lat: u64,
-    l2_lat: u64,
+    /// Cumulative latency down to and including the L3 (L1+L2+L3).
     l3_lat: u64,
-    // ── per core ────────────────────────────────────────────────────────
-    l1s: Vec<Cache>,
-    l2s: Vec<Cache>,
-    stride_pfs: Vec<Option<MultiStridePrefetcher>>,
-    // ── shared ──────────────────────────────────────────────────────────
     l3: Cache,
-    dram: Dram,
+    stride_pfs: Vec<Option<MultiStridePrefetcher>>,
     /// Currently pinned atoms (output of the greedy algorithm).
     pinned: Vec<AtomId>,
     /// Atoms the greedy algorithm never pins (coherence-aware placement:
@@ -158,26 +322,14 @@ pub struct Hierarchy {
     /// Lines prefetched but not yet demanded (bounded; for accuracy stats).
     inflight_prefetches: PrefetchTracker,
     xmem_pf_stats: PrefetchStats,
-    /// The MESI snooping bus; `None` means no coherence.
-    bus: Option<SnoopBus>,
-    /// Reused outcome buffer for [`mesi_access`].
-    coh_acc: CoherentAccess,
+    /// A group's log of this node's DRAM requests over the current
+    /// stretch, and where each fanned-out access's requests end in it.
+    cmds: Vec<u64>,
+    ends: Vec<usize>,
 }
 
-impl Hierarchy {
-    /// Creates an empty one-core hierarchy in front of `dram`.
-    pub fn new(config: HierarchyConfig, dram: Dram) -> Self {
-        Self::with_domains(config, dram, 1, None)
-    }
-
-    /// Creates `cores` private domains over one shared L3 in front of
-    /// `dram`, kept coherent by a MESI snooping bus when `bus` is given.
-    pub fn with_domains(
-        config: HierarchyConfig,
-        dram: Dram,
-        cores: usize,
-        bus: Option<BusConfig>,
-    ) -> Self {
+impl L3Node {
+    fn new(config: HierarchyConfig, cores: usize) -> Self {
         // The hardware stride prefetcher stays present in XMem modes: XMem
         // *supplements* dynamic mechanisms (§2.1) — guided prefetch takes
         // over only for data whose atom expresses a pattern; everything
@@ -187,112 +339,31 @@ impl Hierarchy {
                 .stride_prefetcher
                 .then(|| MultiStridePrefetcher::new(config.stride_streams, config.prefetch_degree))
         };
-        Hierarchy {
+        assert!(
+            config.l1.line_bytes > CMD_MASK && config.l3.line_bytes > CMD_MASK,
+            "lines must be wider than the request-kind bits"
+        );
+        L3Node {
             line_mask: !(config.l1.line_bytes - 1),
-            l1_lat: config.l1.latency,
-            l2_lat: config.l1.latency + config.l2.latency,
             l3_lat: config.l1.latency + config.l2.latency + config.l3.latency,
-            l1s: (0..cores).map(|_| Cache::new(config.l1)).collect(),
-            l2s: (0..cores).map(|_| Cache::new(config.l2)).collect(),
-            stride_pfs: (0..cores).map(|_| stride_pf()).collect(),
             l3: Cache::new(config.l3),
-            dram,
+            stride_pfs: (0..cores).map(|_| stride_pf()).collect(),
             pinned: Vec::new(),
             pin_exempt: BTreeSet::new(),
             last_epoch: u64::MAX,
             inflight_prefetches: PrefetchTracker::new(config.l3.line_bytes),
             xmem_pf_stats: PrefetchStats::default(),
-            bus: bus.map(SnoopBus::new),
-            coh_acc: CoherentAccess::default(),
+            cmds: Vec::new(),
+            ends: Vec::new(),
             config,
         }
-    }
-
-    /// Excludes `atoms` from pinning from the next pinning evaluation on.
-    pub fn set_pin_exempt(&mut self, atoms: BTreeSet<AtomId>) {
-        self.pin_exempt = atoms;
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &HierarchyConfig {
-        &self.config
-    }
-
-    /// Core 0's L1 statistics.
-    pub fn l1_stats(&self) -> CacheStats {
-        self.core_l1_stats(0)
-    }
-
-    /// Core 0's L2 statistics.
-    pub fn l2_stats(&self) -> CacheStats {
-        self.core_l2_stats(0)
-    }
-
-    /// `core`'s L1 statistics (with snoop counters under MESI).
-    pub fn core_l1_stats(&self, core: usize) -> CacheStats {
-        self.l1s[core].stats()
-    }
-
-    /// `core`'s L2 statistics.
-    pub fn core_l2_stats(&self, core: usize) -> CacheStats {
-        self.l2s[core].stats()
-    }
-
-    /// L3 statistics.
-    pub fn l3_stats(&self) -> CacheStats {
-        self.l3.stats()
-    }
-
-    /// Core 0's L2 DRRIP policy-select counter (0 for non-DRRIP configs).
-    pub fn l2_psel(&self) -> i32 {
-        self.l2s[0].psel()
-    }
-
-    /// The L3's DRRIP policy-select counter (0 for non-DRRIP configs).
-    pub fn l3_psel(&self) -> i32 {
-        self.l3.psel()
-    }
-
-    /// DRAM statistics.
-    pub fn dram_stats(&self) -> DramStats {
-        self.dram.stats()
-    }
-
-    /// The DRAM model (e.g. to inspect its mapping).
-    pub fn dram(&self) -> &Dram {
-        &self.dram
-    }
-
-    /// Core 0's stride-prefetcher statistics (`None` when disabled).
-    pub fn stride_prefetch_stats(&self) -> Option<PrefetchStats> {
-        self.core_stride_prefetch_stats(0)
-    }
-
-    /// `core`'s stride-prefetcher statistics (`None` when disabled).
-    pub fn core_stride_prefetch_stats(&self, core: usize) -> Option<PrefetchStats> {
-        self.stride_pfs[core].as_ref().map(|p| p.stats())
-    }
-
-    /// XMem-guided prefetch statistics (shared by all cores).
-    pub fn xmem_prefetch_stats(&self) -> PrefetchStats {
-        self.xmem_pf_stats
-    }
-
-    /// Snooping-bus traffic (all zero without a bus).
-    pub fn bus_stats(&self) -> BusStats {
-        self.bus.as_ref().map(SnoopBus::stats).unwrap_or_default()
-    }
-
-    /// Atoms currently pinned by the greedy algorithm.
-    pub fn pinned_atoms(&self) -> &[AtomId] {
-        &self.pinned
     }
 
     /// Re-evaluates the pinned-atom set over the active atoms of all cores
     /// when the AMU epoch has changed (a MAP/UNMAP/ACTIVATE/DEACTIVATE
     /// occurred), aging previously pinned lines per §5.2(3).
-    fn refresh_pinning(&mut self, ctx: &mut XmemContext<'_>) {
-        let epoch = ctx.amu.epoch();
+    fn refresh_pinning(&mut self, x: XmemView<'_>) {
+        let epoch = x.amu.epoch();
         if epoch == self.last_epoch {
             return;
         }
@@ -300,17 +371,17 @@ impl Hierarchy {
         if self.config.xmem != XmemMode::Full {
             return;
         }
-        let candidates: Vec<PinCandidate> = ctx
+        let candidates: Vec<PinCandidate> = x
             .amu
             .active_atoms()
             .into_iter()
             .filter(|atom| !self.pin_exempt.contains(atom))
             .filter_map(|atom| {
-                let prim = ctx.cache_pat.get(atom)?;
+                let prim = x.cache_pat.get(atom)?;
                 prim.pin_candidate.then_some(PinCandidate {
                     atom,
                     reuse: prim.reuse,
-                    size_bytes: ctx.amu.mapped_bytes(atom),
+                    size_bytes: x.amu.mapped_bytes(atom),
                 })
             })
             .collect();
@@ -321,28 +392,130 @@ impl Hierarchy {
         self.pinned = new_pinned;
     }
 
+    /// Dirty data leaving the private levels lands in the L3 if the line
+    /// is resident there, else goes to DRAM.
+    #[inline]
+    fn sink<P: DramPort>(&mut self, line_addr: u64, port: &mut P) {
+        if !self.l3.set_dirty(line_addr) {
+            port.sink(line_addr);
+        }
+    }
+
+    /// The shared levels below `core`'s private miss on `pa`: pinning
+    /// refresh, the L3, DRAM, and prefetching. `atom` is the ALB's answer
+    /// for `pa` and `sinks` the private levels' dirty victims, which land
+    /// after the L3 fill and before any prefetch. Returns whether the L3
+    /// hit.
+    fn access<P: DramPort>(
+        &mut self,
+        core: usize,
+        pa: u64,
+        atom: Option<AtomId>,
+        sinks: &[u64],
+        xmem: Option<XmemView<'_>>,
+        port: &mut P,
+    ) -> bool {
+        let line_addr = pa & self.line_mask;
+        if let Some(x) = xmem {
+            if self.config.xmem != XmemMode::Off {
+                self.refresh_pinning(x);
+            }
+        }
+        let l3_hit = self.l3.probe(pa, false);
+
+        // The stride prefetcher trains on every L3 access.
+        let stride_reqs = self.stride_pfs[core]
+            .as_mut()
+            .map(|pf| pf.train(pa))
+            .unwrap_or_default();
+
+        if l3_hit {
+            self.note_demand_hit(core, line_addr);
+            for &line in sinks {
+                self.sink(line, port);
+            }
+            self.issue_stride_prefetches(stride_reqs, port, false);
+            return true;
+        }
+
+        // L3 miss: demand fetch from DRAM, then fill the L3.
+        port.demand(line_addr);
+        if let Some(ev) = self.l3.fill(line_addr, false, self.l3_priority(atom)) {
+            Self::writeback_to_dram(ev, port);
+        }
+        for &line in sinks {
+            self.sink(line, port);
+        }
+
+        // Prefetching: XMem-guided for data whose atom expresses a pattern
+        // (§5.2(4)); the hardware stride engine covers everything else.
+        if !self.guided_prefetch(pa, atom, xmem, port, false) {
+            self.issue_stride_prefetches(stride_reqs, port, false);
+        }
+        false
+    }
+
+    /// The functional-warming counterpart of [`L3Node::access`] for core
+    /// 0: the same probes, fills, replacement updates, pinning refresh,
+    /// prefetcher training and prefetch fills, but no timing — dirty
+    /// victims are dropped and DRAM sees only row warming.
+    fn warm<P: DramPort>(
+        &mut self,
+        pa: u64,
+        atom: Option<AtomId>,
+        xmem: Option<XmemView<'_>>,
+        port: &mut P,
+    ) {
+        let line_addr = pa & self.line_mask;
+        if let Some(x) = xmem {
+            if self.config.xmem != XmemMode::Off {
+                self.refresh_pinning(x);
+            }
+        }
+        let stride_reqs = self.stride_pfs[0]
+            .as_mut()
+            .map(|pf| pf.train(pa))
+            .unwrap_or_default();
+        if self.l3.probe(pa, false) {
+            self.note_demand_hit(0, line_addr);
+            self.issue_stride_prefetches(stride_reqs, port, true);
+            return;
+        }
+        port.warm(line_addr);
+        let _ = self.l3.fill(line_addr, false, self.l3_priority(atom));
+        if !self.guided_prefetch(pa, atom, xmem, port, true) {
+            self.issue_stride_prefetches(stride_reqs, port, true);
+        }
+    }
+
+    fn writeback_to_dram<P: DramPort>(ev: Eviction, port: &mut P) {
+        if ev.dirty {
+            port.writeback(ev.addr);
+        }
+    }
+
     /// Prefetches `target` into the L3 unless it is resident, tracking the
-    /// fill; returns whether it was issued. With `t_mem` the DRAM read is
-    /// timed and a dirty victim is written back; on the warm path (`None`)
-    /// the DRAM row is only warmed and the victim dropped.
-    fn prefetch_into_l3(
+    /// fill; returns whether it was issued. Timed (`warm` false), DRAM sees
+    /// the read and then a dirty victim's writeback; warming, DRAM only
+    /// opens the row and the victim is dropped.
+    fn prefetch_into_l3<P: DramPort>(
         &mut self,
         target: u64,
         priority: InsertPriority,
-        t_mem: Option<u64>,
+        port: &mut P,
+        warm: bool,
     ) -> bool {
         let FillOutcome::Filled(evicted) = self.l3.fill_if_absent(target, false, priority) else {
             return false;
         };
-        match t_mem {
+        if warm {
+            port.warm(target);
+        } else {
             // DRAM sees the prefetch read before the victim's writeback.
-            Some(t) => {
-                let _ = self.dram.serve_prefetch(target, t);
-                if let Some(ev) = evicted {
-                    self.writeback_to_dram(ev, t);
-                }
+            port.prefetch(target);
+            if let Some(ev) = evicted {
+                Self::writeback_to_dram(ev, port);
             }
-            None => self.dram.warm_access(target),
         }
         self.inflight_prefetches.insert(target);
         true
@@ -359,13 +532,13 @@ impl Hierarchy {
         &self,
         pa: u64,
         atom: AtomId,
-        ctx: &XmemContext<'_>,
+        x: XmemView<'_>,
     ) -> Option<(Vec<u64>, InsertPriority)> {
-        let prim = ctx.pf_pat.get(atom)?;
+        let prim = x.pf_pat.get(atom)?;
         let stride = prim.stride?;
         let line = self.config.l3.line_bytes;
         let forward = stride >= 0;
-        let exts = ctx.amu.extents(atom);
+        let exts = x.amu.extents(atom);
         if exts.is_empty() {
             return None;
         }
@@ -401,203 +574,6 @@ impl Hierarchy {
         Some((targets, priority))
     }
 
-    fn writeback_to_dram(&mut self, ev: Eviction, now: u64) {
-        if ev.dirty {
-            let _ = self.dram.serve(ev.addr, OpAttrs::write(), now);
-        }
-    }
-
-    /// A dirty line evicted from `core`'s L1 (`level` 1) or L2 (`level` 2)
-    /// lands in the next level if resident, else goes to DRAM.
-    fn writeback_inner(&mut self, core: usize, ev: Eviction, level: u8, now: u64) {
-        if ev.dirty && !(level == 1 && self.l2s[core].set_dirty(ev.addr)) {
-            self.sink_dirty(ev.addr, now);
-        }
-    }
-
-    /// Dirty data leaving the private levels lands in the L3 if the line
-    /// is resident there, else goes to DRAM.
-    fn sink_dirty(&mut self, line_addr: u64, now: u64) {
-        if !self.l3.set_dirty(line_addr) {
-            let _ = self.dram.serve(line_addr, OpAttrs::write(), now);
-        }
-    }
-
-    /// Performs one demand access by core 0, returning its latency in
-    /// cycles (see [`Hierarchy::serve_core`]).
-    ///
-    /// Named `serve` to match the batched memory-path vocabulary
-    /// ([`cpu_sim::batch::MemoryPath`]).
-    #[inline]
-    pub fn serve(
-        &mut self,
-        pa: u64,
-        is_write: bool,
-        now: u64,
-        xmem: Option<XmemContext<'_>>,
-    ) -> u64 {
-        self.serve_core(0, pa, is_write, now, xmem)
-    }
-
-    /// Performs one demand access by `core`, returning its latency in
-    /// cycles.
-    ///
-    /// `xmem` supplies the AMU + PATs when the system runs with XMem
-    /// enabled; `None` reproduces the baseline exactly (no lookups at all).
-    #[inline]
-    pub fn serve_core(
-        &mut self,
-        core: usize,
-        pa: u64,
-        is_write: bool,
-        now: u64,
-        xmem: Option<XmemContext<'_>>,
-    ) -> u64 {
-        if let Some(bus) = self.bus.as_mut() {
-            let mut domains = MesiDomains {
-                l1s: &mut self.l1s,
-                l2s: &mut self.l2s,
-                bus,
-                l1_lat: self.config.l1.latency,
-                l2_lat: self.config.l2.latency,
-                line_bytes: self.config.l1.line_bytes,
-            };
-            mesi_access(&mut domains, core, pa, is_write, now, &mut self.coh_acc);
-            return self.settle_coherent(core, pa, is_write, now, xmem);
-        }
-        // The dominant outcome by far — keep it inlinable at call sites and
-        // push everything below L1 out of line.
-        if self.l1s[core].probe(pa, is_write) {
-            return self.l1_lat;
-        }
-        self.serve_l1_miss(core, pa, is_write, now, xmem)
-    }
-
-    /// The below-L1 continuation of [`Hierarchy::serve_core`] without a
-    /// bus.
-    fn serve_l1_miss(
-        &mut self,
-        core: usize,
-        pa: u64,
-        is_write: bool,
-        now: u64,
-        xmem: Option<XmemContext<'_>>,
-    ) -> u64 {
-        if self.l2s[core].probe(pa, false) {
-            let line_addr = pa & self.line_mask;
-            if let Some(ev) = self.l1s[core].fill(line_addr, is_write, InsertPriority::Normal) {
-                self.writeback_inner(core, ev, 1, now);
-            }
-            return self.l2_lat;
-        }
-        self.serve_shared(core, pa, is_write, now, self.l3_lat, xmem)
-    }
-
-    /// The rest of a MESI access after the coherence engine has run over
-    /// the private L1/L2 levels and the bus (its outcome is in `coh_acc`):
-    /// coherence writebacks sink into the L3 (or DRAM), and only accesses
-    /// no peer could supply continue into the shared levels. Cache-to-cache
-    /// transfers bypass the L3 entirely, and the stride prefetchers train
-    /// only on the memory path (bus-satisfied accesses carry no locality
-    /// the L3 could exploit).
-    fn settle_coherent(
-        &mut self,
-        core: usize,
-        pa: u64,
-        is_write: bool,
-        now: u64,
-        xmem: Option<XmemContext<'_>>,
-    ) -> u64 {
-        for i in 0..self.coh_acc.writebacks.len() {
-            let (_, line_addr) = self.coh_acc.writebacks[i];
-            self.sink_dirty(line_addr, now);
-        }
-        if !self.coh_acc.from_memory {
-            return self.coh_acc.latency;
-        }
-        // The engine's latency already covers L1, L2 and the bus.
-        let l3_total = self.coh_acc.latency + self.config.l3.latency;
-        self.serve_shared(core, pa, is_write, now, l3_total, xmem)
-    }
-
-    /// The shared levels below `core`'s private miss: pinning refresh, the
-    /// ALB lookup, the L3, DRAM, and prefetching. `l3_total` is the latency
-    /// up to and including the L3 lookup. Without a bus the line is also
-    /// filled into `core`'s L2 and L1; under MESI the engine already did
-    /// (on an L3 hit as on a miss).
-    fn serve_shared(
-        &mut self,
-        core: usize,
-        pa: u64,
-        is_write: bool,
-        now: u64,
-        l3_total: u64,
-        mut xmem: Option<XmemContext<'_>>,
-    ) -> u64 {
-        let line_addr = pa & self.line_mask;
-        let coherent = self.bus.is_some();
-        // L3 territory: consult XMem state if present. One ATOM_LOOKUP per
-        // L3 access — exactly the query rate the paper's ALB absorbs.
-        if let Some(ctx) = xmem.as_mut() {
-            if self.config.xmem != XmemMode::Off {
-                self.refresh_pinning(ctx);
-            }
-        }
-        let atom = match (&mut xmem, self.config.xmem) {
-            (Some(ctx), XmemMode::Full | XmemMode::PrefetchOnly) => {
-                ctx.amu.active_atom_at(PhysAddr::new(pa))
-            }
-            _ => None,
-        };
-        let l3_hit = self.l3.probe(pa, false);
-
-        // The stride prefetcher trains on every L3 access.
-        let stride_reqs = self.stride_pfs[core]
-            .as_mut()
-            .map(|pf| pf.train(pa))
-            .unwrap_or_default();
-
-        if l3_hit {
-            self.note_demand_hit(core, line_addr);
-            if !coherent {
-                self.fill_private(core, line_addr, is_write, now);
-            }
-            self.issue_stride_prefetches(stride_reqs, Some(now + l3_total));
-            return l3_total;
-        }
-
-        // L3 miss: demand fetch from DRAM.
-        let t_mem = now + l3_total;
-        let dram_lat = self.dram.serve(line_addr, OpAttrs::read(), t_mem);
-
-        // Fill the hierarchy.
-        if let Some(ev) = self.l3.fill(line_addr, false, self.l3_priority(atom)) {
-            self.writeback_to_dram(ev, t_mem);
-        }
-        if !coherent {
-            self.fill_private(core, line_addr, is_write, now);
-        }
-
-        // Prefetching: XMem-guided for data whose atom expresses a pattern
-        // (§5.2(4)); the hardware stride engine covers everything else.
-        if !self.guided_prefetch(pa, atom, &mut xmem, Some(t_mem)) {
-            self.issue_stride_prefetches(stride_reqs, Some(t_mem));
-        }
-
-        l3_total + dram_lat
-    }
-
-    /// Fills `line_addr` into `core`'s L2, then its L1, sinking dirty
-    /// victims.
-    fn fill_private(&mut self, core: usize, line_addr: u64, is_write: bool, now: u64) {
-        if let Some(ev) = self.l2s[core].fill(line_addr, false, InsertPriority::Normal) {
-            self.writeback_inner(core, ev, 2, now);
-        }
-        if let Some(ev) = self.l1s[core].fill(line_addr, is_write, InsertPriority::Normal) {
-            self.writeback_inner(core, ev, 1, now);
-        }
-    }
-
     /// The L3 insertion priority of a demand fill for `atom`'s data.
     fn l3_priority(&self, atom: Option<AtomId>) -> InsertPriority {
         match (self.config.xmem, atom) {
@@ -618,11 +594,482 @@ impl Hierarchy {
         }
     }
 
-    /// State-only warmup probe: walks the hierarchy with the same probes,
-    /// fills, replacement updates, pinning refresh, ALB lookups, prefetcher
-    /// training, and prefetch fills as [`Hierarchy::serve`], but skips
-    /// everything timing-related — no latencies, no writeback traffic, and
-    /// no DRAM bank/bus occupancy (only the row-buffer state is warmed).
+    /// Issues XMem-guided prefetches for `pa` if its atom qualifies under
+    /// the current mode; returns whether guided prefetch handled it.
+    fn guided_prefetch<P: DramPort>(
+        &mut self,
+        pa: u64,
+        atom: Option<AtomId>,
+        xmem: Option<XmemView<'_>>,
+        port: &mut P,
+        warm: bool,
+    ) -> bool {
+        let (Some(x), Some(a)) = (xmem, atom) else {
+            return false;
+        };
+        let qualifies = match self.config.xmem {
+            // §5.2(4): accesses to *pinned* atoms drive guided prefetch.
+            XmemMode::Full => self.pinned.contains(&a),
+            // XMem-Pref: pattern-directed prefetch for any active atom with
+            // expressed reuse (software-prefetch-like, §5.4).
+            XmemMode::PrefetchOnly => x.cache_pat.get(a).map_or(0, |p| p.reuse) > 0,
+            XmemMode::Off => false,
+        };
+        if qualifies {
+            if let Some((targets, priority)) = self.xmem_prefetch_targets(pa, a, x) {
+                for target in targets {
+                    if self.prefetch_into_l3(target, priority, port, warm) {
+                        self.xmem_pf_stats.issued += 1;
+                    }
+                }
+            }
+        }
+        qualifies
+    }
+
+    /// Issues the stride prefetcher's requests into the L3. Prefetches
+    /// insert with the default policy priority: distant insertion would
+    /// make far-ahead prefetches immediate victims.
+    fn issue_stride_prefetches<P: DramPort>(
+        &mut self,
+        reqs: PrefetchRun,
+        port: &mut P,
+        warm: bool,
+    ) {
+        for req in reqs {
+            let target = req.addr & !(self.config.l3.line_bytes - 1);
+            self.prefetch_into_l3(target, InsertPriority::Normal, port, warm);
+        }
+    }
+}
+
+/// What the L3 nodes do with a noted access.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum BelowKind {
+    /// An L2 hit: only its dirty L1 victim reaches them.
+    Sinks,
+    /// A private miss.
+    Access,
+    /// A functional-warming private miss.
+    Warm,
+}
+
+/// What the front noted about one access of a group's stretch that reached
+/// below the L1 with work for the L3 nodes.
+#[derive(Debug, Clone, Copy)]
+struct Below {
+    kind: BelowKind,
+    pa: u64,
+    /// The ALB's answer for `pa` (`None` without an XMem member).
+    atom: Option<AtomId>,
+    sinks: Sinks,
+}
+
+// Per-access classes of a group's op lane (two low bits; the TLB walk
+// cycles sit above them).
+const OP_L1: u64 = 0;
+const OP_L2: u64 = 1;
+const OP_L2_SINKS: u64 = 2;
+const OP_SHARED: u64 = 3;
+
+/// The cache hierarchy + DRAM backend: a front of per-core private
+/// domains over L3 nodes and DRAMs (see the module docs).
+#[derive(Debug)]
+pub struct Hierarchy {
+    /// The first member's configuration (the front reads its L1/L2).
+    config: HierarchyConfig,
+    /// `!(l1.line_bytes - 1)`, precomputed for the per-access line align.
+    line_mask: u64,
+    /// Cumulative latencies to the private levels (L1; L1+L2).
+    l1_lat: u64,
+    l2_lat: u64,
+    // ── front: per core ─────────────────────────────────────────────────
+    l1s: Vec<Cache>,
+    l2s: Vec<Cache>,
+    /// The MESI snooping bus; `None` means no coherence.
+    bus: Option<SnoopBus>,
+    /// Reused outcome buffer for [`mesi_access`].
+    coh_acc: CoherentAccess,
+    // ── shared levels and memory ────────────────────────────────────────
+    nodes: Vec<L3Node>,
+    /// One DRAM per member.
+    drams: Vec<Dram>,
+    /// Each member's node.
+    node_of: Vec<usize>,
+    // ── a group's current stretch ───────────────────────────────────────
+    /// One word per access: the class in the low two bits, the TLB walk
+    /// cycles above.
+    ops: Vec<u64>,
+    /// The accesses that reached below the L1 with work for the nodes.
+    below: Vec<Below>,
+}
+
+impl Hierarchy {
+    /// Creates an empty one-core hierarchy in front of `dram`.
+    pub fn new(config: HierarchyConfig, dram: Dram) -> Self {
+        Self::with_domains(config, dram, 1, None)
+    }
+
+    /// Creates `cores` private domains over one shared L3 in front of
+    /// `dram`, kept coherent by a MESI snooping bus when `bus` is given.
+    pub fn with_domains(
+        config: HierarchyConfig,
+        dram: Dram,
+        cores: usize,
+        bus: Option<BusConfig>,
+    ) -> Self {
+        Self::with_members(vec![(config, dram)], cores, bus)
+    }
+
+    /// Creates the memory system of `members`: `cores` private domains,
+    /// built from the first member's configuration, over every member's L3
+    /// side and DRAM, kept coherent by a MESI snooping bus when `bus` is
+    /// given. Members whose configurations agree below the private levels
+    /// share one L3 node. More than one member makes a *group*, which has
+    /// one core and no bus and runs by stretches (see the module docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `members` is empty, if the members' L1/L2 differ, or if a
+    /// group asks for more than one core or a bus.
+    pub fn with_members(
+        members: Vec<(HierarchyConfig, Dram)>,
+        cores: usize,
+        bus: Option<BusConfig>,
+    ) -> Self {
+        assert!(
+            members.len() == 1 || (cores == 1 && bus.is_none()),
+            "a group is one core without a bus"
+        );
+        // simlint: allow(unwrap, reason = "documented panic: a hierarchy needs a member")
+        let config = members.first().expect("a hierarchy has a member").0;
+        let mut nodes: Vec<L3Node> = Vec::new();
+        let mut node_of = Vec::with_capacity(members.len());
+        let mut drams = Vec::with_capacity(members.len());
+        for (c, dram) in members {
+            assert!(
+                c.l1 == config.l1 && c.l2 == config.l2,
+                "a group's members share their private levels"
+            );
+            let node = match nodes.iter().position(|n| n.config.same_l3_side(&c)) {
+                Some(n) => n,
+                None => {
+                    nodes.push(L3Node::new(c, cores));
+                    nodes.len() - 1
+                }
+            };
+            node_of.push(node);
+            drams.push(dram);
+        }
+        Hierarchy {
+            line_mask: !(config.l1.line_bytes - 1),
+            l1_lat: config.l1.latency,
+            l2_lat: config.l1.latency + config.l2.latency,
+            l1s: (0..cores).map(|_| Cache::new(config.l1)).collect(),
+            l2s: (0..cores).map(|_| Cache::new(config.l2)).collect(),
+            bus: bus.map(SnoopBus::new),
+            coh_acc: CoherentAccess::default(),
+            nodes,
+            drams,
+            node_of,
+            ops: Vec::new(),
+            below: Vec::new(),
+            config,
+        }
+    }
+
+    /// Excludes `atoms` from pinning from the next pinning evaluation on.
+    pub fn set_pin_exempt(&mut self, atoms: BTreeSet<AtomId>) {
+        for node in &mut self.nodes {
+            node.pin_exempt = atoms.clone();
+        }
+    }
+
+    /// The configuration in use (the first member's).
+    pub fn config(&self) -> &HierarchyConfig {
+        &self.config
+    }
+
+    fn node(&self, member: usize) -> &L3Node {
+        &self.nodes[self.node_of[member]]
+    }
+
+    /// Core 0's L1 statistics.
+    pub fn l1_stats(&self) -> CacheStats {
+        self.core_l1_stats(0)
+    }
+
+    /// Core 0's L2 statistics.
+    pub fn l2_stats(&self) -> CacheStats {
+        self.core_l2_stats(0)
+    }
+
+    /// `core`'s L1 statistics (with snoop counters under MESI).
+    pub fn core_l1_stats(&self, core: usize) -> CacheStats {
+        self.l1s[core].stats()
+    }
+
+    /// `core`'s L2 statistics.
+    pub fn core_l2_stats(&self, core: usize) -> CacheStats {
+        self.l2s[core].stats()
+    }
+
+    /// The first member's L3 statistics.
+    pub fn l3_stats(&self) -> CacheStats {
+        self.member_l3_stats(0)
+    }
+
+    /// `member`'s L3 statistics.
+    pub fn member_l3_stats(&self, member: usize) -> CacheStats {
+        self.node(member).l3.stats()
+    }
+
+    /// Core 0's L2 DRRIP policy-select counter (0 for non-DRRIP configs).
+    pub fn l2_psel(&self) -> i32 {
+        self.l2s[0].psel()
+    }
+
+    /// The first member's L3 DRRIP policy-select counter (0 for non-DRRIP
+    /// configs).
+    pub fn l3_psel(&self) -> i32 {
+        self.member_l3_psel(0)
+    }
+
+    /// `member`'s L3 DRRIP policy-select counter.
+    pub fn member_l3_psel(&self, member: usize) -> i32 {
+        self.node(member).l3.psel()
+    }
+
+    /// The first member's DRAM statistics.
+    pub fn dram_stats(&self) -> DramStats {
+        self.drams[0].stats()
+    }
+
+    /// The first member's DRAM model (e.g. to inspect its mapping).
+    pub fn dram(&self) -> &Dram {
+        self.member_dram(0)
+    }
+
+    /// `member`'s DRAM model.
+    pub fn member_dram(&self, member: usize) -> &Dram {
+        &self.drams[member]
+    }
+
+    /// Core 0's stride-prefetcher statistics (`None` when disabled).
+    pub fn stride_prefetch_stats(&self) -> Option<PrefetchStats> {
+        self.core_stride_prefetch_stats(0)
+    }
+
+    /// `core`'s stride-prefetcher statistics (`None` when disabled).
+    pub fn core_stride_prefetch_stats(&self, core: usize) -> Option<PrefetchStats> {
+        self.nodes[0].stride_pfs[core].as_ref().map(|p| p.stats())
+    }
+
+    /// `member`'s core-0 stride-prefetcher statistics.
+    pub fn member_stride_prefetch_stats(&self, member: usize) -> Option<PrefetchStats> {
+        self.node(member).stride_pfs[0].as_ref().map(|p| p.stats())
+    }
+
+    /// XMem-guided prefetch statistics (shared by all cores).
+    pub fn xmem_prefetch_stats(&self) -> PrefetchStats {
+        self.member_xmem_prefetch_stats(0)
+    }
+
+    /// `member`'s XMem-guided prefetch statistics.
+    pub fn member_xmem_prefetch_stats(&self, member: usize) -> PrefetchStats {
+        self.node(member).xmem_pf_stats
+    }
+
+    /// Snooping-bus traffic (all zero without a bus).
+    pub fn bus_stats(&self) -> BusStats {
+        self.bus.as_ref().map(SnoopBus::stats).unwrap_or_default()
+    }
+
+    /// Atoms currently pinned by the greedy algorithm.
+    pub fn pinned_atoms(&self) -> &[AtomId] {
+        &self.nodes[0].pinned
+    }
+
+    /// A dirty line evicted from `core`'s L1 (`level` 1) or L2 (`level` 2)
+    /// lands in the next private level if resident, else leaves the
+    /// private levels.
+    fn writeback_inner(&mut self, core: usize, ev: Eviction, level: u8, sinks: &mut Sinks) {
+        if ev.dirty && !(level == 1 && self.l2s[core].set_dirty(ev.addr)) {
+            sinks.push(ev.addr);
+        }
+    }
+
+    /// The private levels' part of an access by `core` that missed its L1
+    /// (no bus): an L2 hit fills the L1; an L2 miss fills the L2, then the
+    /// L1. Dirty victims leaving the private levels go to `sinks`.
+    #[inline]
+    fn private_below_l1(
+        &mut self,
+        core: usize,
+        pa: u64,
+        is_write: bool,
+        sinks: &mut Sinks,
+    ) -> Reach {
+        let line_addr = pa & self.line_mask;
+        if self.l2s[core].probe(pa, false) {
+            if let Some(ev) = self.l1s[core].fill(line_addr, is_write, InsertPriority::Normal) {
+                self.writeback_inner(core, ev, 1, sinks);
+            }
+            return Reach::L2;
+        }
+        if let Some(ev) = self.l2s[core].fill(line_addr, false, InsertPriority::Normal) {
+            self.writeback_inner(core, ev, 2, sinks);
+        }
+        if let Some(ev) = self.l1s[core].fill(line_addr, is_write, InsertPriority::Normal) {
+            self.writeback_inner(core, ev, 1, sinks);
+        }
+        Reach::Shared
+    }
+
+    /// The ALB's answer for `pa` when the access carries XMem state and
+    /// the mode consults it: one ATOM_LOOKUP per L3 access — exactly the
+    /// query rate the paper's ALB absorbs.
+    fn lookup(mode: XmemMode, pa: u64, xmem: &mut Option<XmemContext<'_>>) -> Option<AtomId> {
+        match (xmem, mode) {
+            (Some(ctx), XmemMode::Full | XmemMode::PrefetchOnly) => {
+                ctx.amu.active_atom_at(PhysAddr::new(pa))
+            }
+            _ => None,
+        }
+    }
+
+    /// Performs one demand access by core 0, returning its latency in
+    /// cycles (see [`Hierarchy::serve_core`]).
+    ///
+    /// Named `serve` to match the batched memory-path vocabulary
+    /// ([`cpu_sim::batch::MemoryPath`]).
+    #[inline]
+    pub fn serve(
+        &mut self,
+        pa: u64,
+        is_write: bool,
+        now: u64,
+        xmem: Option<XmemContext<'_>>,
+    ) -> u64 {
+        self.serve_core(0, pa, is_write, now, xmem)
+    }
+
+    /// Performs one demand access by `core` of a one-member hierarchy
+    /// through all three tiers, returning its latency in cycles.
+    ///
+    /// `xmem` supplies the AMU + PATs when the system runs with XMem
+    /// enabled; `None` reproduces the baseline exactly (no lookups at all).
+    #[inline]
+    pub fn serve_core(
+        &mut self,
+        core: usize,
+        pa: u64,
+        is_write: bool,
+        now: u64,
+        xmem: Option<XmemContext<'_>>,
+    ) -> u64 {
+        debug_assert_eq!(self.drams.len(), 1, "a group serves by stretches");
+        if let Some(bus) = self.bus.as_mut() {
+            let mut domains = MesiDomains {
+                l1s: &mut self.l1s,
+                l2s: &mut self.l2s,
+                bus,
+                l1_lat: self.config.l1.latency,
+                l2_lat: self.config.l2.latency,
+                line_bytes: self.config.l1.line_bytes,
+            };
+            mesi_access(&mut domains, core, pa, is_write, now, &mut self.coh_acc);
+            return self.settle_coherent(core, pa, now, xmem);
+        }
+        // The dominant outcome by far — keep it inlinable at call sites and
+        // push everything below L1 out of line.
+        if self.l1s[core].probe(pa, is_write) {
+            return self.l1_lat;
+        }
+        self.serve_l1_miss(core, pa, is_write, now, xmem)
+    }
+
+    /// The below-L1 continuation of [`Hierarchy::serve_core`] without a
+    /// bus.
+    fn serve_l1_miss(
+        &mut self,
+        core: usize,
+        pa: u64,
+        is_write: bool,
+        now: u64,
+        xmem: Option<XmemContext<'_>>,
+    ) -> u64 {
+        let mut sinks = Sinks::default();
+        if self.private_below_l1(core, pa, is_write, &mut sinks) == Reach::L2 {
+            let mut port = Served::new(&mut self.drams[0], now, now);
+            for &line in sinks.as_slice() {
+                self.nodes[0].sink(line, &mut port);
+            }
+            return self.l2_lat;
+        }
+        let l3_total = self.nodes[0].l3_lat;
+        self.serve_shared(core, pa, now, l3_total, sinks.as_slice(), xmem)
+    }
+
+    /// The rest of a MESI access after the coherence engine has run over
+    /// the private L1/L2 levels and the bus (its outcome is in `coh_acc`):
+    /// coherence writebacks sink into the L3 (or DRAM), and only accesses
+    /// no peer could supply continue into the shared levels. Cache-to-cache
+    /// transfers bypass the L3 entirely, and the stride prefetchers train
+    /// only on the memory path (bus-satisfied accesses carry no locality
+    /// the L3 could exploit). The engine already filled the private
+    /// levels, on an L3 hit as on a miss.
+    fn settle_coherent(
+        &mut self,
+        core: usize,
+        pa: u64,
+        now: u64,
+        xmem: Option<XmemContext<'_>>,
+    ) -> u64 {
+        let mut port = Served::new(&mut self.drams[0], now, now);
+        for &(_, line_addr) in &self.coh_acc.writebacks {
+            self.nodes[0].sink(line_addr, &mut port);
+        }
+        if !self.coh_acc.from_memory {
+            return self.coh_acc.latency;
+        }
+        // The engine's latency already covers L1, L2 and the bus.
+        let l3_total = self.coh_acc.latency + self.config.l3.latency;
+        self.serve_shared(core, pa, now, l3_total, &[], xmem)
+    }
+
+    /// The shared levels below `core`'s private miss, served at once: the
+    /// ALB lookup, then node 0 over DRAM 0. `l3_total` is the latency up
+    /// to and including the L3 lookup.
+    fn serve_shared(
+        &mut self,
+        core: usize,
+        pa: u64,
+        now: u64,
+        l3_total: u64,
+        sinks: &[u64],
+        mut xmem: Option<XmemContext<'_>>,
+    ) -> u64 {
+        let node = &mut self.nodes[0];
+        let atom = Self::lookup(node.config.xmem, pa, &mut xmem);
+        let mut port = Served::new(&mut self.drams[0], now, now + l3_total);
+        node.access(
+            core,
+            pa,
+            atom,
+            sinks,
+            xmem.as_ref().map(XmemView::of),
+            &mut port,
+        );
+        l3_total + port.latency
+    }
+
+    /// State-only warmup probe by core 0: walks the hierarchy with the
+    /// same probes, fills, replacement updates, pinning refresh, ALB
+    /// lookups, prefetcher training, and prefetch fills as
+    /// [`Hierarchy::serve`], but skips everything timing-related — no
+    /// latencies, no writeback traffic, and no DRAM bank/bus occupancy
+    /// (only the row-buffer state is warmed).
     ///
     /// This is the functional fast-forward path of sampled execution: it
     /// keeps tags, LRU/DRRIP state, pinned-insertion decisions, the ALB,
@@ -635,91 +1082,218 @@ impl Hierarchy {
     /// raw counters are a warm+detailed mixture, and the per-window metrics
     /// are computed from deltas across detailed windows only.
     pub fn warm_access(&mut self, pa: u64, is_write: bool, mut xmem: Option<XmemContext<'_>>) {
-        if self.l1s[0].probe(pa, is_write) {
+        if !self.warm_private(pa, is_write) {
             return;
+        }
+        let node = &mut self.nodes[0];
+        let atom = Self::lookup(node.config.xmem, pa, &mut xmem);
+        let mut port = Served::new(&mut self.drams[0], 0, 0);
+        node.warm(pa, atom, xmem.as_ref().map(XmemView::of), &mut port);
+    }
+
+    /// The private levels' part of a warming access by core 0; returns
+    /// whether it continues into the L3. Victims are dropped.
+    fn warm_private(&mut self, pa: u64, is_write: bool) -> bool {
+        if self.l1s[0].probe(pa, is_write) {
+            return false;
         }
         let line_addr = pa & self.line_mask;
         if self.l2s[0].probe(pa, false) {
             let _ = self.l1s[0].fill(line_addr, is_write, InsertPriority::Normal);
-            return;
+            return false;
         }
-        if let Some(ctx) = xmem.as_mut() {
-            if self.config.xmem != XmemMode::Off {
-                self.refresh_pinning(ctx);
-            }
-        }
-        let atom = match (&mut xmem, self.config.xmem) {
-            (Some(ctx), XmemMode::Full | XmemMode::PrefetchOnly) => {
-                ctx.amu.active_atom_at(PhysAddr::new(pa))
-            }
-            _ => None,
-        };
-        let stride_reqs = self.stride_pfs[0]
-            .as_mut()
-            .map(|pf| pf.train(pa))
-            .unwrap_or_default();
-        if self.l3.probe(pa, false) {
-            self.note_demand_hit(0, line_addr);
-            let _ = self.l2s[0].fill(line_addr, false, InsertPriority::Normal);
-            let _ = self.l1s[0].fill(line_addr, is_write, InsertPriority::Normal);
-            self.issue_stride_prefetches(stride_reqs, None);
-            return;
-        }
-        self.dram.warm_access(line_addr);
-        let _ = self.l3.fill(line_addr, false, self.l3_priority(atom));
         let _ = self.l2s[0].fill(line_addr, false, InsertPriority::Normal);
         let _ = self.l1s[0].fill(line_addr, is_write, InsertPriority::Normal);
-        if !self.guided_prefetch(pa, atom, &mut xmem, None) {
-            self.issue_stride_prefetches(stride_reqs, None);
-        }
+        true
     }
 
-    /// Issues XMem-guided prefetches for `pa` if its atom qualifies under
-    /// the current mode; returns whether guided prefetch handled it. `t_mem`
-    /// is as for [`Hierarchy::prefetch_into_l3`].
-    fn guided_prefetch(
-        &mut self,
-        pa: u64,
-        atom: Option<AtomId>,
-        xmem: &mut Option<XmemContext<'_>>,
-        t_mem: Option<u64>,
-    ) -> bool {
-        let (Some(ctx), Some(a)) = (xmem, atom) else {
-            return false;
-        };
-        let qualifies = match self.config.xmem {
-            // §5.2(4): accesses to *pinned* atoms drive guided prefetch.
-            XmemMode::Full => self.pinned.contains(&a),
-            // XMem-Pref: pattern-directed prefetch for any active atom with
-            // expressed reuse (software-prefetch-like, §5.4).
-            XmemMode::PrefetchOnly => ctx.cache_pat.get(a).map_or(0, |p| p.reuse) > 0,
-            XmemMode::Off => false,
-        };
-        if qualifies {
-            self.xmem_prefetch(pa, a, ctx, t_mem);
-        }
-        qualifies
+    // ── groups ──────────────────────────────────────────────────────────
+
+    /// Starts a group's next stretch: forgets the last one's notes and
+    /// logs.
+    pub fn begin_stretch(&mut self) {
+        self.ops.clear();
+        self.below.clear();
     }
 
-    /// Prefetches `atom`'s guided targets after a miss on `pa`, counting
-    /// each one issued.
-    fn xmem_prefetch(&mut self, pa: u64, atom: AtomId, ctx: &XmemContext<'_>, t_mem: Option<u64>) {
-        if let Some((targets, priority)) = self.xmem_prefetch_targets(pa, atom, ctx) {
-            for target in targets {
-                if self.prefetch_into_l3(target, priority, t_mem) {
-                    self.xmem_pf_stats.issued += 1;
+    /// Runs one demand access of a group's stretch through the front —
+    /// core 0's private levels and, when `xmem` is given, the ALB — and
+    /// notes what the L3 nodes and the members need of it. `walk` is the
+    /// TLB walk the access paid before reaching the L1; `pa` is the address
+    /// after it.
+    #[inline]
+    pub fn record(&mut self, pa: u64, is_write: bool, walk: u64, xmem: Option<XmemContext<'_>>) {
+        debug_assert!(self.bus.is_none(), "groups are single-core");
+        let class = if self.l1s[0].probe(pa, is_write) {
+            OP_L1
+        } else {
+            self.record_below_l1(pa, is_write, xmem)
+        };
+        self.ops.push(walk << 2 | class);
+    }
+
+    fn record_below_l1(&mut self, pa: u64, is_write: bool, xmem: Option<XmemContext<'_>>) -> u64 {
+        let mut sinks = Sinks::default();
+        let (kind, class) = match self.private_below_l1(0, pa, is_write, &mut sinks) {
+            Reach::L2 if sinks.len == 0 => return OP_L2,
+            Reach::L2 => (BelowKind::Sinks, OP_L2_SINKS),
+            Reach::Shared => (BelowKind::Access, OP_SHARED),
+        };
+        let atom = match (kind, xmem) {
+            (BelowKind::Access, Some(ctx)) => ctx.amu.active_atom_at(PhysAddr::new(pa)),
+            _ => None,
+        };
+        self.below.push(Below {
+            kind,
+            pa,
+            atom,
+            sinks,
+        });
+        class
+    }
+
+    /// The functional-warming counterpart of [`Hierarchy::record`].
+    pub fn record_warm(&mut self, pa: u64, is_write: bool, xmem: Option<XmemContext<'_>>) {
+        if !self.warm_private(pa, is_write) {
+            return;
+        }
+        let atom = xmem.and_then(|ctx| ctx.amu.active_atom_at(PhysAddr::new(pa)));
+        self.below.push(Below {
+            kind: BelowKind::Warm,
+            pa,
+            atom,
+            sinks: Sinks::default(),
+        });
+    }
+
+    /// Runs every L3 node over the stretch the front recorded, logging
+    /// each node's DRAM requests for the members to replay. `xmem` is the
+    /// XMem state the front ran with; only XMem-mode nodes see it or the
+    /// atoms it answered.
+    pub fn fan_out(&mut self, xmem: Option<XmemContext<'_>>) {
+        let view = xmem.as_ref().map(XmemView::of);
+        for node in &mut self.nodes {
+            let xmem_node = node.config.xmem != XmemMode::Off;
+            let view = view.filter(|_| xmem_node);
+            let mut cmds = std::mem::take(&mut node.cmds);
+            let mut ends = std::mem::take(&mut node.ends);
+            cmds.clear();
+            ends.clear();
+            for b in &self.below {
+                let atom = b.atom.filter(|_| xmem_node);
+                match b.kind {
+                    BelowKind::Sinks => {
+                        for &line in b.sinks.as_slice() {
+                            node.sink(line, &mut cmds);
+                        }
+                    }
+                    BelowKind::Access => {
+                        node.access(0, b.pa, atom, b.sinks.as_slice(), view, &mut cmds);
+                    }
+                    BelowKind::Warm => node.warm(b.pa, atom, view, &mut cmds),
                 }
+                ends.push(cmds.len());
+            }
+            node.cmds = cmds;
+            node.ends = ends;
+        }
+    }
+
+    /// `member`'s replay of the fanned-out stretch: a memory path that
+    /// serves the stretch's accesses, in order, at the member's own times.
+    pub fn replay(&mut self, member: usize) -> Replay<'_> {
+        let node = &self.nodes[self.node_of[member]];
+        Replay {
+            ops: &self.ops,
+            cmds: &node.cmds,
+            ends: &node.ends,
+            dram: &mut self.drams[member],
+            op: 0,
+            rec: 0,
+            l1_lat: self.l1_lat,
+            l2_lat: self.l2_lat,
+            l3_lat: node.l3_lat,
+        }
+    }
+}
+
+/// One member's replay of a group's stretch (see [`Hierarchy::replay`]).
+#[derive(Debug)]
+pub struct Replay<'a> {
+    ops: &'a [u64],
+    cmds: &'a [u64],
+    ends: &'a [usize],
+    dram: &'a mut Dram,
+    /// The next access in `ops`.
+    op: usize,
+    /// The next noted access in `ends`.
+    rec: usize,
+    l1_lat: u64,
+    l2_lat: u64,
+    l3_lat: u64,
+}
+
+impl Replay<'_> {
+    /// Plays the next noted access's DRAM requests at `now` (its own time)
+    /// and `t_mem` (its memory time); returns the demand read's latency, 0
+    /// when there was none.
+    #[inline]
+    fn play(&mut self, now: u64, t_mem: u64) -> u64 {
+        let start = if self.rec == 0 {
+            0
+        } else {
+            self.ends[self.rec - 1]
+        };
+        let end = self.ends[self.rec];
+        self.rec += 1;
+        let mut latency = 0;
+        for &cmd in &self.cmds[start..end] {
+            let line = cmd & !CMD_MASK;
+            match cmd & CMD_MASK {
+                CMD_DEMAND => latency = self.dram.serve(line, OpAttrs::read(), t_mem),
+                CMD_SINK => {
+                    let _ = self.dram.serve(line, OpAttrs::write(), now);
+                }
+                CMD_WRITEBACK => {
+                    let _ = self.dram.serve(line, OpAttrs::write(), t_mem);
+                }
+                CMD_PREFETCH => {
+                    let _ = self.dram.serve_prefetch(line, t_mem);
+                }
+                _ => self.dram.warm_access(line),
             }
         }
+        latency
     }
 
-    /// Issues the stride prefetcher's requests into the L3. Prefetches
-    /// insert with the default policy priority: distant insertion would
-    /// make far-ahead prefetches immediate victims.
-    fn issue_stride_prefetches(&mut self, reqs: PrefetchRun, t_mem: Option<u64>) {
-        for req in reqs {
-            let target = req.addr & !(self.config.l3.line_bytes - 1);
-            self.prefetch_into_l3(target, InsertPriority::Normal, t_mem);
+    /// Plays a warming stretch: every row the nodes warmed, in order.
+    pub fn warm(mut self) {
+        while self.rec < self.ends.len() {
+            let _ = self.play(0, 0);
+        }
+    }
+
+    /// Whether every access of the stretch has been served.
+    pub fn is_done(&self) -> bool {
+        self.op == self.ops.len() && self.rec == self.ends.len()
+    }
+}
+
+impl MemoryPath for Replay<'_> {
+    #[inline]
+    fn serve(&mut self, _va: u64, _attrs: OpAttrs, now: u64) -> u64 {
+        let op = self.ops[self.op];
+        self.op += 1;
+        let walk = op >> 2;
+        let now = now + walk;
+        walk + match op & 3 {
+            OP_L1 => self.l1_lat,
+            OP_L2 => self.l2_lat,
+            OP_L2_SINKS => {
+                let _ = self.play(now, now);
+                self.l2_lat
+            }
+            _ => self.l3_lat + self.play(now, now + self.l3_lat),
         }
     }
 }
@@ -797,17 +1371,29 @@ mod tests {
     #[test]
     fn stale_prefetch_entry_is_credited_after_demand_refill() {
         let mut h = two_domains();
-        h.stride_pfs = vec![None, None];
+        h.nodes[0].stride_pfs = vec![None, None];
         let line = 0x8000u64;
-        assert!(h.prefetch_into_l3(line, InsertPriority::Normal, Some(0)));
+        assert!(h.nodes[0].prefetch_into_l3(
+            line,
+            InsertPriority::Normal,
+            &mut Served::new(&mut h.drams[0], 0, 0),
+            false,
+        ));
         assert!(
-            !h.prefetch_into_l3(line, InsertPriority::Normal, Some(0)),
+            !h.nodes[0].prefetch_into_l3(
+                line,
+                InsertPriority::Normal,
+                &mut Served::new(&mut h.drams[0], 0, 0),
+                false,
+            ),
             "resident"
         );
         let stride = h.config.l3.sets() as u64 * 64;
         let mut k = 1;
-        while h.l3.contains(line) {
-            let _ = h.l3.fill(line + k * stride, false, InsertPriority::Normal);
+        while h.nodes[0].l3.contains(line) {
+            let _ = h.nodes[0]
+                .l3
+                .fill(line + k * stride, false, InsertPriority::Normal);
             k += 1;
         }
         // Core 0's demand miss refills the line from DRAM; misses do not
@@ -818,7 +1404,7 @@ mod tests {
         // which consumes the entry.
         assert_eq!(h.serve_core(1, line, false, 20_000, None), 39);
         assert_eq!(h.xmem_prefetch_stats().useful, 1);
-        assert!(!h.inflight_prefetches.contains(line));
+        assert!(!h.nodes[0].inflight_prefetches.contains(line));
     }
 
     #[test]
@@ -874,7 +1460,7 @@ mod tests {
         let run = |stride_on: bool| {
             let mut h = small_hierarchy(XmemMode::Off);
             if !stride_on {
-                h.stride_pfs[0] = None;
+                h.nodes[0].stride_pfs[0] = None;
             }
             let mut total = 0u64;
             for i in 0..2048u64 {
@@ -953,8 +1539,8 @@ mod tests {
         );
         assert!(h.xmem_prefetch_stats().issued > 0);
         // The line just *before* the miss is now resident.
-        assert!(h.l3.contains(miss_at - 64));
-        assert!(!h.l3.contains(miss_at + 4 * 64));
+        assert!(h.nodes[0].l3.contains(miss_at - 64));
+        assert!(!h.nodes[0].l3.contains(miss_at + 4 * 64));
     }
 
     #[test]

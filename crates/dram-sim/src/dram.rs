@@ -17,7 +17,7 @@
 //! implements the full reordering scheduler for batch studies and ablation.
 
 use crate::config::{DramConfig, RowPolicy};
-use crate::mapping::AddressMapping;
+use crate::mapping::{AddressMapping, Decoder};
 use cpu_sim::batch::{MemoryPath, OpAttrs};
 use cpu_sim::stats::LatencyHistogram;
 
@@ -160,6 +160,8 @@ impl DramStats {
 pub struct Dram {
     config: DramConfig,
     mapping: AddressMapping,
+    /// `mapping` resolved against `config` once.
+    decoder: Decoder,
     /// Open row per global bank ([`NO_ROW`] when precharged).
     open_rows: Vec<u64>,
     /// Cycle at which each bank can next start a command.
@@ -189,6 +191,7 @@ impl Dram {
             stats: DramStats::default(),
             busy_bank_cycles: 0,
             ideal_rbl: false,
+            decoder: mapping.decoder(&config),
             config,
             mapping,
         }
@@ -261,7 +264,7 @@ impl Dram {
         if self.ideal_rbl {
             return true;
         }
-        let loc = self.mapping.decode(addr, &self.config);
+        let loc = self.decoder.decode(addr);
         self.open_rows[loc.global_bank(&self.config)] == loc.row
     }
 
@@ -297,7 +300,7 @@ impl Dram {
         if self.ideal_rbl {
             return;
         }
-        let loc = self.mapping.decode(addr, &self.config);
+        let loc = self.decoder.decode(addr);
         let bank_idx = loc.global_bank(&self.config);
         self.open_rows[bank_idx] = match self.config.row_policy {
             RowPolicy::Open => loc.row,
@@ -306,7 +309,7 @@ impl Dram {
     }
 
     fn serve_inner(&mut self, addr: u64, is_write: bool, is_prefetch: bool, now: u64) -> u64 {
-        let loc = self.mapping.decode(addr, &self.config);
+        let loc = self.decoder.decode(addr);
         if is_write && !self.ideal_rbl {
             let bus = &mut self.bus_free[loc.channel];
             let data_start = (now + self.config.t_cl).max(*bus);

@@ -35,4 +35,4 @@ pub mod mapping;
 
 pub use crate::config::{DramConfig, RowPolicy};
 pub use crate::dram::{Dram, DramStats, RowOutcome};
-pub use crate::mapping::{AddressMapping, DramLocation, Field};
+pub use crate::mapping::{AddressMapping, Decoder, DramLocation, Field};

@@ -257,6 +257,91 @@ impl AddressMapping {
         }
         loc
     }
+
+    /// This mapping resolved against `cfg`: each field's shift and mask,
+    /// computed once, so a [`Decoder::decode`] is five shift-and-mask steps
+    /// where [`AddressMapping::decode`] walks the field order.
+    pub fn decoder(&self, cfg: &DramConfig) -> Decoder {
+        let widths = |field: Field, is_last: bool| match field {
+            Field::Channel => log2(cfg.channels as u64),
+            Field::Rank => log2(cfg.ranks as u64),
+            Field::Bank => log2(cfg.banks as u64),
+            Field::Column => log2(cfg.row_bytes / cfg.col_bytes),
+            Field::Row if is_last => u64::BITS,
+            Field::Row => cfg.row_bits,
+        };
+        let mut d = Decoder {
+            channel: FieldBits::default(),
+            rank: FieldBits::default(),
+            bank: FieldBits::default(),
+            row: FieldBits::default(),
+            col: FieldBits::default(),
+            xor_mask: if self.bank_xor && cfg.banks > 1 {
+                (cfg.banks - 1) as u64
+            } else {
+                0
+            },
+        };
+        let mut shift = cfg.col_bytes.trailing_zeros();
+        for (i, &field) in self.order_lsb_to_msb.iter().enumerate() {
+            let width = widths(field, i == 4);
+            let bits = FieldBits {
+                shift,
+                mask: u64::MAX.checked_shr(u64::BITS - width).unwrap_or(0),
+            };
+            match field {
+                Field::Channel => d.channel = bits,
+                Field::Rank => d.rank = bits,
+                Field::Bank => d.bank = bits,
+                Field::Row => d.row = bits,
+                Field::Column => d.col = bits,
+            }
+            shift += width;
+        }
+        d
+    }
+}
+
+/// Where one field sits in an address: `(addr >> shift) & mask`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+struct FieldBits {
+    shift: u32,
+    mask: u64,
+}
+
+impl FieldBits {
+    #[inline]
+    fn of(self, addr: u64) -> u64 {
+        addr.checked_shr(self.shift).unwrap_or(0) & self.mask
+    }
+}
+
+/// An [`AddressMapping`] precomputed for one [`DramConfig`] (see
+/// [`AddressMapping::decoder`]); decodes exactly as the mapping does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Decoder {
+    channel: FieldBits,
+    rank: FieldBits,
+    bank: FieldBits,
+    row: FieldBits,
+    col: FieldBits,
+    /// The bank-XOR mask (`banks - 1`), 0 when the mapping has none.
+    xor_mask: u64,
+}
+
+impl Decoder {
+    /// Decodes a physical address into a DRAM location.
+    #[inline]
+    pub fn decode(&self, addr: u64) -> DramLocation {
+        let row = self.row.of(addr);
+        DramLocation {
+            channel: addr_to_index(self.channel.of(addr)),
+            rank: addr_to_index(self.rank.of(addr)),
+            bank: addr_to_index(self.bank.of(addr) ^ (row & self.xor_mask)),
+            row,
+            col: self.col.of(addr),
+        }
+    }
 }
 
 #[inline]
@@ -358,6 +443,35 @@ mod tests {
             .max()
             .unwrap();
         assert!(max < c.total_banks());
+    }
+
+    #[test]
+    fn decoder_matches_the_field_walk() {
+        let mut rng = xmem_core::rng::SplitMix64::new(0x0DEC);
+        let configs = [
+            cfg(),
+            DramConfig::ddr3_1066(3.6).with_capacity(64 << 20),
+            DramConfig {
+                channels: 4,
+                ranks: 2,
+                banks: 16,
+                ..DramConfig::default().with_capacity(1 << 30)
+            },
+        ];
+        for c in configs {
+            for m in AddressMapping::all_schemes() {
+                let d = m.decoder(&c);
+                for _ in 0..4096 {
+                    let addr = rng.next_u64() >> (rng.next_u64() % 40);
+                    assert_eq!(
+                        d.decode(addr),
+                        m.decode(addr, &c),
+                        "{} at {addr:#x}",
+                        m.name()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use xmem_core::addr::VirtAddr;
 use xmem_core::flatmap::FlatMap;
 
 /// TLB geometry and timing.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TlbConfig {
     /// Number of entries (fully associative).
     pub entries: usize,

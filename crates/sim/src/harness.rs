@@ -54,7 +54,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::config::SystemConfig;
-use crate::machine::{run, Generator};
+use crate::machine::{run, run_group, Generator, GroupKey, RunOutput};
 use crate::report::RunReport;
 use crate::report_sink::{config_kv, scan_point_records, write_point_record, JsonValue};
 use crate::sampling::{SamplingSpec, SamplingSummary};
@@ -84,7 +84,6 @@ where
         }
         let result = run(i, worker);
         // simlint: allow(unwrap, reason = "slot mutexes are never poisoned: worker panics are caught by catch_unwind inside run()")
-        // simlint: allow(panic-in-worker, reason = "the expect fires only on lock poisoning, which the catch_unwind inside run() rules out")
         *slots[i].lock().expect("result slot") = Some(result);
     };
     // The calling thread is worker 0, so a one-worker pool spawns no
@@ -101,7 +100,6 @@ where
     slots
         .into_iter()
         .map(|slot| {
-            // simlint: allow(panic-in-worker, reason = "runs after the scope joins; the expect fires only on lock poisoning, which the catch_unwind inside run() rules out")
             slot.into_inner()
                 // simlint: allow(unwrap, reason = "slot mutexes are never poisoned: worker panics are caught by catch_unwind inside run()")
                 .expect("result slot")
@@ -681,62 +679,159 @@ impl Sweep {
     /// order. Each point runs inside `catch_unwind`: a panicking spec
     /// yields [`RunOutcome::Failed`] while every other point completes
     /// (and streams, when a report directory is set). Never unwinds.
+    ///
+    /// Points that run the same workload on configs with one
+    /// [`GroupKey`] run as one group ([`run_group`]): one generator pass
+    /// and one front for all of them, each record identical to the point's
+    /// own [`run`]. A group is one job of the worker pool, so each of its
+    /// records carries the group's worker and the group's wall time as
+    /// `run.wall_nanos`. A group that panics reruns its points one at a
+    /// time, so each fails or completes exactly as it would alone. Resumed
+    /// points join no group.
     pub fn run_outcomes(&self) -> Vec<RunOutcome> {
         let total = self.specs.len();
         let progress = match &self.progress {
             Some(label) => Progress::new(label.clone(), total),
             None => Progress::silent(total),
         };
-        let outcomes = pool(total, self.workers, |i, worker| {
-            let spec = &self.specs[i];
-            if let Some(record) = self.resumed.get(&spec.label) {
+        let mut outcomes: Vec<Option<RunOutcome>> = self
+            .specs
+            .iter()
+            .map(|spec| {
+                let record = self.resumed.get(&spec.label)?;
                 progress.tick_resumed();
-                return RunOutcome::Resumed(record.clone());
-            }
-            // simlint: allow(nondet-taint, reason = "wall_nanos lands only in the RunMeta `run` block, which is documented pure observability and excluded from determinism comparisons")
-            let start = Instant::now();
-            match catch_unwind(AssertUnwindSafe(|| {
-                run(&spec.config, &spec.workload, self.epoch, self.sampling)
-            })) {
-                Ok(out) => {
-                    let record = RunRecord {
-                        label: spec.label.clone(),
-                        config: spec.config,
-                        workload: spec.workload.name(),
-                        workload_params: spec.workload.params_json(),
-                        report: out.report,
-                        telemetry: out.telemetry,
-                        sampling: out.sampling,
-                        run: Some(RunMeta {
-                            // simlint: allow(nondet-taint, reason = "wall_nanos lands only in the RunMeta `run` block, which is documented pure observability and excluded from determinism comparisons")
-                            wall_nanos: cycles_to_u64(start.elapsed().as_nanos()),
-                            worker: worker as u64,
-                            resumed: false,
-                        }),
-                    };
-                    if let Some(dir) = &self.stream_dir {
-                        if let Err(e) = write_point_record(dir, &record) {
-                            eprintln!(
-                                "warning: cannot stream record '{}' to {}: {e}",
-                                record.label,
-                                dir.display()
-                            );
-                        }
-                    }
-                    progress.tick(false);
-                    RunOutcome::Completed(record)
-                }
-                Err(payload) => {
-                    progress.tick(true);
-                    RunOutcome::Failed(RunFailure {
-                        label: spec.label.clone(),
-                        message: panic_message(payload),
-                    })
-                }
-            }
+                Some(RunOutcome::Resumed(record.clone()))
+            })
+            .collect();
+        let groups = self.groups();
+        let finished = pool(groups.len(), self.workers, |g, worker| {
+            self.run_group_job(&groups[g], worker, &progress)
         });
+        for (i, outcome) in finished.into_iter().flatten() {
+            outcomes[i] = Some(outcome);
+        }
         progress.finish();
         outcomes
+            .into_iter()
+            // simlint: allow(unwrap, reason = "every spec is either resumed or a member of exactly one group, and every group's job returns one outcome per member")
+            .map(|o| o.expect("every point has an outcome"))
+            .collect()
+    }
+
+    /// The points that run together, as spec indices in spec order: every
+    /// point that is not resumed, partitioned by workload and
+    /// [`GroupKey`]. Each group is one job of the worker pool, started in
+    /// the order of its first point.
+    pub fn groups(&self) -> Vec<Vec<usize>> {
+        let mut keys: Vec<(String, GroupKey)> = Vec::new();
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        for (i, spec) in self.specs.iter().enumerate() {
+            if self.resumed.contains_key(&spec.label) {
+                continue;
+            }
+            let key = (format!("{:?}", spec.workload), GroupKey::of(&spec.config));
+            match keys.iter().position(|k| *k == key) {
+                Some(g) => groups[g].push(i),
+                None => {
+                    keys.push(key);
+                    groups.push(vec![i]);
+                }
+            }
+        }
+        groups
+    }
+
+    /// Runs one group on pool worker `worker`, returning each member's
+    /// spec index and outcome.
+    fn run_group_job(
+        &self,
+        members: &[usize],
+        worker: usize,
+        progress: &Progress,
+    ) -> Vec<(usize, RunOutcome)> {
+        if members.len() > 1 {
+            let configs: Vec<SystemConfig> =
+                members.iter().map(|&i| self.specs[i].config).collect();
+            let workload = &self.specs[members[0]].workload;
+            // simlint: allow(nondet-taint, reason = "wall_nanos lands only in the RunMeta `run` block, which is documented pure observability and excluded from determinism comparisons")
+            let start = Instant::now();
+            if let Ok(outputs) = catch_unwind(AssertUnwindSafe(|| {
+                run_group(&configs, workload, self.epoch, self.sampling)
+            })) {
+                // simlint: allow(nondet-taint, reason = "wall_nanos lands only in the RunMeta `run` block, which is documented pure observability and excluded from determinism comparisons")
+                let wall_nanos = cycles_to_u64(start.elapsed().as_nanos());
+                return members
+                    .iter()
+                    .zip(outputs)
+                    .map(|(&i, out)| (i, self.complete(i, out, wall_nanos, worker, progress)))
+                    .collect();
+            }
+        }
+        members
+            .iter()
+            .map(|&i| (i, self.run_point(i, worker, progress)))
+            .collect()
+    }
+
+    /// Runs point `i` on its own.
+    fn run_point(&self, i: usize, worker: usize, progress: &Progress) -> RunOutcome {
+        let spec = &self.specs[i];
+        // simlint: allow(nondet-taint, reason = "wall_nanos lands only in the RunMeta `run` block, which is documented pure observability and excluded from determinism comparisons")
+        let start = Instant::now();
+        match catch_unwind(AssertUnwindSafe(|| {
+            run(&spec.config, &spec.workload, self.epoch, self.sampling)
+        })) {
+            Ok(out) => {
+                // simlint: allow(nondet-taint, reason = "wall_nanos lands only in the RunMeta `run` block, which is documented pure observability and excluded from determinism comparisons")
+                let wall_nanos = cycles_to_u64(start.elapsed().as_nanos());
+                self.complete(i, out, wall_nanos, worker, progress)
+            }
+            Err(payload) => {
+                progress.tick(true);
+                RunOutcome::Failed(RunFailure {
+                    label: spec.label.clone(),
+                    message: panic_message(payload),
+                })
+            }
+        }
+    }
+
+    /// Point `i`'s record from its run's output, streamed when a report
+    /// directory is set.
+    fn complete(
+        &self,
+        i: usize,
+        out: RunOutput,
+        wall_nanos: u64,
+        worker: usize,
+        progress: &Progress,
+    ) -> RunOutcome {
+        let spec = &self.specs[i];
+        let record = RunRecord {
+            label: spec.label.clone(),
+            config: spec.config,
+            workload: spec.workload.name(),
+            workload_params: spec.workload.params_json(),
+            report: out.report,
+            telemetry: out.telemetry,
+            sampling: out.sampling,
+            run: Some(RunMeta {
+                wall_nanos,
+                worker: worker as u64,
+                resumed: false,
+            }),
+        };
+        if let Some(dir) = &self.stream_dir {
+            if let Err(e) = write_point_record(dir, &record) {
+                eprintln!(
+                    "warning: cannot stream record '{}' to {}: {e}",
+                    record.label,
+                    dir.display()
+                );
+            }
+        }
+        progress.tick(false);
+        RunOutcome::Completed(record)
     }
 
     /// Executes every spec and returns one record per spec, in spec order.

@@ -57,7 +57,7 @@ pub use crate::harness::{
 };
 #[doc(hidden)]
 pub use crate::machine::run_scalar;
-pub use crate::machine::{run, Generator, Machine, RunOutput, ScanSink};
+pub use crate::machine::{run, run_group, Generator, GroupKey, Machine, RunOutput, ScanSink};
 pub use crate::multicore::{run_corun, CorunReport};
 pub use crate::report::RunReport;
 pub use crate::report_sink::{

@@ -13,26 +13,28 @@
 //!    model, XMem calls through `XMemLib` into the AMU.
 //!
 //! The machine is the only place a run builds its memory system. A
-//! [`run`] has one core; a co-run ([`crate::multicore::run_corun`]) builds
-//! the same machine with one core per log — each with a private L1/L2
-//! domain of the one [`Hierarchy`] — and steps its cores itself, while the
-//! OS, the AMU and the PATs serve them all. Telemetry, sampling and the
-//! TLB belong to the single-core [`run`].
+//! [`run`] has one core; [`run_group`] builds one machine for several
+//! single-core runs that differ only below the private caches (DESIGN.md
+//! "Lockstep sweep groups"); a co-run ([`crate::multicore::run_corun`])
+//! builds the same machine with one core per log — each with a private
+//! L1/L2 domain of the one [`Hierarchy`] — and steps its cores itself,
+//! while the OS, the AMU and the PATs serve them all. Telemetry, sampling
+//! and the TLB belong to the single-core runs.
 
 use crate::config::{FramePolicyKind, SystemConfig};
 use crate::report::RunReport;
 use crate::sampling::{SamplePhase, SamplingSpec, SamplingSummary, WindowFeatures};
 use crate::telemetry::{TelemetrySample, TelemetrySeries};
 use cache_sim::hierarchy::{Hierarchy, XmemContext};
-use cache_sim::BusConfig;
+use cache_sim::{BusConfig, CacheConfig};
 use cpu_sim::batch::{MemoryPath, OpAttrs, OpBatch, OpKind};
 use cpu_sim::core::Core;
 use cpu_sim::trace::Op;
-use dram_sim::Dram;
+use dram_sim::{AddressMapping, Dram, DramConfig};
 use os_sim::loader::load_segment;
 use os_sim::os::{Os, OsError};
 use os_sim::placement::FramePolicy;
-use os_sim::tlb::Tlb;
+use os_sim::tlb::{Tlb, TlbConfig};
 use std::collections::{BTreeMap, BTreeSet};
 use workloads::sink::{BatchEmitter, TraceSink};
 use xmem_core::aam::AamConfig;
@@ -193,23 +195,9 @@ impl MemSystem {
     /// Used by the sampled machine's warm phase so detailed windows do not
     /// open on cold state.
     fn warm_access(&mut self, va: u64, is_write: bool) {
-        // Recently-warmed-line filter: kernels touch each 64 B line several
-        // times in short order (8 doubles per line, interleaved across a
-        // few arrays), and a repeat access can only refresh LRU stamps that
-        // are already near-freshest. A small direct-mapped filter over the
-        // last lines warmed skips the full hierarchy walk for those
-        // repeats, which is most of the functional-warming cost on
-        // sequential streams. The approximation is bounded: only lines
-        // warmed since the last filter wipe are skipped, and a store after
-        // a clean access still walks, to set the dirty bit the first
-        // access did not.
-        let line = va >> WARM_LINE_SHIFT;
-        let slot = addr_to_index(line & (WARM_FILTER_ENTRIES as u64 - 1));
-        if self.warm_lines[slot] == line && (!is_write || self.warm_dirty[slot]) {
+        if self.warm_filtered(va, is_write) {
             return;
         }
-        self.warm_lines[slot] = line;
-        self.warm_dirty[slot] = is_write;
         if let Some(tlb) = self.tlb.as_mut() {
             let _ = tlb.translate_cost(VirtAddr::new(va));
         }
@@ -220,6 +208,28 @@ impl MemSystem {
             pf_pat: &self.pf_pat,
         });
         self.hierarchy.warm_access(pa, is_write, ctx);
+    }
+
+    /// The recently-warmed-line filter: whether a warming access to `va`
+    /// can be skipped, noting it otherwise. Kernels touch each 64 B line
+    /// several times in short order (8 doubles per line, interleaved
+    /// across a few arrays), and a repeat access can only refresh LRU
+    /// stamps that are already near-freshest. A small direct-mapped filter
+    /// over the last lines warmed skips the full hierarchy walk for those
+    /// repeats, which is most of the functional-warming cost on sequential
+    /// streams. The approximation is bounded: only lines warmed since the
+    /// last filter wipe are skipped, and a store after a clean access
+    /// still walks, to set the dirty bit the first access did not.
+    #[inline]
+    fn warm_filtered(&mut self, va: u64, is_write: bool) -> bool {
+        let line = va >> WARM_LINE_SHIFT;
+        let slot = addr_to_index(line & (WARM_FILTER_ENTRIES as u64 - 1));
+        if self.warm_lines[slot] == line && (!is_write || self.warm_dirty[slot]) {
+            return true;
+        }
+        self.warm_lines[slot] = line;
+        self.warm_dirty[slot] = is_write;
+        false
     }
 }
 
@@ -314,132 +324,34 @@ struct SamplingState {
     windows: Vec<WindowFeatures>,
 }
 
-/// The executing machine (pass 2). Implements [`TraceSink`] so the workload
-/// generator drives it directly; the sink interface runs core 0.
+/// One member of the machine: the timing tier. It owns the member's cores
+/// (its DRAM is the hierarchy's DRAM of the same index), its telemetry and
+/// sampling counters, and it assembles the member's report.
+///
+/// Everything a leaf reads outside itself is either time-free state of the
+/// front or of its L3 node, or XMem state that only an XMem member reads:
+/// a Baseline leaf reports the front's ALB and XMem-instruction counters
+/// as absent, exactly as a Baseline machine of its own would count them.
 #[derive(Debug)]
-pub struct Machine {
+struct Leaf {
+    /// This member's index in the group (and its DRAM's in the hierarchy).
+    member: usize,
     cores: Vec<Core>,
-    mem: MemSystem,
-    lib: XMemLib,
-    labels: BTreeMap<String, AtomId>,
-    next_site: u32,
+    /// Whether this member runs XMem.
+    xmem: bool,
     /// Instruction count at which the next telemetry sample fires.
     /// `u64::MAX` when telemetry is disabled, so no op ever reaches it.
     next_sample_at: u64,
     telemetry: Option<TelemetryState>,
     /// Interval-sampling state; `None` (full detail everywhere) unless
-    /// [`Machine::enable_sampling`] armed a schedule.
+    /// [`Leaf::enable_sampling`] armed a schedule.
     sampling: Option<SamplingState>,
     /// Fixed latency warm-phase loads retire with (the L1 hit latency):
     /// cheap, deterministic, and close enough for functional warmup.
     warm_load_latency: u64,
 }
 
-/// Synthetic call-site file for atoms created through the sink interface.
-const SINK_SITE_FILE: &str = "<workload>";
-
-impl Machine {
-    /// Builds the machine for `config` with `cores` cores, loading
-    /// `segment` (the scanned program) into the OS/XMem tables. `lib`
-    /// holds the atoms already created (a co-run creates all of them
-    /// before it runs); `bus` makes the private domains MESI-coherent, and
-    /// `pin_exempt` atoms are never pinned in the L3.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the segment does not load.
-    pub(crate) fn new(
-        config: &SystemConfig,
-        segment: &AtomSegment,
-        lib: XMemLib,
-        cores: usize,
-        bus: Option<BusConfig>,
-        pin_exempt: BTreeSet<AtomId>,
-    ) -> Self {
-        let translator = AttributeTranslator::with_row_bytes(config.dram.row_bytes);
-        // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
-        let loaded = load_segment(ProcessId(0), segment, &translator).expect("program load failed");
-        let policy = match config.frame_policy {
-            FramePolicyKind::Sequential => FramePolicy::Sequential,
-            FramePolicyKind::Randomized { seed } => FramePolicy::Randomized { seed },
-            FramePolicyKind::XmemPlacement => FramePolicy::Xmem {
-                atoms: loaded.placement.clone(),
-                mapping: config.mapping,
-                dram: config.dram,
-            },
-        };
-        let os = Os::new(config.phys_bytes, 4096, policy);
-        let dram = if config.ideal_rbl {
-            Dram::new_ideal_rbl(config.dram, config.mapping)
-        } else {
-            Dram::new(config.dram, config.mapping)
-        };
-        let amu = AtomManagementUnit::new(AmuConfig {
-            aam: AamConfig {
-                phys_bytes: config.phys_bytes,
-                ..AamConfig::default()
-            },
-            alb_entries: 256,
-            page_size: 4096,
-        });
-        let xmem_enabled = config.hierarchy.xmem != cache_sim::XmemMode::Off;
-        let mut cache_pat = Pat::new();
-        let mut pf_pat = Pat::new();
-        if xmem_enabled {
-            cache_pat.fill_from_gat(&loaded.process.gat, |a| translator.for_cache(a));
-            pf_pat.fill_from_gat(&loaded.process.gat, |a| translator.for_prefetcher(a));
-        }
-        let mut hierarchy = Hierarchy::with_domains(config.hierarchy, dram, cores, bus);
-        hierarchy.set_pin_exempt(pin_exempt);
-        Machine {
-            cores: (0..cores).map(|_| Core::new(config.core)).collect(),
-            mem: MemSystem {
-                hierarchy,
-                amu,
-                cache_pat,
-                pf_pat,
-                tlb: config.tlb.map(Tlb::new),
-                xmem_enabled,
-                core: 0,
-                tc_vpn: [TC_EMPTY; TC_ENTRIES],
-                tc_pfn: [0; TC_ENTRIES],
-                page_shift: os.page_table().page_size().trailing_zeros(),
-                warm_lines: [u64::MAX; WARM_FILTER_ENTRIES],
-                warm_dirty: [false; WARM_FILTER_ENTRIES],
-                os,
-            },
-            lib,
-            labels: BTreeMap::new(),
-            next_site: 0,
-            next_sample_at: u64::MAX,
-            telemetry: None,
-            sampling: None,
-            warm_load_latency: config.hierarchy.l1.latency,
-        }
-    }
-
-    /// Runs `op` on core `core`, its accesses served by that core's domain.
-    #[inline]
-    pub(crate) fn step_core(&mut self, core: usize, op: Op) {
-        self.mem.core = core;
-        self.cores[core].step(op, &mut self.mem);
-    }
-
-    /// The cores, in index order.
-    pub(crate) fn cores(&self) -> &[Core] {
-        &self.cores
-    }
-
-    /// The cache hierarchy and DRAM shared by the cores.
-    pub(crate) fn hierarchy(&self) -> &Hierarchy {
-        &self.mem.hierarchy
-    }
-
-    /// The AMU's lookaside-buffer statistics.
-    pub(crate) fn alb_stats(&self) -> AlbStats {
-        self.mem.amu.alb_stats()
-    }
-
+impl Leaf {
     /// Turns on epoch sampling: one [`TelemetrySample`] per
     /// `epoch_instructions` retired (clamped to at least 1).
     fn enable_telemetry(&mut self, epoch_instructions: u64) {
@@ -473,7 +385,7 @@ impl Machine {
     /// Marks a detailed window in progress and, once its ramp has run,
     /// snapshots the cumulative counters so the window's features are pure
     /// steady-state deltas. Idempotent within a window.
-    fn open_window(&mut self) {
+    fn open_window(&mut self, mem: &MemSystem) {
         let need_snap = match self.sampling.as_mut() {
             Some(st) => {
                 st.window_active = true;
@@ -482,7 +394,7 @@ impl Machine {
             None => false,
         };
         if need_snap {
-            let snap = self.snapshot();
+            let snap = self.snapshot(mem);
             if let Some(st) = self.sampling.as_mut() {
                 st.window_start = Some(snap);
             }
@@ -492,7 +404,7 @@ impl Machine {
     /// Closes the in-progress detailed window (no-op when none is),
     /// recording its feature vector if the ramp completed and a measured
     /// segment exists.
-    fn close_window(&mut self) {
+    fn close_window(&mut self, mem: &MemSystem) {
         let start = match self.sampling.as_mut() {
             Some(st) if st.window_active => {
                 st.window_active = false;
@@ -505,7 +417,7 @@ impl Machine {
             // The window ended inside its ramp: nothing measured.
             return;
         };
-        let cur = self.snapshot();
+        let cur = self.snapshot(mem);
         let features = WindowFeatures {
             instructions: cur.instructions - start.instructions,
             cycles: cur.cycles.saturating_sub(start.cycles),
@@ -522,74 +434,20 @@ impl Machine {
         st.windows.push(features);
     }
 
-    /// Executes one op under the sampling schedule.
-    fn sampled_op(&mut self, op: Op) {
-        // simlint: allow(unwrap, reason = "only called from the sampled dispatch, which checked sampling.is_some()")
-        let st = self.sampling.as_ref().expect("sampling state present");
-        let spec = st.spec;
-        let phase = spec.phase_of(st.ops_seen);
-        let window_active = st.window_active;
-        match phase {
-            SamplePhase::Detailed => {
-                self.open_window();
-                self.cores[0].step(op, &mut self.mem);
-                if let Some(st) = self.sampling.as_mut() {
-                    st.detailed_ops += 1;
-                    st.window_detailed += 1;
-                }
-            }
-            SamplePhase::Warm => {
-                if window_active {
-                    self.close_window();
-                }
-                match op {
-                    Op::Load { addr, .. } => self.mem.warm_access(addr, false),
-                    Op::Store { addr, .. } => self.mem.warm_access(addr, true),
-                    Op::Compute(_) => {}
-                }
-                self.cores[0].step_fixed(op, self.warm_load_latency);
-                if let Some(st) = self.sampling.as_mut() {
-                    st.warm_ops += 1;
-                }
-            }
-            SamplePhase::FastForward => {
-                if window_active {
-                    self.close_window();
-                }
-                // Functional warming: caches, TLB, DRAM rows and AMU stats
-                // stay live through the fast-forward, or every window would
-                // open on partially-cold state and over-count misses
-                // (cold-state bias dwarfs every other sampling error).
-                // Only the core's timing is skipped.
-                match op {
-                    Op::Load { addr, .. } => self.mem.warm_access(addr, false),
-                    Op::Store { addr, .. } => self.mem.warm_access(addr, true),
-                    Op::Compute(_) => {}
-                }
-                self.cores[0].skip(op);
-            }
-        }
-        if let Some(st) = self.sampling.as_mut() {
-            st.ops_seen += 1;
-        }
-        if self.cores[0].instructions() >= self.next_sample_at {
-            self.take_sample();
-        }
-    }
-
     /// Fires the sampling boundary that falls at the current op, if any
     /// (a window's close, or its ramp snapshot), and returns the phase the
     /// next ops execute in plus how many of the next `remaining` ops run
     /// before the following phase edge or ramp snapshot. Unsampled, every
-    /// op is detailed and nothing here splits the run.
-    fn enter_phase(&mut self, remaining: usize) -> (SamplePhase, usize) {
+    /// op is detailed and nothing here splits the run. The answer depends
+    /// on op counts only, so every leaf of a group gives the same one.
+    fn enter_phase(&mut self, mem: &MemSystem, remaining: usize) -> (SamplePhase, usize) {
         let Some(st) = self.sampling.as_ref() else {
             return (SamplePhase::Detailed, remaining);
         };
         let phase = st.spec.phase_of(st.ops_seen);
         let mut run = st.spec.phase_run(st.ops_seen);
         if phase == SamplePhase::Detailed {
-            self.open_window();
+            self.open_window(mem);
             // simlint: allow(unwrap, reason = "checked at entry; open_window does not clear the sampling state")
             let st = self.sampling.as_ref().expect("sampling state present");
             if st.window_start.is_none() {
@@ -598,9 +456,25 @@ impl Machine {
                 run = run.min(st.ramp - st.window_detailed);
             }
         } else {
-            self.close_window();
+            self.close_window(mem);
         }
         (phase, run.min(remaining as u64) as usize)
+    }
+
+    /// Accounts `n` ops run in `phase` to the sampling schedule.
+    fn account(&mut self, phase: SamplePhase, n: usize) {
+        if let Some(st) = self.sampling.as_mut() {
+            let n = n as u64;
+            st.ops_seen += n;
+            match phase {
+                SamplePhase::Detailed => {
+                    st.detailed_ops += n;
+                    st.window_detailed += n;
+                }
+                SamplePhase::Warm => st.warm_ops += n,
+                SamplePhase::FastForward => {}
+            }
+        }
     }
 
     /// Splits ops `start..end` of `batch` at the op whose retirement brings
@@ -630,61 +504,55 @@ impl Machine {
         (end, false)
     }
 
-    /// Migrates the page containing `va` to a fresh frame (see
-    /// [`Os::migrate_page`]) and invalidates the machine's translate-cache
-    /// entry for it, so the next access observes the new binding. The TLB
-    /// needs no hook: it models walk *cost* only and stores no frame
-    /// numbers, so a migration cannot make it wrong.
-    pub fn migrate_page(&mut self, va: u64, atom: Option<AtomId>) -> Result<u64, OsError> {
-        let pfn = self.mem.os.migrate_page(VirtAddr::new(va), atom)?;
-        self.mem.invalidate_translation(va);
-        Ok(pfn)
-    }
-
     /// Captures the current cumulative counters across all layers.
-    fn snapshot(&self) -> Snapshot {
+    fn snapshot(&self, mem: &MemSystem) -> Snapshot {
         let core = self.cores[0].stats();
-        let dram = self.mem.hierarchy.dram_stats();
-        let alb = self.mem.amu.alb_stats();
-        let stride = self
-            .mem
-            .hierarchy
-            .stride_prefetch_stats()
+        let h = &mem.hierarchy;
+        let dram = h.member_dram(self.member);
+        let dram_stats = dram.stats();
+        let (alb, amu_invalidations) = if self.xmem {
+            (mem.amu.alb_stats(), mem.amu.alb_invalidations())
+        } else {
+            (AlbStats::default(), 0)
+        };
+        let stride = h
+            .member_stride_prefetch_stats(self.member)
             .unwrap_or_default();
-        let xmem_pf = self.mem.hierarchy.xmem_prefetch_stats();
+        let xmem_pf = h.member_xmem_prefetch_stats(self.member);
         Snapshot {
             instructions: core.instructions,
             cycles: core.cycles,
-            l1_misses: self.mem.hierarchy.l1_stats().misses(),
-            l2_misses: self.mem.hierarchy.l2_stats().misses(),
-            l3_misses: self.mem.hierarchy.l3_stats().misses(),
+            l1_misses: h.l1_stats().misses(),
+            l2_misses: h.l2_stats().misses(),
+            l3_misses: h.member_l3_stats(self.member).misses(),
             prefetch_issued: stride.issued + xmem_pf.issued,
             prefetch_useful: stride.useful + xmem_pf.useful,
-            row_hits: dram.row_hits,
-            dram_accesses: dram.accesses(),
-            busy_bank_cycles: self.mem.hierarchy.dram().busy_bank_cycles(),
+            row_hits: dram_stats.row_hits,
+            dram_accesses: dram_stats.accesses(),
+            busy_bank_cycles: dram.busy_bank_cycles(),
             alb_hits: alb.hits,
             alb_lookups: alb.lookups(),
-            amu_invalidations: self.mem.amu.alb_invalidations(),
+            amu_invalidations,
         }
     }
 
     /// Closes the current epoch: records per-epoch deltas plus
     /// instantaneous gauges, then arms the next boundary.
-    fn take_sample(&mut self) {
+    fn take_sample(&mut self, mem: &MemSystem) {
         let Some(prev) = self.telemetry.as_ref().map(|t| t.prev) else {
             // Not enabled — only reachable if `next_sample_at` was armed
             // without state; disarm so the per-op check stays cold.
             self.next_sample_at = u64::MAX;
             return;
         };
-        let cur = self.snapshot();
+        let cur = self.snapshot(mem);
         let d_instr = cur.instructions - prev.instructions;
         let d_cycles = cur.cycles.saturating_sub(prev.cycles);
         let ratio = |n: u64, d: u64| if d == 0 { 0.0 } else { n as f64 / d as f64 };
         let per_kilo = |n: u64| ratio(n, d_instr) * 1000.0;
         let now = self.cores[0].now();
-        let dram = self.mem.hierarchy.dram();
+        let h = &mem.hierarchy;
+        let dram = h.member_dram(self.member);
         let total_banks = dram.config().total_banks() as u64;
         let sample = TelemetrySample {
             instructions: cur.instructions,
@@ -695,8 +563,8 @@ impl Machine {
             l1_mpki: per_kilo(cur.l1_misses - prev.l1_misses),
             l2_mpki: per_kilo(cur.l2_misses - prev.l2_misses),
             l3_mpki: per_kilo(cur.l3_misses - prev.l3_misses),
-            l2_psel: self.mem.hierarchy.l2_psel() as f64,
-            l3_psel: self.mem.hierarchy.l3_psel() as f64,
+            l2_psel: h.l2_psel() as f64,
+            l3_psel: h.member_l3_psel(self.member) as f64,
             prefetch_issued: cur.prefetch_issued - prev.prefetch_issued,
             prefetch_useful: cur.prefetch_useful - prev.prefetch_useful,
             row_hit_rate: ratio(
@@ -722,13 +590,14 @@ impl Machine {
         self.next_sample_at = (cur.instructions / epoch + 1) * epoch;
     }
 
-    /// Everything the run produced: report, telemetry series, and (for
-    /// sampled runs) the sampling summary. Closes any detailed window
+    /// Everything the member's run produced: report, telemetry series, and
+    /// (for sampled runs) the sampling summary. Closes any detailed window
     /// still open at generator end (a run ending mid-window is measured,
     /// not dropped) and flushes the trailing partial telemetry epoch, so
-    /// the series always covers the whole run.
-    fn finish(mut self) -> RunOutput {
-        self.close_window();
+    /// the series always covers the whole run. `lib` has counted the
+    /// program's instructions.
+    fn finish(mut self, mem: &MemSystem, lib: &XMemLib) -> RunOutput {
+        self.close_window(mem);
         let sampling = self.sampling.take().map(|st| {
             SamplingSummary::from_windows(
                 st.spec,
@@ -740,23 +609,32 @@ impl Machine {
         });
         if let Some(state) = &self.telemetry {
             if self.cores[0].instructions() > state.prev.instructions {
-                self.take_sample();
+                self.take_sample(mem);
             }
         }
         let telemetry = self.telemetry.take().map(|t| t.series);
-        let core = self.cores[0].stats();
-        self.lib.counter_mut().count_program(core.instructions);
+        let h = &mem.hierarchy;
+        let m = self.member;
+        let (alb, xmem_instructions, instruction_overhead) = if self.xmem {
+            (
+                mem.amu.alb_stats(),
+                lib.counter().xmem_instructions(),
+                lib.counter().overhead_fraction(),
+            )
+        } else {
+            (AlbStats::default(), 0, 0.0)
+        };
         let report = RunReport {
-            core,
-            l1: self.mem.hierarchy.l1_stats(),
-            l2: self.mem.hierarchy.l2_stats(),
-            l3: self.mem.hierarchy.l3_stats(),
-            dram: self.mem.hierarchy.dram_stats(),
-            alb: self.mem.amu.alb_stats(),
-            xmem_instructions: self.lib.counter().xmem_instructions(),
-            instruction_overhead: self.lib.counter().overhead_fraction(),
-            xmem_prefetch: self.mem.hierarchy.xmem_prefetch_stats(),
-            stride_prefetch: self.mem.hierarchy.stride_prefetch_stats(),
+            core: self.cores[0].stats(),
+            l1: h.l1_stats(),
+            l2: h.l2_stats(),
+            l3: h.member_l3_stats(m),
+            dram: h.member_dram(m).stats(),
+            alb,
+            xmem_instructions,
+            instruction_overhead,
+            xmem_prefetch: h.member_xmem_prefetch_stats(m),
+            stride_prefetch: h.member_stride_prefetch_stats(m),
         };
         RunOutput {
             report,
@@ -766,15 +644,435 @@ impl Machine {
     }
 }
 
+/// The executing machine (pass 2). Implements [`TraceSink`] so the workload
+/// generator drives it directly.
+///
+/// A machine simulates one *group*: members that differ only below the
+/// private caches ([`GroupKey`]) share one front — the OS, translate
+/// cache, TLB, warm-line filter, AMU/ALB/PATs, `XMemLib` and the private
+/// L1/L2 — while each member has its own leaf (cores, telemetry,
+/// sampling, report) and, through the hierarchy, its own L3 node and
+/// DRAM. A one-member machine serves each access through all tiers at
+/// once; a larger group runs each stretch of a batch through the front
+/// once and fans it out (see `op_batch`).
+#[derive(Debug)]
+pub struct Machine {
+    mem: MemSystem,
+    lib: XMemLib,
+    labels: BTreeMap<String, AtomId>,
+    next_site: u32,
+    leaves: Vec<Leaf>,
+}
+
+/// Synthetic call-site file for atoms created through the sink interface.
+const SINK_SITE_FILE: &str = "<workload>";
+
+/// Everything above the L3 that a run's configuration sets: runs whose
+/// keys are equal (on the same workload) produce identical front state —
+/// the same OS page table, translations, TLB, AMU contents, PATs and
+/// private-cache contents — so one machine can simulate them all as a
+/// group. The L3, stride prefetching, the XMem mode, DRAM timing, the
+/// Ideal-RBL DRAM and the core sit below the key, per member.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct GroupKey {
+    frame_policy: FramePolicyKind,
+    /// The address mapping and DRAM geometry XMem placement reads; `None`
+    /// under the other frame policies, which read neither.
+    placement: Option<(AddressMapping, DramConfig)>,
+    phys_bytes: u64,
+    tlb: Option<TlbConfig>,
+    l1: CacheConfig,
+    l2: CacheConfig,
+    /// The attribute translator's row size.
+    row_bytes: u64,
+}
+
+impl GroupKey {
+    /// The key of `config`.
+    pub fn of(config: &SystemConfig) -> Self {
+        GroupKey {
+            frame_policy: config.frame_policy,
+            placement: (config.frame_policy == FramePolicyKind::XmemPlacement)
+                .then_some((config.mapping, config.dram)),
+            phys_bytes: config.phys_bytes,
+            tlb: config.tlb,
+            l1: config.hierarchy.l1,
+            l2: config.hierarchy.l2,
+            row_bytes: config.dram.row_bytes,
+        }
+    }
+}
+
+impl Machine {
+    /// Builds the machine for the group `configs` with `cores` cores per
+    /// member, loading `segment` (the scanned program) into the OS/XMem
+    /// tables. `lib` holds the atoms already created (a co-run creates all
+    /// of them before it runs); `bus` makes the private domains
+    /// MESI-coherent, and `pin_exempt` atoms are never pinned in the L3.
+    /// The front is built from the first config; it runs XMem when any
+    /// member does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the segment does not load, or if the configs do not share
+    /// one [`GroupKey`] — or, with more than one, if a bus or more than one
+    /// core is asked for: only single-core runs group
+    /// ([`Hierarchy::with_members`]).
+    pub(crate) fn new(
+        configs: &[SystemConfig],
+        segment: &AtomSegment,
+        lib: XMemLib,
+        cores: usize,
+        bus: Option<BusConfig>,
+        pin_exempt: BTreeSet<AtomId>,
+    ) -> Self {
+        let config = &configs[0];
+        assert!(
+            configs
+                .iter()
+                .all(|c| GroupKey::of(c) == GroupKey::of(config)),
+            "a machine's members share one group key"
+        );
+        let translator = AttributeTranslator::with_row_bytes(config.dram.row_bytes);
+        // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
+        let loaded = load_segment(ProcessId(0), segment, &translator).expect("program load failed");
+        let policy = match config.frame_policy {
+            FramePolicyKind::Sequential => FramePolicy::Sequential,
+            FramePolicyKind::Randomized { seed } => FramePolicy::Randomized { seed },
+            FramePolicyKind::XmemPlacement => FramePolicy::Xmem {
+                atoms: loaded.placement.clone(),
+                mapping: config.mapping,
+                dram: config.dram,
+            },
+        };
+        let os = Os::new(config.phys_bytes, 4096, policy);
+        let amu = AtomManagementUnit::new(AmuConfig {
+            aam: AamConfig {
+                phys_bytes: config.phys_bytes,
+                ..AamConfig::default()
+            },
+            alb_entries: 256,
+            page_size: 4096,
+        });
+        let member_xmem = |c: &SystemConfig| c.hierarchy.xmem != cache_sim::XmemMode::Off;
+        let xmem_enabled = configs.iter().any(member_xmem);
+        let mut cache_pat = Pat::new();
+        let mut pf_pat = Pat::new();
+        if xmem_enabled {
+            cache_pat.fill_from_gat(&loaded.process.gat, |a| translator.for_cache(a));
+            pf_pat.fill_from_gat(&loaded.process.gat, |a| translator.for_prefetcher(a));
+        }
+        let members = configs
+            .iter()
+            .map(|c| {
+                let dram = if c.ideal_rbl {
+                    Dram::new_ideal_rbl(c.dram, c.mapping)
+                } else {
+                    Dram::new(c.dram, c.mapping)
+                };
+                (c.hierarchy, dram)
+            })
+            .collect::<Vec<_>>();
+        let mut hierarchy = Hierarchy::with_members(members, cores, bus);
+        hierarchy.set_pin_exempt(pin_exempt);
+        let leaves = configs
+            .iter()
+            .enumerate()
+            .map(|(member, c)| Leaf {
+                member,
+                cores: (0..cores).map(|_| Core::new(c.core)).collect(),
+                xmem: member_xmem(c),
+                next_sample_at: u64::MAX,
+                telemetry: None,
+                sampling: None,
+                warm_load_latency: c.hierarchy.l1.latency,
+            })
+            .collect();
+        Machine {
+            mem: MemSystem {
+                hierarchy,
+                amu,
+                cache_pat,
+                pf_pat,
+                tlb: config.tlb.map(Tlb::new),
+                xmem_enabled,
+                core: 0,
+                tc_vpn: [TC_EMPTY; TC_ENTRIES],
+                tc_pfn: [0; TC_ENTRIES],
+                page_shift: os.page_table().page_size().trailing_zeros(),
+                warm_lines: [u64::MAX; WARM_FILTER_ENTRIES],
+                warm_dirty: [false; WARM_FILTER_ENTRIES],
+                os,
+            },
+            lib,
+            labels: BTreeMap::new(),
+            next_site: 0,
+            leaves,
+        }
+    }
+
+    /// Runs `op` on core `core` of a one-member machine, its accesses
+    /// served by that core's domain.
+    #[inline]
+    pub(crate) fn step_core(&mut self, core: usize, op: Op) {
+        self.mem.core = core;
+        self.leaves[0].cores[core].step(op, &mut self.mem);
+    }
+
+    /// The first member's cores, in index order.
+    pub(crate) fn cores(&self) -> &[Core] {
+        &self.leaves[0].cores
+    }
+
+    /// The cache hierarchy and DRAM shared by the cores.
+    pub(crate) fn hierarchy(&self) -> &Hierarchy {
+        &self.mem.hierarchy
+    }
+
+    /// The AMU's lookaside-buffer statistics.
+    pub(crate) fn alb_stats(&self) -> AlbStats {
+        self.mem.amu.alb_stats()
+    }
+
+    /// Migrates the page containing `va` to a fresh frame (see
+    /// [`Os::migrate_page`]) and invalidates the machine's translate-cache
+    /// entry for it, so the next access observes the new binding. The TLB
+    /// needs no hook: it models walk *cost* only and stores no frame
+    /// numbers, so a migration cannot make it wrong.
+    pub fn migrate_page(&mut self, va: u64, atom: Option<AtomId>) -> Result<u64, OsError> {
+        let pfn = self.mem.os.migrate_page(VirtAddr::new(va), atom)?;
+        self.mem.invalidate_translation(va);
+        Ok(pfn)
+    }
+
+    /// Executes one op of a one-member machine under the sampling
+    /// schedule.
+    fn sampled_op(&mut self, op: Op) {
+        let leaf = &mut self.leaves[0];
+        // simlint: allow(unwrap, reason = "only called from the sampled dispatch, which checked sampling.is_some()")
+        let st = leaf.sampling.as_ref().expect("sampling state present");
+        let spec = st.spec;
+        let phase = spec.phase_of(st.ops_seen);
+        let window_active = st.window_active;
+        match phase {
+            SamplePhase::Detailed => {
+                leaf.open_window(&self.mem);
+                leaf.cores[0].step(op, &mut self.mem);
+                if let Some(st) = leaf.sampling.as_mut() {
+                    st.detailed_ops += 1;
+                    st.window_detailed += 1;
+                }
+            }
+            SamplePhase::Warm => {
+                if window_active {
+                    leaf.close_window(&self.mem);
+                }
+                match op {
+                    Op::Load { addr, .. } => self.mem.warm_access(addr, false),
+                    Op::Store { addr } => self.mem.warm_access(addr, true),
+                    Op::Compute(_) => {}
+                }
+                leaf.cores[0].step_fixed(op, leaf.warm_load_latency);
+                if let Some(st) = leaf.sampling.as_mut() {
+                    st.warm_ops += 1;
+                }
+            }
+            SamplePhase::FastForward => {
+                if window_active {
+                    leaf.close_window(&self.mem);
+                }
+                // Functional warming: caches, TLB, DRAM rows and AMU stats
+                // stay live through the fast-forward, or every window would
+                // open on partially-cold state and over-count misses
+                // (cold-state bias dwarfs every other sampling error).
+                // Only the core's timing is skipped.
+                match op {
+                    Op::Load { addr, .. } => self.mem.warm_access(addr, false),
+                    Op::Store { addr } => self.mem.warm_access(addr, true),
+                    Op::Compute(_) => {}
+                }
+                leaf.cores[0].skip(op);
+            }
+        }
+        if let Some(st) = leaf.sampling.as_mut() {
+            st.ops_seen += 1;
+        }
+        if leaf.cores[0].instructions() >= leaf.next_sample_at {
+            leaf.take_sample(&self.mem);
+        }
+    }
+
+    /// Runs ops `start..end` of `batch` in `phase` on a one-member
+    /// machine: each access served through all tiers at once.
+    fn run_stretch(&mut self, phase: SamplePhase, batch: &OpBatch, start: usize, end: usize) {
+        let leaf = &mut self.leaves[0];
+        match phase {
+            SamplePhase::Detailed => {
+                leaf.cores[0].step_batch_range(batch, start, end, &mut self.mem);
+            }
+            SamplePhase::Warm => {
+                for j in start..end {
+                    match batch.kind(j) {
+                        OpKind::Load => self.mem.warm_access(batch.addr(j), false),
+                        OpKind::Store => self.mem.warm_access(batch.addr(j), true),
+                        OpKind::Compute => {}
+                    }
+                    leaf.cores[0].step_fixed(batch.op(j), leaf.warm_load_latency);
+                }
+            }
+            SamplePhase::FastForward => {
+                // Functional warming, as in `sampled_op`: memory state
+                // stays live through the fast-forward; only the core's
+                // timing is skipped. Loads/stores tally into one bulk
+                // skip (instant-retiring skips are order-free), so the
+                // loop's only per-op work is the warm access itself.
+                let mut loads = 0u64;
+                let mut stores = 0u64;
+                for j in start..end {
+                    match batch.kind(j) {
+                        OpKind::Load => {
+                            self.mem.warm_access(batch.addr(j), false);
+                            loads += 1;
+                        }
+                        OpKind::Store => {
+                            self.mem.warm_access(batch.addr(j), true);
+                            stores += 1;
+                        }
+                        OpKind::Compute => leaf.cores[0].skip(batch.op(j)),
+                    }
+                }
+                leaf.cores[0].skip_bulk(loads, stores);
+            }
+        }
+    }
+
+    /// Runs ops `start..end` of `batch` in `phase` on a group: the front
+    /// runs the stretch once, every L3 node runs what reached below the
+    /// private levels, and then every leaf runs its core over the stretch
+    /// with its DRAM replaying its node's requests at its own times.
+    fn fan_out_stretch(&mut self, phase: SamplePhase, batch: &OpBatch, start: usize, end: usize) {
+        self.mem.hierarchy.begin_stretch();
+        let detailed = phase == SamplePhase::Detailed;
+        for j in start..end {
+            let is_write = match batch.kind(j) {
+                OpKind::Load => false,
+                OpKind::Store => true,
+                OpKind::Compute => continue,
+            };
+            if detailed {
+                self.mem.record(batch.addr(j), is_write);
+            } else {
+                self.mem.record_warm(batch.addr(j), is_write);
+            }
+        }
+        self.mem.fan_out();
+        for leaf in &mut self.leaves {
+            let replay = self.mem.hierarchy.replay(leaf.member);
+            let core = &mut leaf.cores[0];
+            match phase {
+                SamplePhase::Detailed => {
+                    let mut replay = replay;
+                    core.step_batch_range(batch, start, end, &mut replay);
+                    debug_assert!(replay.is_done(), "the leaf served every access");
+                }
+                SamplePhase::Warm => {
+                    replay.warm();
+                    for j in start..end {
+                        core.step_fixed(batch.op(j), leaf.warm_load_latency);
+                    }
+                }
+                SamplePhase::FastForward => {
+                    replay.warm();
+                    for j in start..end {
+                        core.skip(batch.op(j));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Everything the run produced, one output per member in member order.
+    fn finish(mut self) -> Vec<RunOutput> {
+        let instructions = self.leaves[0].cores[0].instructions();
+        debug_assert!(
+            self.leaves
+                .iter()
+                .all(|l| l.cores[0].instructions() == instructions),
+            "every member retires the same program"
+        );
+        self.lib.counter_mut().count_program(instructions);
+        let (mem, lib) = (&self.mem, &self.lib);
+        self.leaves
+            .into_iter()
+            .map(|leaf| leaf.finish(mem, lib))
+            .collect()
+    }
+}
+
+impl MemSystem {
+    /// A group's detailed access to `va`: the TLB, translation, and the
+    /// hierarchy's front, noted for the L3 nodes and the leaves.
+    #[inline]
+    fn record(&mut self, va: u64, is_write: bool) {
+        let walk = self
+            .tlb
+            .as_mut()
+            .map(|t| t.translate_cost(VirtAddr::new(va)))
+            .unwrap_or(0);
+        let pa = self.translate(va);
+        let ctx = self.xmem_enabled.then_some(XmemContext {
+            amu: &mut self.amu,
+            cache_pat: &self.cache_pat,
+            pf_pat: &self.pf_pat,
+        });
+        self.hierarchy.record(pa, is_write, walk, ctx);
+    }
+
+    /// A group's functional-warming access to `va`: the front part of
+    /// [`MemSystem::warm_access`].
+    fn record_warm(&mut self, va: u64, is_write: bool) {
+        if self.warm_filtered(va, is_write) {
+            return;
+        }
+        if let Some(tlb) = self.tlb.as_mut() {
+            let _ = tlb.translate_cost(VirtAddr::new(va));
+        }
+        let pa = self.translate(va);
+        let ctx = self.xmem_enabled.then_some(XmemContext {
+            amu: &mut self.amu,
+            cache_pat: &self.cache_pat,
+            pf_pat: &self.pf_pat,
+        });
+        self.hierarchy.record_warm(pa, is_write, ctx);
+    }
+
+    /// Runs the hierarchy's L3 nodes over the recorded stretch.
+    fn fan_out(&mut self) {
+        let ctx = self.xmem_enabled.then_some(XmemContext {
+            amu: &mut self.amu,
+            cache_pat: &self.cache_pat,
+            pf_pat: &self.pf_pat,
+        });
+        self.hierarchy.fan_out(ctx);
+    }
+}
+
 impl TraceSink for Machine {
     fn op(&mut self, op: Op) {
-        if self.sampling.is_some() {
+        if self.leaves.len() > 1 {
+            let mut batch = OpBatch::new();
+            batch.push_op(op, 0);
+            self.op_batch(&batch);
+            return;
+        }
+        if self.leaves[0].sampling.is_some() {
             self.sampled_op(op);
             return;
         }
-        self.cores[0].step(op, &mut self.mem);
-        if self.cores[0].instructions() >= self.next_sample_at {
-            self.take_sample();
+        let leaf = &mut self.leaves[0];
+        leaf.cores[0].step(op, &mut self.mem);
+        if leaf.cores[0].instructions() >= leaf.next_sample_at {
+            leaf.take_sample(&self.mem);
         }
     }
 
@@ -783,65 +1081,33 @@ impl TraceSink for Machine {
     /// through its phase's tight loop, then that boundary fires. The
     /// boundaries are exactly where the per-op path ([`TraceSink::op`])
     /// fires them, so the two paths are observably identical. With nothing
-    /// armed the batch is one stretch: a single `step_batch_range`.
+    /// armed the batch is one stretch. Boundaries depend on op and
+    /// instruction counts only, so every member of a group splits the
+    /// batch at the same ops, and a boundary fires for each member after
+    /// the whole group has run the stretch.
     fn op_batch(&mut self, batch: &OpBatch) {
         let len = batch.len();
         let mut i = 0;
         while i < len {
-            let (phase, run) = self.enter_phase(len - i);
-            let (end, sample_due) = self.sample_split(batch, i, i + run);
-            match phase {
-                SamplePhase::Detailed => {
-                    self.cores[0].step_batch_range(batch, i, end, &mut self.mem);
-                }
-                SamplePhase::Warm => {
-                    for j in i..end {
-                        match batch.kind(j) {
-                            OpKind::Load => self.mem.warm_access(batch.addr(j), false),
-                            OpKind::Store => self.mem.warm_access(batch.addr(j), true),
-                            OpKind::Compute => {}
-                        }
-                        self.cores[0].step_fixed(batch.op(j), self.warm_load_latency);
-                    }
-                }
-                SamplePhase::FastForward => {
-                    // Functional warming, as in `sampled_op`: memory state
-                    // stays live through the fast-forward; only the core's
-                    // timing is skipped. Loads/stores tally into one bulk
-                    // skip (instant-retiring skips are order-free), so the
-                    // loop's only per-op work is the warm access itself.
-                    let mut loads = 0u64;
-                    let mut stores = 0u64;
-                    for j in i..end {
-                        match batch.kind(j) {
-                            OpKind::Load => {
-                                self.mem.warm_access(batch.addr(j), false);
-                                loads += 1;
-                            }
-                            OpKind::Store => {
-                                self.mem.warm_access(batch.addr(j), true);
-                                stores += 1;
-                            }
-                            OpKind::Compute => self.cores[0].skip(batch.op(j)),
-                        }
-                    }
-                    self.cores[0].skip_bulk(loads, stores);
-                }
+            let mut stretch = None;
+            for leaf in &mut self.leaves {
+                let s = leaf.enter_phase(&self.mem, len - i);
+                debug_assert!(stretch.is_none_or(|t| t == s), "members split alike");
+                stretch = Some(s);
             }
-            if let Some(st) = self.sampling.as_mut() {
-                let n = (end - i) as u64;
-                st.ops_seen += n;
-                match phase {
-                    SamplePhase::Detailed => {
-                        st.detailed_ops += n;
-                        st.window_detailed += n;
-                    }
-                    SamplePhase::Warm => st.warm_ops += n,
-                    SamplePhase::FastForward => {}
-                }
+            // simlint: allow(unwrap, reason = "a machine has at least one member")
+            let (phase, run) = stretch.expect("a machine has a member");
+            let (end, sample_due) = self.leaves[0].sample_split(batch, i, i + run);
+            if self.leaves.len() == 1 {
+                self.run_stretch(phase, batch, i, end);
+            } else {
+                self.fan_out_stretch(phase, batch, i, end);
             }
-            if sample_due {
-                self.take_sample();
+            for leaf in &mut self.leaves {
+                leaf.account(phase, end - i);
+                if sample_due {
+                    leaf.take_sample(&self.mem);
+                }
             }
             i = end;
         }
@@ -1000,6 +1266,7 @@ pub struct RunOutput {
 /// Runs `generator` on a machine configured by `config`: the two-pass
 /// compile/load/execute flow, with the executing pass buffered into
 /// [`OpBatch`]es. Deterministic: identical inputs give identical outputs.
+/// A one-member [`run_group`].
 ///
 /// `epoch` additionally samples a [`TelemetrySeries`] every that many
 /// retired instructions; `sampling` executes under an interval
@@ -1032,7 +1299,29 @@ pub fn run<G: Generator>(
     epoch: Option<u64>,
     sampling: Option<SamplingSpec>,
 ) -> RunOutput {
-    let mut machine = prologue(config, generator, epoch, sampling);
+    only(run_group(
+        std::slice::from_ref(config),
+        generator,
+        epoch,
+        sampling,
+    ))
+}
+
+/// Runs `generator` once for every config of a group — configs that
+/// share a [`GroupKey`] — and returns one output per config, in order,
+/// each equal to what [`run`] returns for that config alone: one scan and
+/// load, one generator pass and one front serve the whole group.
+///
+/// # Panics
+///
+/// Panics if `configs` is empty or its configs do not share a key.
+pub fn run_group<G: Generator>(
+    configs: &[SystemConfig],
+    generator: &G,
+    epoch: Option<u64>,
+    sampling: Option<SamplingSpec>,
+) -> Vec<RunOutput> {
+    let mut machine = prologue(configs, generator, epoch, sampling);
     {
         let mut emitter = BatchEmitter::new(&mut machine);
         generator.emit(&mut emitter);
@@ -1055,16 +1344,23 @@ pub fn run_scalar<G: Generator>(
     epoch: Option<u64>,
     sampling: Option<SamplingSpec>,
 ) -> RunOutput {
-    let mut machine = prologue(config, generator, epoch, sampling);
+    let mut machine = prologue(std::slice::from_ref(config), generator, epoch, sampling);
     generator.emit(&mut machine);
-    machine.finish()
+    only(machine.finish())
+}
+
+/// The output of a one-member machine.
+fn only(mut outputs: Vec<RunOutput>) -> RunOutput {
+    debug_assert_eq!(outputs.len(), 1);
+    // simlint: allow(unwrap, reason = "a one-member machine finishes with one output")
+    outputs.pop().expect("one member, one output")
 }
 
 /// The prologue of every run: scans the program (compile-time atom
 /// summarization), loads its segment (GAT, translator, PATs, placement
 /// primitives), builds the machine and arms telemetry and sampling.
 fn prologue<G: Generator>(
-    config: &SystemConfig,
+    configs: &[SystemConfig],
     generator: &G,
     epoch: Option<u64>,
     sampling: Option<SamplingSpec>,
@@ -1072,18 +1368,20 @@ fn prologue<G: Generator>(
     let mut scan = ScanSink::new();
     generator.emit(&mut scan);
     let mut machine = Machine::new(
-        config,
+        configs,
         &scan.segment(),
         XMemLib::new(),
         1,
         None,
         BTreeSet::new(),
     );
-    if let Some(epoch) = epoch {
-        machine.enable_telemetry(epoch);
-    }
-    if let Some(spec) = sampling {
-        machine.enable_sampling(spec);
+    for leaf in &mut machine.leaves {
+        if let Some(epoch) = epoch {
+            leaf.enable_telemetry(epoch);
+        }
+        if let Some(spec) = sampling {
+            leaf.enable_sampling(spec);
+        }
     }
     machine
 }
@@ -1224,7 +1522,12 @@ mod tests {
     /// A bare machine over an empty program, for tests that drive the
     /// sink interface directly.
     fn bare_machine(cfg: &SystemConfig) -> Machine {
-        prologue(cfg, &|_: &mut dyn TraceSink| {}, None, None)
+        prologue(
+            std::slice::from_ref(cfg),
+            &|_: &mut dyn TraceSink| {},
+            None,
+            None,
+        )
     }
 
     #[test]
@@ -1244,7 +1547,7 @@ mod tests {
         // Accesses keep flowing through the migrated page.
         m.op(Op::load(va + 64));
         m.op(Op::store(va + 128));
-        assert!(m.cores[0].stats().loads == 2 && m.cores[0].stats().stores == 1);
+        assert!(m.cores()[0].stats().loads == 2 && m.cores()[0].stats().stores == 1);
     }
 
     #[test]

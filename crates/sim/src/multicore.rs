@@ -216,7 +216,7 @@ pub fn run_corun(config: &MultiCoreConfig, logs: &[Vec<TraceEvent>]) -> CorunRep
 
     // ── load time: the one machine, with a core per log ─────────────────
     let mut machine = Machine::new(
-        &config.system(),
+        &[config.system()],
         &lib.segment(),
         lib,
         config.cores,

@@ -6,8 +6,8 @@ use workloads::placement::PlacementWorkload;
 use workloads::polybench::{KernelParams, PolybenchKernel};
 use xmem_sim::{
     placement_specs, point_file_name, CsvSink, JsonSink, JsonValue, KernelRun, ReportSink,
-    RunOutcome, RunRecord, RunSpec, Sweep, SystemConfig, SystemKind, Uc2System, WorkloadSpec,
-    JSON_SCHEMA,
+    RunOutcome, RunRecord, RunSpec, SamplingSpec, Sweep, SystemConfig, SystemKind, Uc2System,
+    WorkloadSpec, JSON_SCHEMA,
 };
 
 fn kernel_grid() -> Vec<RunSpec> {
@@ -487,4 +487,155 @@ fn rendered_reports_byte_identical_across_worker_counts() {
         parallel.as_bytes(),
         "XMEM_WORKERS=1 vs 8 reports diverge"
     );
+}
+
+/// Renders `record` without its `run` block: the simulation's output.
+fn rendered(record: &RunRecord) -> String {
+    strip_run(&record.to_json()).render()
+}
+
+/// `spec`'s record from its own [`run`](xmem_sim::run).
+fn standalone(spec: &RunSpec) -> RunRecord {
+    standalone_with(spec, None)
+}
+
+/// [`standalone`] under the sampling schedule `sampling`.
+fn standalone_with(spec: &RunSpec, sampling: Option<SamplingSpec>) -> RunRecord {
+    let out = xmem_sim::run(&spec.config, &spec.workload, None, sampling);
+    RunRecord {
+        label: spec.label.clone(),
+        config: spec.config,
+        workload: spec.workload.name(),
+        workload_params: spec.workload.params_json(),
+        report: out.report,
+        telemetry: out.telemetry,
+        sampling: out.sampling,
+        run: None,
+    }
+}
+
+/// The points of one group: a small gemm on every system and two L3s.
+fn gemm_group() -> Vec<RunSpec> {
+    let p = KernelParams {
+        n: 24,
+        tile_bytes: 4 << 10,
+        steps: 2,
+        reuse: 200,
+    };
+    let mut specs = Vec::new();
+    for kind in [SystemKind::Baseline, SystemKind::XmemPref, SystemKind::Xmem] {
+        for l3 in [16 << 10, 32 << 10] {
+            let mut spec = KernelRun::new(PolybenchKernel::Gemm, p)
+                .system(kind)
+                .l3_bytes(l3)
+                .spec();
+            spec.label = format!("{}/{l3}", spec.label);
+            specs.push(spec);
+        }
+    }
+    specs
+}
+
+/// One member whose L3 geometry `Cache::new` rejects fails alone, with
+/// the message its own run gives; the group's other members still match
+/// their own runs.
+#[test]
+fn a_panicking_member_fails_alone() {
+    let mut specs = gemm_group();
+    // 48 KiB over 16 ways of 64 B lines is 48 sets: not a power of two.
+    specs[3].config.hierarchy.l3.size_bytes = 48 << 10;
+    let sweep = Sweep::new(specs.clone()).workers(1);
+    assert_eq!(sweep.groups(), vec![(0..specs.len()).collect::<Vec<_>>()]);
+    let alone = std::panic::catch_unwind(|| standalone(&specs[3]))
+        .expect_err("the bad geometry panics on its own too");
+    let alone = alone
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| alone.downcast_ref::<&str>().map(|s| s.to_string()))
+        .expect("a string panic");
+    for (i, (spec, outcome)) in specs.iter().zip(sweep.run_outcomes()).enumerate() {
+        match outcome {
+            RunOutcome::Failed(f) => {
+                assert_eq!(i, 3, "only the bad member fails");
+                assert_eq!(f.message, alone);
+            }
+            RunOutcome::Completed(r) => assert_eq!(rendered(&r), rendered(&standalone(spec))),
+            RunOutcome::Resumed(_) => panic!("nothing was resumed"),
+        }
+    }
+}
+
+/// Resumed points leave their group: the sweep runs only the rest.
+#[test]
+fn resumed_points_leave_their_group() {
+    let dir = std::env::temp_dir().join(format!("xmem-group-resume-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let specs = gemm_group();
+    let fresh = Sweep::new(specs.clone()).workers(1).report_dir(&dir).run();
+    for victim in [1, 4] {
+        std::fs::remove_file(dir.join(point_file_name(&specs[victim].label)))
+            .expect("delete a point file");
+    }
+    let sweep = Sweep::new(specs.clone()).workers(1).resume_from(&dir);
+    assert_eq!(sweep.groups(), vec![vec![1, 4]]);
+    let outcomes = sweep.run_outcomes();
+    for (i, (outcome, fresh)) in outcomes.iter().zip(&fresh).enumerate() {
+        let resumed = matches!(outcome, RunOutcome::Resumed(_));
+        assert_eq!(resumed, i != 1 && i != 4, "point {i}");
+        let r = outcome.record().expect("no failures");
+        assert_eq!(rendered(r), rendered(fresh));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A Baseline member of a group whose front runs XMem for its XMem
+/// members reports no ALB lookups and no XMem instructions — exactly its
+/// own run.
+#[test]
+fn a_baseline_member_reports_no_xmem_activity() {
+    let specs = gemm_group();
+    let records = Sweep::new(specs.clone()).workers(1).run();
+    for (spec, r) in specs.iter().zip(&records) {
+        assert_eq!(rendered(r), rendered(&standalone(spec)), "{}", spec.label);
+        if spec.config.hierarchy.xmem == cache_sim::XmemMode::Off {
+            assert_eq!(r.report.alb.lookups(), 0, "{}", spec.label);
+            assert_eq!(r.report.xmem_instructions, 0, "{}", spec.label);
+            assert_eq!(r.report.instruction_overhead, 0.0, "{}", spec.label);
+        } else {
+            assert!(r.report.alb.lookups() > 0, "{}", spec.label);
+            assert!(r.report.xmem_instructions > 0, "{}", spec.label);
+        }
+    }
+}
+
+/// With a TLB the front pays page walks before the L1, and under a
+/// sampling schedule it also warms through the TLB: a group's members
+/// still match their own runs, detailed and warming stretches alike.
+#[test]
+fn groups_with_a_tlb_match_standalone_runs() {
+    let specs: Vec<RunSpec> = gemm_group()
+        .into_iter()
+        .map(|mut spec| {
+            spec.config = spec.config.with_tlb();
+            spec
+        })
+        .collect();
+    let sampling = Some(SamplingSpec {
+        warmup_ops: 300,
+        window_ops: 1_200,
+        interval: 4_000,
+    });
+    for sampling in [None, sampling] {
+        let sweep = Sweep::new(specs.clone()).workers(1).sampling(sampling);
+        assert_eq!(sweep.groups().len(), 1);
+        for (spec, r) in specs.iter().zip(sweep.run()) {
+            assert_eq!(
+                rendered(&r),
+                rendered(&standalone_with(spec, sampling)),
+                "{} sampled: {}",
+                spec.label,
+                sampling.is_some()
+            );
+        }
+    }
 }
