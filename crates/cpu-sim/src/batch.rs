@@ -1,9 +1,7 @@
 //! The batched memory-path API: op buffers and the [`MemoryPath`] trait.
 //!
-//! The scalar interface ([`MemoryModel`]) costs one virtual call per
-//! simulated memory operation, and its positional arguments (`is_write`,
-//! `socket`, `salt`) had drifted apart across the sim crates. This module
-//! replaces that chain with one contract:
+//! This module is the one contract between the core model and the memory
+//! side of the machine:
 //!
 //! * [`OpBatch`] — a fixed-capacity, `#[repr(C)]` struct-of-arrays buffer
 //!   of trace operations: one lane per field (addresses, packed attribute
@@ -16,15 +14,13 @@
 //!   ([`MemoryPath::serve`]) or a whole buffer in place
 //!   ([`MemoryPath::serve_batch`]).
 //!
-//! Every [`MemoryModel`] is a `MemoryPath` through a blanket adapter, so
-//! scalar models (tests, fixed-latency stubs) keep working unchanged while
-//! the simulators implement the batched trait directly. Batched execution
-//! is *semantically identical* to scalar execution: ops are served in
-//! buffer order against the same mutable state, so reports are
-//! byte-identical either way (the identity suite in `crates/sim/tests`
-//! asserts this).
+//! Simple models (fixed-latency stubs, test doubles) implement only
+//! `serve` and inherit the default `serve_batch`. Batched execution is
+//! *semantically identical* to per-op execution: ops are served in buffer
+//! order against the same mutable state, so reports are byte-identical
+//! either way (the identity suite in `crates/sim/tests` asserts this).
 
-use crate::trace::{MemoryModel, Op};
+use crate::trace::Op;
 
 /// Fixed capacity of an [`OpBatch`] (ops per flush).
 ///
@@ -159,8 +155,7 @@ const fn kind_of(flags: u16) -> OpKind {
 /// batch.push_op(Op::load(0x40), 100);
 /// batch.push_op(Op::Compute(8), 100);
 /// batch.push_op(Op::store(0x80), 101);
-/// // FixedLatency is a scalar MemoryModel; the blanket adapter makes it
-/// // a MemoryPath.
+/// // FixedLatency implements only `serve`; `serve_batch` is the default.
 /// FixedLatency { latency: 7 }.serve_batch(&mut batch);
 /// assert_eq!(batch.latency(0), 7);
 /// assert_eq!(batch.latency(2), 7);
@@ -325,14 +320,10 @@ impl OpBatch {
 /// The batched interface between the core model and the memory hierarchy.
 ///
 /// This is the memory-path contract: [`MemoryPath::serve`] performs one
-/// access (the moral equivalent of the old scalar `access`, but with typed
-/// [`OpAttrs`]), and [`MemoryPath::serve_batch`] serves a whole
+/// access with typed [`OpAttrs`], and [`MemoryPath::serve_batch`] serves a whole
 /// [`OpBatch`] in place. Implementations mutate their internal state per
 /// op *in buffer order*, which is what keeps batched and scalar execution
 /// byte-identical.
-///
-/// Scalar [`MemoryModel`] implementations get this trait for free through
-/// the blanket adapter, which is the migration path for existing callers.
 pub trait MemoryPath {
     /// Serves one access at cycle `now`, returning its latency in cycles.
     fn serve(&mut self, addr: u64, attrs: OpAttrs, now: u64) -> u64;
@@ -348,15 +339,6 @@ pub trait MemoryPath {
             let latency = self.serve(batch.addr(i), batch.attrs(i), batch.start(i));
             batch.set_latency(i, latency);
         }
-    }
-}
-
-/// The scalar adapter: every [`MemoryModel`] serves the batched API by
-/// dropping the attributes it never modeled (`dep`, `socket`, `salt`).
-impl<M: MemoryModel + ?Sized> MemoryPath for M {
-    #[inline]
-    fn serve(&mut self, addr: u64, attrs: OpAttrs, now: u64) -> u64 {
-        self.access(addr, attrs.write, now)
     }
 }
 

@@ -3,8 +3,8 @@
 //! The CPU substrate for the XMem reproduction: a limited-window
 //! out-of-order core model ([`core::Core`]) driven by op traces
 //! ([`trace::Op`]) against any [`batch::MemoryPath`] — either per op or in
-//! fixed-size [`batch::OpBatch`] buffers. Scalar models implement the
-//! one-method [`trace::MemoryModel`] adapter instead.
+//! fixed-size [`batch::OpBatch`] buffers. Simple models implement only
+//! [`batch::MemoryPath::serve`].
 //!
 //! The model captures what memory-system studies need — issue bandwidth,
 //! ROB-bounded miss overlap, load-queue-bounded MLP, and dependent-load
@@ -33,4 +33,4 @@ pub use crate::batch::{MemoryPath, OpAttrs, OpBatch, OpKind, BATCH_CAPACITY};
 pub use crate::core::{Core, CoreConfig, CoreStats};
 pub use crate::kv::{KvPairs, KvValue};
 pub use crate::stats::LatencyHistogram;
-pub use crate::trace::{FixedLatency, MemoryModel, Op};
+pub use crate::trace::{FixedLatency, Op};

@@ -7,6 +7,8 @@
 //! abstraction level for memory-hierarchy simulation (the paper's zsim
 //! substrate drives its cache models the same way).
 
+use crate::batch::{MemoryPath, OpAttrs};
+
 /// One event in an instruction trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
@@ -64,23 +66,6 @@ impl Op {
     }
 }
 
-/// The *scalar adapter* trait for simple memory models.
-///
-/// The simulators implement the batched [`crate::batch::MemoryPath`]
-/// contract directly; a blanket impl in `crate::batch` lifts every
-/// `MemoryModel` to a `MemoryPath`, so fixed-latency stubs and test
-/// doubles stay one method long. New per-op `access` chains must not grow
-/// back in sim-state crates — simlint's `scalar-access` rule flags them;
-/// implement `MemoryPath::serve` (or use this adapter from a test) instead.
-///
-/// `access` is called once per load/store, with the core's issue time; it
-/// returns the access latency in core cycles. Implementations are expected
-/// to update their internal state (fills, replacements, bank timings).
-pub trait MemoryModel {
-    /// Performs an access at cycle `now`, returning its latency in cycles.
-    fn access(&mut self, addr: u64, is_write: bool, now: u64) -> u64;
-}
-
 /// A fixed-latency memory, useful for tests and core-model studies.
 #[derive(Debug, Clone, Copy)]
 pub struct FixedLatency {
@@ -88,8 +73,9 @@ pub struct FixedLatency {
     pub latency: u64,
 }
 
-impl MemoryModel for FixedLatency {
-    fn access(&mut self, _addr: u64, _is_write: bool, _now: u64) -> u64 {
+impl MemoryPath for FixedLatency {
+    #[inline]
+    fn serve(&mut self, _addr: u64, _attrs: OpAttrs, _now: u64) -> u64 {
         self.latency
     }
 }
@@ -117,7 +103,7 @@ mod tests {
     #[test]
     fn fixed_latency_model() {
         let mut m = FixedLatency { latency: 7 };
-        assert_eq!(m.access(0x100, false, 0), 7);
-        assert_eq!(m.access(0x200, true, 50), 7);
+        assert_eq!(m.serve(0x100, OpAttrs::read(), 0), 7);
+        assert_eq!(m.serve(0x200, OpAttrs::write().with_dep(true), 50), 7);
     }
 }

@@ -2,16 +2,17 @@
 //!
 //! The DRAM substrate for the XMem reproduction, modeled after DRAMSim2 as
 //! used in the paper's evaluation (Table 3): DDR3-1066 timing, 2 channels ×
-//! 1 rank × 8 banks, open-row policy, FR-FCFS scheduling, and a family of
-//! physical address mappings (the seven DRAMSim2 orderings plus
-//! permutation-based bank interleaving).
+//! 1 rank × 8 banks, open-row policy, and a family of physical address
+//! mappings (the seven DRAMSim2 orderings plus permutation-based bank
+//! interleaving).
 //!
 //! * [`DramConfig`] — geometry + timing (defaults per Table 3).
 //! * [`AddressMapping`] — PA → (channel, rank, bank, row, column).
-//! * [`Dram`] — the per-access timing model (row hits/misses/conflicts,
-//!   bank queueing, channel bus bandwidth).
+//! * [`Dram`] — the per-access timing model every experiment runs: requests
+//!   in arrival order (row hits/misses/conflicts, bank queueing, channel
+//!   bus bandwidth).
 //! * [`frfcfs`] — a standalone reordering FR-FCFS scheduler for batch
-//!   studies and ablation against FCFS.
+//!   studies and ablation against FCFS; no experiment runs it.
 //!
 //! ```
 //! use cpu_sim::batch::OpAttrs;

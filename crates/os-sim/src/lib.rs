@@ -30,7 +30,6 @@ pub mod numa;
 pub mod os;
 pub mod placement;
 pub mod tlb;
-pub mod virt;
 pub mod vm;
 
 pub use crate::hybrid::{HybridConfig, HybridMemory, HybridPolicy, HybridStats, Tier};
@@ -39,5 +38,4 @@ pub use crate::numa::{NumaConfig, NumaPlacement, NumaSystem};
 pub use crate::os::{Os, OsError};
 pub use crate::placement::{FrameAllocator, FramePolicy};
 pub use crate::tlb::{Tlb, TlbConfig, TlbStats};
-pub use crate::virt::{NestedPageTable, VirtualMachine, VmId};
 pub use crate::vm::PageTable;

@@ -21,15 +21,12 @@ use xmem_core::atom::AtomId;
 pub enum OsError {
     /// Physical memory is exhausted.
     OutOfMemory,
-    /// The virtual address is not mapped.
-    NotMapped,
 }
 
 impl std::fmt::Display for OsError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             OsError::OutOfMemory => f.write_str("out of physical memory"),
-            OsError::NotMapped => f.write_str("virtual address is not mapped"),
         }
     }
 }
@@ -99,30 +96,6 @@ impl Os {
         self.next_va = base + pages * page;
         Ok(VirtAddr::new(base))
     }
-
-    /// Migrates the page containing `va` to a freshly allocated frame
-    /// placed according to `atom`'s semantics (how a NUMA/hybrid placement
-    /// daemon rebalances a hot page), returning the new frame number. The
-    /// virtual address stays the same; the physical backing changes, so
-    /// any translation caches above the page table must be invalidated by
-    /// the caller (the machine does this). The old frame is not recycled —
-    /// the allocator is bump-style, matching the eager no-free model of
-    /// [`Os::malloc`].
-    ///
-    /// # Errors
-    ///
-    /// [`OsError::NotMapped`] when `va` has never been allocated;
-    /// [`OsError::OutOfMemory`] when no frame is available.
-    pub fn migrate_page(&mut self, va: VirtAddr, atom: Option<AtomId>) -> Result<u64, OsError> {
-        let page = self.frames.page_size();
-        let vpn = va.raw() / page;
-        if self.page_table.frame_of(vpn).is_none() {
-            return Err(OsError::NotMapped);
-        }
-        let pfn = self.frames.alloc(atom).ok_or(OsError::OutOfMemory)?;
-        self.page_table.map_page(vpn, pfn);
-        Ok(pfn)
-    }
 }
 
 #[cfg(test)]
@@ -161,44 +134,6 @@ mod tests {
         let mut os = Os::new(4 * 4096, 4096, FramePolicy::Sequential);
         assert!(os.malloc(4 * 4096, None).is_ok());
         assert_eq!(os.malloc(4096, None).unwrap_err(), OsError::OutOfMemory);
-    }
-
-    #[test]
-    fn migrate_page_rebinds_the_virtual_page() {
-        let mut os = Os::new(1 << 20, 4096, FramePolicy::Sequential);
-        let va = os.malloc(2 * 4096, None).unwrap();
-        let old_pa = os.page_table().translate(va + 8).unwrap().raw();
-        let new_pfn = os.migrate_page(va, None).unwrap();
-        let new_pa = os.page_table().translate(va + 8).unwrap().raw();
-        assert_ne!(new_pa, old_pa, "migration must change the backing");
-        assert_eq!(new_pa, new_pfn * 4096 + 8, "offset within page preserved");
-        // The neighbouring page is untouched.
-        let neighbour = os.page_table().translate(va + 4096).unwrap().raw();
-        assert_ne!(neighbour / 4096, new_pfn);
-        // Unmapped VAs are rejected, not silently mapped.
-        assert_eq!(
-            os.migrate_page(VirtAddr::new(0x7000_0000), None)
-                .unwrap_err(),
-            OsError::NotMapped
-        );
-    }
-
-    /// Migration remaps the page in place: the table's page count is
-    /// unchanged and the old frame no longer backs the VPN.
-    #[test]
-    fn migrate_page_remaps_without_adding_pages() {
-        let mut os = Os::new(1 << 20, 4096, FramePolicy::Sequential);
-        let va = os.malloc(3 * 4096, None).unwrap();
-        let vpn = va.raw() / 4096 + 1;
-        let old = os.page_table().frame_of(vpn).unwrap();
-        let new = os.migrate_page(va + 4096, None).unwrap();
-        assert_ne!(new, old);
-        assert_eq!(os.page_table().frame_of(vpn), Some(new));
-        assert_eq!(os.page_table().mapped_pages(), 3);
-        assert_eq!(
-            os.page_table().translate(va + 4096 + 5).unwrap().raw(),
-            new * 4096 + 5
-        );
     }
 
     #[test]

@@ -23,10 +23,11 @@ const NO_FRAME: u64 = u64::MAX;
 /// translates). [`Os::malloc`](crate::os::Os::malloc) bump-allocates
 /// virtual pages upward from page 1, so the live range is dense and low:
 /// those mappings live in a VPN-indexed frame vector, grown on demand up
-/// to the highest mapped VPN below [`DENSE_VPNS`], and a translation there
-/// is one bounds check and one load. Mappings at higher VPNs (sparse
-/// addresses such as tests place near 2^32 pages) go to a [`FlatMap`], so
-/// any VPN works without a large allocation. The table is never iterated.
+/// to the highest mapped VPN below 2^20 (the first 4 GiB with 4 KiB
+/// pages), and a translation there is one bounds check and one load.
+/// Mappings at higher VPNs (sparse addresses such as tests place near
+/// 2^32 pages) go to a [`FlatMap`], so any VPN works without a large
+/// allocation. The table is never iterated.
 ///
 /// # Examples
 ///

@@ -5,7 +5,7 @@
 //! on. [`run_placement`] / [`placement_specs`] cover use case 2 (Figs
 //! 7–8); the spec form exposes each system's §6.3 configuration grid so
 //! the bench binaries can flatten entire figures into one parallel
-//! [`Sweep`](crate::harness::Sweep).
+//! [`Sweep`].
 
 use crate::config::{FramePolicyKind, SystemConfig, SystemKind};
 use crate::harness::{RunSpec, Sweep, WorkloadSpec};

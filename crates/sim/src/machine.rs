@@ -32,7 +32,7 @@ use cpu_sim::core::Core;
 use cpu_sim::trace::Op;
 use dram_sim::{AddressMapping, Dram, DramConfig};
 use os_sim::loader::load_segment;
-use os_sim::os::{Os, OsError};
+use os_sim::os::Os;
 use os_sim::placement::FramePolicy;
 use os_sim::tlb::{Tlb, TlbConfig};
 use std::collections::{BTreeMap, BTreeSet};
@@ -170,23 +170,6 @@ impl MemSystem {
         self.tc_vpn[slot] = vpn;
         self.tc_pfn[slot] = pa >> self.page_shift;
         pa
-    }
-
-    /// Drops any translate-cache entry covering `va`'s page. Must be
-    /// called whenever the page table *rebinds* an existing VPN (page
-    /// migration): the cache is direct-mapped by VPN, so only the one
-    /// slot can be stale. Wholesale growth ([`Machine::alloc`]) wipes the
-    /// whole array instead.
-    #[inline]
-    fn invalidate_translation(&mut self, va: u64) {
-        let vpn = va >> self.page_shift;
-        let slot = addr_to_index(vpn & (TC_ENTRIES as u64 - 1));
-        if self.tc_vpn[slot] == vpn {
-            self.tc_vpn[slot] = TC_EMPTY;
-        }
-        // The warm-path filter may cover lines of this page; after a
-        // rebind their physical homes change, so force re-walks.
-        self.warm_lines = [u64::MAX; WARM_FILTER_ENTRIES];
     }
 
     /// Functional warmup access: touches the TLB (LRU/residency), the
@@ -832,17 +815,6 @@ impl Machine {
     /// The AMU's lookaside-buffer statistics.
     pub(crate) fn alb_stats(&self) -> AlbStats {
         self.mem.amu.alb_stats()
-    }
-
-    /// Migrates the page containing `va` to a fresh frame (see
-    /// [`Os::migrate_page`]) and invalidates the machine's translate-cache
-    /// entry for it, so the next access observes the new binding. The TLB
-    /// needs no hook: it models walk *cost* only and stores no frame
-    /// numbers, so a migration cannot make it wrong.
-    pub fn migrate_page(&mut self, va: u64, atom: Option<AtomId>) -> Result<u64, OsError> {
-        let pfn = self.mem.os.migrate_page(VirtAddr::new(va), atom)?;
-        self.mem.invalidate_translation(va);
-        Ok(pfn)
     }
 
     /// Executes one op of a one-member machine under the sampling
@@ -1517,44 +1489,6 @@ mod tests {
             "ALB activity must appear in the series"
         );
         assert!(report.alb.lookups() > 0);
-    }
-
-    /// A bare machine over an empty program, for tests that drive the
-    /// sink interface directly.
-    fn bare_machine(cfg: &SystemConfig) -> Machine {
-        prologue(
-            std::slice::from_ref(cfg),
-            &|_: &mut dyn TraceSink| {},
-            None,
-            None,
-        )
-    }
-
-    #[test]
-    fn translate_cache_invalidated_on_page_migration() {
-        let cfg = SystemConfig::scaled_use_case1(64 << 10, SystemKind::Baseline);
-        let mut m = bare_machine(&cfg);
-        let va = m.alloc(4096, None);
-        // Make the page's translate-cache entry hot.
-        m.op(Op::load(va + 8));
-        let old_pa = m.mem.translate(va + 8);
-        let new_pfn = m.migrate_page(va, None).expect("mapped page migrates");
-        // The regression: before the invalidation hook, the stale cached
-        // PFN survived the remap and this still returned `old_pa`.
-        let new_pa = m.mem.translate(va + 8);
-        assert_ne!(new_pa, old_pa, "stale translation served after migration");
-        assert_eq!(new_pa, (new_pfn << 12) | 8, "offset preserved in new frame");
-        // Accesses keep flowing through the migrated page.
-        m.op(Op::load(va + 64));
-        m.op(Op::store(va + 128));
-        assert!(m.cores()[0].stats().loads == 2 && m.cores()[0].stats().stores == 1);
-    }
-
-    #[test]
-    fn migrating_an_unmapped_page_is_an_error() {
-        let cfg = SystemConfig::scaled_use_case1(64 << 10, SystemKind::Baseline);
-        let mut m = bare_machine(&cfg);
-        assert_eq!(m.migrate_page(0x7000_0000, None), Err(OsError::NotMapped));
     }
 
     #[test]

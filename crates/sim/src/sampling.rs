@@ -372,7 +372,8 @@ pub struct SamplingSummary {
     pub coverage: f64,
     /// The post-stratification clusters, in cluster-index order.
     pub clusters: Vec<SampleCluster>,
-    /// Per-metric stratified estimates, in [`METRIC_COLUMNS`] order.
+    /// Per-metric stratified estimates, in the fixed order `ipc`,
+    /// `l1_mpki`, `l2_mpki`, `l3_mpki`, `row_hit_rate`, `alb_hit_rate`.
     pub metrics: Vec<(String, SampledMetric)>,
 }
 

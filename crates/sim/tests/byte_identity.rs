@@ -24,7 +24,7 @@
 //! epoch edges.
 
 use cpu_sim::batch::{MemoryPath, OpAttrs, OpBatch, OpKind, BATCH_CAPACITY};
-use cpu_sim::trace::{FixedLatency, Op};
+use cpu_sim::trace::Op;
 use dram_sim::{AddressMapping, Dram, DramConfig};
 use workloads::placement::PlacementWorkload;
 use workloads::polybench::{KernelParams, PolybenchKernel};
@@ -375,33 +375,6 @@ fn dram_serve_batch_matches_per_op_serve_fuzzed() {
             format!("{scalar:?}"),
             "DRAM state diverged"
         );
-    }
-}
-
-/// Fuzz: the blanket scalar adapter serves batches exactly as the scalar
-/// `MemoryModel::access` would, op for op.
-#[test]
-fn scalar_adapter_serve_batch_matches_access_fuzzed() {
-    use cpu_sim::trace::MemoryModel;
-    let mut rng = SplitMix64::new(0xF1);
-    let mut model = FixedLatency { latency: 13 };
-    for _ in 0..16 {
-        let mut batch = OpBatch::new();
-        for i in 0..rng.range(1, 257) {
-            random_push(&mut rng, &mut batch, i * 2);
-        }
-        let reference: Vec<Option<u64>> = (0..batch.len())
-            .map(|i| match batch.kind(i) {
-                OpKind::Compute => None,
-                _ => Some(model.access(batch.addr(i), batch.attrs(i).write, batch.start(i))),
-            })
-            .collect();
-        model.serve_batch(&mut batch);
-        for (i, expect) in reference.iter().enumerate() {
-            if let Some(lat) = expect {
-                assert_eq!(batch.latency(i), *lat);
-            }
-        }
     }
 }
 

@@ -15,7 +15,7 @@
 //! The graph is a deliberate over-approximation: bare calls resolve to
 //! free functions (same file, then `use` imports, then same crate),
 //! method calls resolve to every impl method of that name (except
-//! [`UBIQUITOUS_METHODS`] — names like `map`/`get`/`load` that are
+//! `UBIQUITOUS_METHODS` — names like `map`/`get`/`load` that are
 //! overwhelmingly `std` calls and would flood the graph with false
 //! edges), qualified calls through `use`-aliases and crate/module
 //! paths. `std`/`core`/`alloc` paths are external and contribute no

@@ -59,31 +59,41 @@ pub fn random_hog<S: TraceSink + ?Sized>(sink: &mut S, bytes: u64, accesses: u64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::CollectSink;
+    use crate::sink::{LogSink, TraceEvent};
+
+    /// The attributes of every atom `log` created, in creation order.
+    fn atoms(log: &LogSink) -> Vec<&AtomAttributes> {
+        log.events()
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Create { attrs, .. } => Some(attrs),
+                _ => None,
+            })
+            .collect()
+    }
 
     #[test]
     fn stream_hog_emits_requested_accesses() {
-        let mut s = CollectSink::new();
+        let mut s = LogSink::new();
         stream_hog(&mut s, 64 << 10, 1000, 4);
-        assert_eq!(s.memory_ops(), 1000);
-        assert_eq!(s.atoms().len(), 1);
+        assert_eq!(s.ops().filter(|o| o.is_memory()).count(), 1000);
+        assert_eq!(atoms(&s).len(), 1);
     }
 
     #[test]
     fn random_hog_is_deterministic_and_spread() {
         let run = || {
-            let mut s = CollectSink::new();
+            let mut s = LogSink::new();
             random_hog(&mut s, 64 << 10, 500, 2);
-            s.ops
+            s.into_events()
         };
         assert_eq!(run(), run());
-        let mut s = CollectSink::new();
+        let mut s = LogSink::new();
         random_hog(&mut s, 64 << 10, 500, 2);
         let distinct: std::collections::HashSet<u64> = s
-            .ops
-            .iter()
+            .ops()
             .filter_map(|o| match o {
-                cpu_sim::trace::Op::Load { addr, .. } => Some(*addr),
+                cpu_sim::trace::Op::Load { addr, .. } => Some(addr),
                 _ => None,
             })
             .collect();
@@ -96,8 +106,8 @@ mod tests {
 
     #[test]
     fn hogs_express_zero_reuse() {
-        let mut s = CollectSink::new();
+        let mut s = LogSink::new();
         stream_hog(&mut s, 4096, 10, 1);
-        assert_eq!(s.atoms()[0].1.reuse(), xmem_core::attrs::Reuse::NONE);
+        assert_eq!(atoms(&s)[0].reuse(), xmem_core::attrs::Reuse::NONE);
     }
 }

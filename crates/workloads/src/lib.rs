@@ -15,14 +15,14 @@
 //!
 //! ```
 //! use workloads::polybench::{KernelParams, PolybenchKernel};
-//! use workloads::sink::CollectSink;
+//! use workloads::sink::LogSink;
 //!
-//! let mut sink = CollectSink::new();
+//! let mut sink = LogSink::new();
 //! PolybenchKernel::Gemm.generate(
 //!     &KernelParams { n: 16, tile_bytes: 1024, steps: 1, reuse: 200 },
 //!     &mut sink,
 //! );
-//! assert!(sink.memory_ops() > 0);
+//! assert!(sink.ops().any(|op| op.is_memory()));
 //! ```
 
 #![warn(missing_docs)]
@@ -39,5 +39,5 @@ pub use crate::hog::{random_hog, stream_hog};
 pub use crate::placement::{AccessKind, PlacementWorkload, StructSpec};
 pub use crate::polybench::{KernelParams, PolybenchKernel};
 pub use crate::shared::{lock_counter, producer_consumer, read_mostly_reader, PcRole};
-pub use crate::sink::{CollectSink, HintEvent, LogSink, TraceEvent, TraceSink};
+pub use crate::sink::{LogSink, TraceEvent, TraceSink};
 pub use crate::trace_file::{read_trace, write_trace, VaRanges};

@@ -500,8 +500,12 @@ fn splitmix64(state: &mut u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::{CollectSink, HintEvent};
+    use crate::sink::{LogSink, TraceEvent};
     use cpu_sim::trace::Op;
+
+    fn memory_ops(log: &LogSink) -> usize {
+        log.ops().filter(Op::is_memory).count()
+    }
 
     #[test]
     fn twenty_seven_workloads() {
@@ -522,23 +526,21 @@ mod tests {
     fn generate_produces_requested_accesses() {
         let mut w = PlacementWorkload::by_name("libquantum").unwrap();
         w.accesses = 5000;
-        let mut sink = CollectSink::new();
+        let mut sink = LogSink::new();
         w.generate(&mut sink);
-        assert_eq!(sink.memory_ops(), 5000);
+        assert_eq!(memory_ops(&sink), 5000);
     }
 
     #[test]
     fn every_structure_expressed_as_atom() {
         for mut w in PlacementWorkload::all() {
             w.accesses = 100;
-            let mut sink = CollectSink::new();
+            let mut sink = LogSink::new();
             w.generate(&mut sink);
-            assert_eq!(sink.atoms().len(), w.structs.len(), "{}", w.name);
-            let maps = sink
-                .events
-                .iter()
-                .filter(|e| matches!(e, HintEvent::Map { .. }))
-                .count();
+            let count = |f: fn(&TraceEvent) -> bool| sink.events().iter().filter(|e| f(e)).count();
+            let atoms = count(|e| matches!(e, TraceEvent::Create { .. }));
+            assert_eq!(atoms, w.structs.len(), "{}", w.name);
+            let maps = count(|e| matches!(e, TraceEvent::Map { .. }));
             assert_eq!(maps, w.structs.len(), "{}", w.name);
         }
     }
@@ -547,11 +549,10 @@ mod tests {
     fn pointer_chase_emits_dependent_loads() {
         let mut w = PlacementWorkload::by_name("mcf").unwrap();
         w.accesses = 2000;
-        let mut sink = CollectSink::new();
+        let mut sink = LogSink::new();
         w.generate(&mut sink);
         let dep_loads = sink
-            .ops
-            .iter()
+            .ops()
             .filter(|o| matches!(o, Op::Load { dep: true, .. }))
             .count();
         assert!(dep_loads > 200, "only {dep_loads} dependent loads");
@@ -561,22 +562,25 @@ mod tests {
     fn stream_structures_access_sequentially() {
         let mut w = PlacementWorkload::by_name("libquantum").unwrap();
         w.accesses = 1000;
-        let mut sink = CollectSink::new();
+        let mut sink = LogSink::new();
         w.generate(&mut sink);
         // The dominant structure's accesses are line-sequential: collect
         // loads into its range and check deltas.
-        let base = match sink.events[0] {
-            HintEvent::Alloc { base, .. } => base,
-            _ => panic!("expected alloc event"),
-        };
-        let addrs: Vec<u64> = sink
-            .ops
+        let base = sink
+            .events()
             .iter()
+            .find_map(|e| match e {
+                TraceEvent::Alloc { base, .. } => Some(*base),
+                _ => None,
+            })
+            .expect("expected alloc event");
+        let addrs: Vec<u64> = sink
+            .ops()
             .filter_map(|o| match o {
                 Op::Load { addr, .. } | Op::Store { addr }
-                    if *addr >= base && *addr < base + (8192 << 10) =>
+                    if addr >= base && addr < base + (8192 << 10) =>
                 {
-                    Some(*addr)
+                    Some(addr)
                 }
                 _ => None,
             })
@@ -596,9 +600,9 @@ mod tests {
         let mut w = PlacementWorkload::by_name("soplex").unwrap();
         w.accesses = 3000;
         let run = || {
-            let mut sink = CollectSink::new();
+            let mut sink = LogSink::new();
             w.generate(&mut sink);
-            sink.ops
+            sink.into_events()
         };
         assert_eq!(run(), run());
     }
@@ -607,14 +611,10 @@ mod tests {
     fn write_fractions_roughly_respected() {
         let mut w = PlacementWorkload::by_name("histo").unwrap();
         w.accesses = 20_000;
-        let mut sink = CollectSink::new();
+        let mut sink = LogSink::new();
         w.generate(&mut sink);
-        let stores = sink
-            .ops
-            .iter()
-            .filter(|o| matches!(o, Op::Store { .. }))
-            .count() as f64;
-        let total = sink.memory_ops() as f64;
+        let stores = sink.ops().filter(|o| matches!(o, Op::Store { .. })).count() as f64;
+        let total = memory_ops(&sink) as f64;
         // histo: bins (weight 6 of 15) at 80% writes → ~32% overall.
         let frac = stores / total;
         assert!((0.15..0.5).contains(&frac), "store fraction {frac}");

@@ -3,10 +3,12 @@
 //! A workload is a *generator*: it replays its algorithm's memory behaviour
 //! by calling [`TraceSink`] methods — ordinary ops ([`TraceSink::op`]),
 //! memory allocation ([`TraceSink::alloc`], the augmented `malloc` of
-//! §4.1.2), and the XMem operators of Table 2. The system driver implements
-//! the sink twice: once wired to the full XMem machinery, and once as a
-//! baseline that executes the ops but ignores every hint — which is exactly
-//! the paper's baseline (same binary minus the XMem calls).
+//! §4.1.2), and the XMem operators of Table 2. The simulated machine
+//! (`xmem_sim::Machine`) is the one executing sink: with XMem enabled its
+//! hints reach the XMem machinery, and with XMem disabled it executes the
+//! ops but skips every hint — which is exactly the paper's baseline (same
+//! binary minus the XMem calls). [`LogSink`] records the ordered event log
+//! instead, for replay, trace files and tests.
 
 use cpu_sim::batch::{OpAttrs, OpBatch, OpKind};
 use cpu_sim::trace::Op;
@@ -118,9 +120,9 @@ pub trait TraceSink {
 /// # Examples
 ///
 /// ```
-/// use workloads::sink::{BatchEmitter, CollectSink, TraceSink};
+/// use workloads::sink::{BatchEmitter, LogSink, TraceSink};
 ///
-/// let mut inner = CollectSink::new();
+/// let mut inner = LogSink::new();
 /// {
 ///     let mut em = BatchEmitter::new(&mut inner);
 ///     for i in 0..1000u64 {
@@ -128,7 +130,7 @@ pub trait TraceSink {
 ///     }
 ///     em.flush(); // explicit tail flush at generator end
 /// }
-/// assert_eq!(inner.ops.len(), 1000);
+/// assert_eq!(inner.ops().count(), 1000);
 /// ```
 #[derive(Debug)]
 pub struct BatchEmitter<'a, S: TraceSink + ?Sized> {
@@ -275,77 +277,11 @@ impl<S: TraceSink + ?Sized> TraceSink for BatchEmitter<'_, S> {
     }
 }
 
-/// Forces the scalar path of the wrapped sink: every incoming batch is
-/// unbundled into per-op [`TraceSink::op`] calls (the trait default), and
-/// the wrapped sink's own `op_batch` override is never invoked.
-///
-/// This is the reference arm of the byte-identity tests: a run through
-/// `Scalarize<Machine>` must produce a report identical to the batched run.
-#[derive(Debug)]
-pub struct Scalarize<'a, S: TraceSink + ?Sized> {
-    sink: &'a mut S,
-}
-
-impl<'a, S: TraceSink + ?Sized> Scalarize<'a, S> {
-    /// Wraps `sink`.
-    pub fn new(sink: &'a mut S) -> Self {
-        Scalarize { sink }
-    }
-}
-
-impl<S: TraceSink + ?Sized> TraceSink for Scalarize<'_, S> {
-    // No op_batch override: the trait default unbundles batches through
-    // `op`, which is exactly the point.
-    fn op(&mut self, op: Op) {
-        self.sink.op(op);
-    }
-
-    fn alloc(&mut self, bytes: u64, atom: Option<AtomId>) -> u64 {
-        self.sink.alloc(bytes, atom)
-    }
-
-    fn create_atom(&mut self, label: &str, attrs: AtomAttributes) -> AtomId {
-        self.sink.create_atom(label, attrs)
-    }
-
-    fn create_atom_shared(&mut self, key: u64, label: &str, attrs: AtomAttributes) -> AtomId {
-        self.sink.create_atom_shared(key, label, attrs)
-    }
-
-    fn alloc_shared(&mut self, key: u64, bytes: u64, atom: Option<AtomId>) -> u64 {
-        self.sink.alloc_shared(key, bytes, atom)
-    }
-
-    fn map(&mut self, atom: AtomId, start: u64, len: u64) {
-        self.sink.map(atom, start, len);
-    }
-
-    fn unmap(&mut self, start: u64, len: u64) {
-        self.sink.unmap(start, len);
-    }
-
-    fn map_2d(&mut self, atom: AtomId, base: u64, size_x: u64, size_y: u64, len_x: u64) {
-        self.sink.map_2d(atom, base, size_x, size_y, len_x);
-    }
-
-    fn unmap_2d(&mut self, base: u64, size_x: u64, size_y: u64, len_x: u64) {
-        self.sink.unmap_2d(base, size_x, size_y, len_x);
-    }
-
-    fn activate(&mut self, atom: AtomId) {
-        self.sink.activate(atom);
-    }
-
-    fn deactivate(&mut self, atom: AtomId) {
-        self.sink.deactivate(atom);
-    }
-}
-
 /// One fully-ordered trace event (op or hint), as recorded by [`LogSink`].
 ///
-/// Unlike [`CollectSink`] (which separates ops from hints), the log keeps
-/// program order across both kinds — required to *replay* a workload, e.g.
-/// when interleaving several cores' traces in a multi-core simulation.
+/// The log keeps program order across ops and hints — required to
+/// *replay* a workload, e.g. when interleaving several cores' traces in a
+/// multi-core simulation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceEvent {
     /// A CPU op.
@@ -471,6 +407,14 @@ impl LogSink {
         &self.events
     }
 
+    /// The recorded CPU ops in program order (hints skipped).
+    pub fn ops(&self) -> impl Iterator<Item = Op> + '_ {
+        self.events.iter().filter_map(|e| match e {
+            TraceEvent::Op(op) => Some(*op),
+            _ => None,
+        })
+    }
+
     /// Consumes the sink, returning the event log.
     pub fn into_events(self) -> Vec<TraceEvent> {
         self.events
@@ -564,166 +508,13 @@ impl TraceSink for LogSink {
     }
 }
 
-/// A sink that records everything, for tests and trace inspection.
-#[derive(Debug, Default)]
-pub struct CollectSink {
-    /// Ops in program order.
-    pub ops: Vec<Op>,
-    /// Hint events in program order.
-    pub events: Vec<HintEvent>,
-    next_atom: u8,
-    atoms: Vec<(String, AtomAttributes)>,
-    next_va: u64,
-}
-
-/// A recorded hint call.
-#[derive(Debug, Clone, PartialEq)]
-pub enum HintEvent {
-    /// An allocation and the VA it returned.
-    Alloc {
-        /// Requested bytes.
-        bytes: u64,
-        /// Owning atom, if any.
-        atom: Option<AtomId>,
-        /// Returned base address.
-        base: u64,
-    },
-    /// A linear map.
-    Map {
-        /// Target atom.
-        atom: AtomId,
-        /// Range start.
-        start: u64,
-        /// Range length.
-        len: u64,
-    },
-    /// A linear unmap.
-    Unmap {
-        /// Range start.
-        start: u64,
-        /// Range length.
-        len: u64,
-    },
-    /// A 2D map.
-    Map2d {
-        /// Target atom.
-        atom: AtomId,
-        /// Block base.
-        base: u64,
-        /// Block width in bytes.
-        size_x: u64,
-        /// Block height in rows.
-        size_y: u64,
-        /// Row pitch in bytes.
-        len_x: u64,
-    },
-    /// A 2D unmap.
-    Unmap2d {
-        /// Block base.
-        base: u64,
-        /// Block width in bytes.
-        size_x: u64,
-        /// Block height in rows.
-        size_y: u64,
-        /// Row pitch in bytes.
-        len_x: u64,
-    },
-    /// An activation.
-    Activate(AtomId),
-    /// A deactivation.
-    Deactivate(AtomId),
-}
-
-impl CollectSink {
-    /// Creates an empty sink.
-    pub fn new() -> Self {
-        CollectSink {
-            next_va: 1 << 20,
-            ..Default::default()
-        }
-    }
-
-    /// The atoms created so far, in ID order.
-    pub fn atoms(&self) -> &[(String, AtomAttributes)] {
-        &self.atoms
-    }
-
-    /// Total instructions represented by the recorded ops.
-    pub fn instructions(&self) -> u64 {
-        self.ops.iter().map(|o| o.instructions()).sum()
-    }
-
-    /// Number of memory ops recorded.
-    pub fn memory_ops(&self) -> u64 {
-        self.ops.iter().filter(|o| o.is_memory()).count() as u64
-    }
-}
-
-impl TraceSink for CollectSink {
-    fn op(&mut self, op: Op) {
-        self.ops.push(op);
-    }
-
-    fn alloc(&mut self, bytes: u64, atom: Option<AtomId>) -> u64 {
-        let base = self.next_va;
-        self.next_va += bytes.next_multiple_of(4096).max(4096);
-        self.events.push(HintEvent::Alloc { bytes, atom, base });
-        base
-    }
-
-    fn create_atom(&mut self, label: &str, attrs: AtomAttributes) -> AtomId {
-        if let Some(i) = self.atoms.iter().position(|(l, _)| l == label) {
-            return AtomId::new(i as u8);
-        }
-        let id = AtomId::new(self.next_atom);
-        self.next_atom += 1;
-        self.atoms.push((label.to_owned(), attrs));
-        id
-    }
-
-    fn map(&mut self, atom: AtomId, start: u64, len: u64) {
-        self.events.push(HintEvent::Map { atom, start, len });
-    }
-
-    fn unmap(&mut self, start: u64, len: u64) {
-        self.events.push(HintEvent::Unmap { start, len });
-    }
-
-    fn map_2d(&mut self, atom: AtomId, base: u64, size_x: u64, size_y: u64, len_x: u64) {
-        self.events.push(HintEvent::Map2d {
-            atom,
-            base,
-            size_x,
-            size_y,
-            len_x,
-        });
-    }
-
-    fn unmap_2d(&mut self, base: u64, size_x: u64, size_y: u64, len_x: u64) {
-        self.events.push(HintEvent::Unmap2d {
-            base,
-            size_x,
-            size_y,
-            len_x,
-        });
-    }
-
-    fn activate(&mut self, atom: AtomId) {
-        self.events.push(HintEvent::Activate(atom));
-    }
-
-    fn deactivate(&mut self, atom: AtomId) {
-        self.events.push(HintEvent::Deactivate(atom));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn collect_sink_records_ops_and_events() {
-        let mut s = CollectSink::new();
+    fn log_sink_records_ops_and_hints_in_order() {
+        let mut s = LogSink::new();
         let a = s.create_atom("x", AtomAttributes::default());
         let base = s.alloc(100, Some(a));
         s.map(a, base, 100);
@@ -732,21 +523,23 @@ mod tests {
         s.store(base + 8);
         s.compute(3);
         s.deactivate(a);
-        assert_eq!(s.ops.len(), 3);
-        assert_eq!(s.instructions(), 5);
-        assert_eq!(s.memory_ops(), 2);
-        assert_eq!(s.events.len(), 4);
+        let ops: Vec<Op> = s.ops().collect();
+        assert_eq!(ops, [Op::load(base), Op::store(base + 8), Op::Compute(3)]);
+        assert_eq!(ops.iter().map(Op::instructions).sum::<u64>(), 5);
+        assert_eq!(s.events().len(), 8);
+        assert!(matches!(s.events()[0], TraceEvent::Create { .. }));
+        assert!(matches!(s.events()[7], TraceEvent::Deactivate(x) if x == a));
     }
 
     #[test]
     fn create_atom_dedups_by_label() {
-        let mut s = CollectSink::new();
+        let mut s = LogSink::new();
         let a = s.create_atom("same", AtomAttributes::default());
         let b = s.create_atom("same", AtomAttributes::default());
         let c = s.create_atom("other", AtomAttributes::default());
         assert_eq!(a, b);
         assert_ne!(a, c);
-        assert_eq!(s.atoms().len(), 2);
+        assert_eq!(s.events().len(), 2);
     }
 
     #[test]
@@ -780,28 +573,14 @@ mod tests {
 
     #[test]
     fn batch_emitter_flushes_at_capacity() {
-        let mut inner = CollectSink::new();
+        let mut inner = LogSink::new();
         let mut em = BatchEmitter::new(&mut inner);
         for i in 0..cpu_sim::batch::BATCH_CAPACITY as u64 {
             em.load(i * 64);
         }
         // A full buffer flushed itself without waiting for drop.
-        em.flush();
-        assert_eq!(em.sink.ops.len(), cpu_sim::batch::BATCH_CAPACITY);
-    }
-
-    #[test]
-    fn scalarize_unbundles_batches() {
-        let mut inner = CollectSink::new();
-        {
-            let mut scalar = Scalarize::new(&mut inner);
-            let mut em = BatchEmitter::new(&mut scalar);
-            for i in 0..700u64 {
-                em.load(i * 64);
-            }
-            em.flush();
-        }
-        assert_eq!(inner.ops.len(), 700);
+        assert!(em.batch.is_empty());
+        assert_eq!(em.sink.ops().count(), cpu_sim::batch::BATCH_CAPACITY);
     }
 
     #[test]
@@ -810,7 +589,7 @@ mod tests {
         // partial batch of 188 ops must reach the sink via the explicit
         // flush, in order and with the right kinds.
         assert_ne!(700 % cpu_sim::batch::BATCH_CAPACITY, 0);
-        let mut inner = CollectSink::new();
+        let mut inner = LogSink::new();
         {
             let mut em = BatchEmitter::new(&mut inner);
             for i in 0..700u64 {
@@ -822,11 +601,11 @@ mod tests {
             }
             em.flush();
         }
-        assert_eq!(inner.ops.len(), 700);
-        for (i, op) in inner.ops.iter().enumerate() {
+        assert_eq!(inner.ops().count(), 700);
+        for (i, op) in inner.ops().enumerate() {
             match op {
-                Op::Load { addr, .. } => assert_eq!(*addr, i as u64 * 64),
-                Op::Store { addr, .. } => assert_eq!(*addr, i as u64 * 64),
+                Op::Load { addr, .. } => assert_eq!(addr, i as u64 * 64),
+                Op::Store { addr, .. } => assert_eq!(addr, i as u64 * 64),
                 other => panic!("unexpected op {other:?}"),
             }
         }
@@ -836,7 +615,7 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "unflushed ops")]
     fn dropping_with_buffered_ops_asserts_in_debug() {
-        let mut inner = CollectSink::new();
+        let mut inner = LogSink::new();
         let mut em = BatchEmitter::new(&mut inner);
         em.load(0x40); // one buffered op, never flushed
         drop(em);
@@ -844,7 +623,7 @@ mod tests {
 
     #[test]
     fn allocs_are_page_aligned_and_disjoint() {
-        let mut s = CollectSink::new();
+        let mut s = LogSink::new();
         let a = s.alloc(1, None);
         let b = s.alloc(10000, None);
         let c = s.alloc(1, None);

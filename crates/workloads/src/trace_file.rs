@@ -35,6 +35,9 @@ const TAG_DEACTIVATE: u8 = 11;
 const TAG_CREATE_SHARED: u8 = 12;
 const TAG_ALLOC_SHARED: u8 = 13;
 
+/// Encoded size of the smallest event (`Activate`/`Deactivate`: tag + atom).
+const MIN_EVENT_BYTES: usize = 2;
+
 /// Writes `events` as a trace to `w`.
 ///
 /// # Errors
@@ -175,12 +178,28 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// The recorded VA an event touches, if any: an op's address or the start
+/// of a map/unmap range.
+fn event_va(ev: &TraceEvent) -> Option<u64> {
+    match *ev {
+        TraceEvent::Op(Op::Load { addr, .. } | Op::Store { addr }) => Some(addr),
+        TraceEvent::Map { start, .. } | TraceEvent::Unmap { start, .. } => Some(start),
+        TraceEvent::Map2d { base, .. } | TraceEvent::Unmap2d { base, .. } => Some(base),
+        _ => None,
+    }
+}
+
 /// Reads a trace previously written by [`write_trace`].
+///
+/// Every address an event touches (see `event_va`) must lie in an
+/// `Alloc`/`AllocShared` range recorded before it, page-rounded as
+/// [`VaRanges::insert`] rounds it: [`replay`] has nowhere to send any other
+/// address.
 ///
 /// # Errors
 ///
 /// I/O errors from the reader, or `InvalidData` for corrupt/newer-version
-/// traces.
+/// traces and for an address outside every earlier allocation.
 pub fn read_trace<R: Read>(mut r: R) -> io::Result<Vec<TraceEvent>> {
     let mut bytes = Vec::new();
     r.read_to_end(&mut bytes)?;
@@ -196,8 +215,9 @@ pub fn read_trace<R: Read>(mut r: R) -> io::Result<Vec<TraceEvent>> {
         return Err(bad("trace version newer than supported"));
     }
     let count = c.u64()? as usize;
-    let mut events = Vec::with_capacity(count.min(1 << 24));
-    for _ in 0..count {
+    let mut events = Vec::with_capacity(count.min((bytes.len() - c.pos) / MIN_EVENT_BYTES));
+    let mut ranges = VaRanges::new();
+    for i in 0..count {
         let tag = c.u8()?;
         let ev = match tag {
             TAG_COMPUTE => TraceEvent::Op(Op::Compute(c.u32()?)),
@@ -271,6 +291,23 @@ pub fn read_trace<R: Read>(mut r: R) -> io::Result<Vec<TraceEvent>> {
             }
             other => return Err(bad(&format!("unknown event tag {other}"))),
         };
+        match ev {
+            TraceEvent::Alloc { bytes, base, .. } | TraceEvent::AllocShared { bytes, base, .. } => {
+                if bytes.checked_next_multiple_of(4096).is_none() {
+                    return Err(bad(&format!(
+                        "event {i}: allocation of {bytes} bytes overflows page rounding"
+                    )));
+                }
+                ranges.insert(base, bytes, base);
+            }
+            _ => {
+                if let Some(va) = event_va(&ev).filter(|&va| ranges.lookup(va).is_none()) {
+                    return Err(bad(&format!(
+                        "event {i}: VA {va:#x} lies outside every earlier allocation"
+                    )));
+                }
+            }
+        }
         events.push(ev);
     }
     Ok(events)
@@ -313,11 +350,19 @@ impl VaRanges {
 ///
 /// Recorded `Alloc` events are re-executed through the sink (whose allocator
 /// may return different base addresses); every subsequent address is
-/// translated from the recorded address space to the actual one. An address
-/// outside every recorded allocation passes through untranslated.
+/// translated from the recorded address space to the actual one.
+///
+/// # Panics
+///
+/// Panics on an address outside every earlier recorded allocation, which
+/// [`read_trace`] never returns.
 pub fn replay(events: &[TraceEvent], sink: &mut dyn crate::sink::TraceSink) {
     let mut ranges = VaRanges::new();
-    let translate = |ranges: &VaRanges, va: u64| ranges.lookup(va).unwrap_or(va);
+    let translate = |ranges: &VaRanges, va: u64| {
+        ranges
+            .lookup(va)
+            .unwrap_or_else(|| panic!("replayed trace: unallocated VA {va:#x}"))
+    };
     for ev in events {
         match ev {
             TraceEvent::Op(Op::Compute(n)) => sink.compute(*n),
@@ -421,16 +466,15 @@ mod tests {
 
     #[test]
     fn replay_reproduces_behaviour() {
-        use crate::sink::CollectSink;
         let events = sample_log();
-        let mut sink = CollectSink::new();
+        let mut sink = LogSink::new();
         replay(&events, &mut sink);
         // Same op count and same relative access structure.
         let original_ops = events
             .iter()
             .filter(|e| matches!(e, TraceEvent::Op(_)))
             .count();
-        assert_eq!(sink.ops.len(), original_ops);
+        assert_eq!(sink.ops().count(), original_ops);
     }
 
     /// Two ranges: one page recorded at 0x1000 living at 0x9000, and two
@@ -469,14 +513,12 @@ mod tests {
         assert_eq!(read_trace(&buf[..]).unwrap(), Vec::<TraceEvent>::new());
     }
 
-    #[test]
-    fn all_event_kinds_roundtrip() {
+    /// One event of every kind (every tag, v2's 12 and 13 included), each
+    /// address inside an allocation recorded before it.
+    fn all_event_kinds() -> Vec<TraceEvent> {
         use xmem_core::attrs::AtomAttributes;
-        let events = vec![
+        vec![
             TraceEvent::Op(Op::Compute(7)),
-            TraceEvent::Op(Op::load(0xABCD)),
-            TraceEvent::Op(Op::load_dep(0x1234)),
-            TraceEvent::Op(Op::store(0x9999)),
             TraceEvent::Create {
                 label: "x".into(),
                 attrs: AtomAttributes::default(),
@@ -491,6 +533,9 @@ mod tests {
                 atom: None,
                 base: 0x20000,
             },
+            TraceEvent::Op(Op::load(0x10ABC)),
+            TraceEvent::Op(Op::load_dep(0x10234)),
+            TraceEvent::Op(Op::store(0x20FF8)),
             TraceEvent::Map {
                 atom: AtomId::new(3),
                 start: 0x10000,
@@ -498,13 +543,13 @@ mod tests {
             },
             TraceEvent::Map2d {
                 atom: AtomId::new(3),
-                base: 1,
+                base: 0x10040,
                 size_x: 2,
                 size_y: 3,
                 len_x: 4,
             },
             TraceEvent::Unmap2d {
-                base: 1,
+                base: 0x10040,
                 size_x: 2,
                 size_y: 3,
                 len_x: 4,
@@ -526,9 +571,132 @@ mod tests {
                 atom: Some(AtomId::new(4)),
                 base: 0x30000,
             },
-        ];
+            TraceEvent::Op(Op::store(0x31FC0)),
+        ]
+    }
+
+    fn encode(events: &[TraceEvent]) -> Vec<u8> {
         let mut buf = Vec::new();
-        write_trace(&events, &mut buf).unwrap();
-        assert_eq!(read_trace(&buf[..]).unwrap(), events);
+        write_trace(events, &mut buf).unwrap();
+        buf
+    }
+
+    #[test]
+    fn all_event_kinds_roundtrip() {
+        let events = all_event_kinds();
+        assert_eq!(read_trace(&encode(&events)[..]).unwrap(), events);
+    }
+
+    /// One log from each generator family round-trips: every address a
+    /// generator emits lies inside one of its own allocations.
+    #[test]
+    fn every_generator_family_roundtrips() {
+        use crate::placement::PlacementWorkload;
+        use crate::shared::{lock_counter, producer_consumer, read_mostly_reader, PcRole};
+        use xmem_core::attrs::Reuse;
+        let record = |generate: &dyn Fn(&mut LogSink)| {
+            let mut log = LogSink::new();
+            generate(&mut log);
+            log.into_events()
+        };
+        let mut mix = PlacementWorkload::by_name("mcf").unwrap();
+        mix.accesses = 2_000;
+        let logs = [
+            ("polybench", sample_log()),
+            ("placement", record(&|s| mix.generate(s))),
+            (
+                "stream_hog",
+                record(&|s| crate::stream_hog(s, 64 << 10, 500, 2)),
+            ),
+            (
+                "random_hog",
+                record(&|s| crate::random_hog(s, 64 << 10, 500, 2)),
+            ),
+            (
+                "producer",
+                record(&|s| producer_consumer(s, PcRole::Producer, 8192, 2, 1, Reuse(200))),
+            ),
+            (
+                "consumer",
+                record(&|s| producer_consumer(s, PcRole::Consumer, 8192, 2, 1, Reuse(200))),
+            ),
+            (
+                "reader",
+                record(&|s| read_mostly_reader(s, 1, 8192, 100, 1, Reuse(200))),
+            ),
+            ("lock_counter", record(&|s| lock_counter(s, 50, 2))),
+        ];
+        for (name, events) in logs {
+            assert_eq!(read_trace(&encode(&events)[..]).unwrap(), events, "{name}");
+        }
+    }
+
+    /// A load outside every allocation would alias the first real
+    /// allocation on replay (`LogSink` records from 1 MiB, `Os::malloc`
+    /// hands out from 4 KiB), so reading must reject it.
+    #[test]
+    fn stray_address_is_rejected() {
+        let mut events = sample_log();
+        let at = events.len() / 2;
+        events.insert(at, TraceEvent::Op(Op::load(0x1000)));
+        let err = read_trace(&encode(&events)[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(
+            msg.contains(&format!("event {at}")) && msg.contains("0x1000"),
+            "{msg}"
+        );
+        // Before the allocation it belongs to, an address is stray too.
+        let early = [
+            TraceEvent::Op(Op::store(0x10000)),
+            all_event_kinds()[2].clone(),
+        ];
+        assert!(read_trace(&encode(&early)[..]).is_err());
+        let map = [TraceEvent::Unmap {
+            start: 0x5000,
+            len: 64,
+        }];
+        assert!(read_trace(&encode(&map)[..]).is_err());
+        // A size that page rounding would overflow is an error, not a panic.
+        let huge = [TraceEvent::Alloc {
+            bytes: u64::MAX,
+            atom: None,
+            base: 0x10000,
+        }];
+        assert!(read_trace(&encode(&huge)[..]).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "unallocated VA 0x1000")]
+    fn replay_panics_on_a_stray_address() {
+        replay(&[TraceEvent::Op(Op::load(0x1000))], &mut LogSink::new());
+    }
+
+    /// Mutation fuzz: seeded byte flips and truncations of valid traces
+    /// (every tag, v2's shared events included) return `Ok` or `Err`,
+    /// never a panic.
+    #[test]
+    fn mutated_traces_never_panic() {
+        use xmem_core::rng::SplitMix64;
+        let mut rng = SplitMix64::new(0x7ACE);
+        let mut shared = LogSink::new();
+        crate::shared::lock_counter(&mut shared, 20, 1);
+        for valid in [
+            encode(&all_event_kinds()),
+            encode(&shared.into_events()),
+            encode(&sample_log()[..400]),
+        ] {
+            for _ in 0..400 {
+                let mut buf = valid.clone();
+                for _ in 0..rng.range(1, 5) {
+                    let at = rng.below(buf.len() as u64) as usize;
+                    buf[at] ^= rng.range(1, 256) as u8;
+                }
+                if rng.percent(30) {
+                    buf.truncate(rng.below(buf.len() as u64 + 1) as usize);
+                }
+                let _ = read_trace(&buf[..]);
+            }
+        }
     }
 }

@@ -9,7 +9,7 @@
 //! | [`core`] | `xmem-core` | the Atom abstraction, XMemLib, AAM/AST/GAT/PAT/AMU/ALB |
 //! | [`cpu`] | `cpu-sim` | trace-driven OOO core timing model |
 //! | [`cache`] | `cache-sim` | caches, DRRIP, prefetchers, pinning hierarchy |
-//! | [`dram`] | `dram-sim` | DDR3 banks, FR-FCFS, address mappings |
+//! | [`dram`] | `dram-sim` | DDR3 banks (arrival order, open row), address mappings |
 //! | [`os`] | `os-sim` | page tables, frame placement, program loading |
 //! | [`workloads`] | `workloads` | Polybench-style kernels + placement mixes |
 //! | [`sim`] | `xmem-sim` | the composed full-system machine + experiment runners |
