@@ -38,9 +38,10 @@ fn config(xmem: bool) -> MultiCoreConfig {
     if xmem {
         cfg.mapping = AddressMapping::scheme5();
         cfg.frame_policy = FramePolicyKind::XmemPlacement;
-        // Placement is software-only (§6): caches stay at baseline, but the
-        // AMU must be live for the OS to use the atoms — mode PrefetchOnly
-        // with no reuse expressed keeps cache behaviour identical.
+        // Placement is software-only (§6): the caches stay at baseline
+        // (mode Off). The XMem frame policy reads the atoms' placement
+        // hints from the loaded segment (`load_segment`'s placement list),
+        // not from the AMU, so no XMem hardware needs to be live.
         cfg.xmem = SystemKind::Baseline.xmem_mode();
     } else {
         cfg.mapping = AddressMapping::scheme1();

@@ -11,7 +11,7 @@
 //! mapping) exceeds what it could ever retain, preserving hits for data
 //! that does fit.
 
-use crate::cache::{Cache, CacheStats, InsertPriority};
+use crate::cache::{Cache, InsertPriority};
 use crate::config::{CacheConfig, ReplacementPolicy};
 
 /// Configuration of the DRAM cache stage.
@@ -116,12 +116,6 @@ impl DramCache {
         };
         self.stats.total_latency += lat;
         lat
-    }
-
-    /// Underlying cache statistics (hits are only meaningful for
-    /// non-bypassed traffic).
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
     }
 
     /// Stage statistics.

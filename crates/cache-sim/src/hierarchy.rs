@@ -28,10 +28,10 @@
 //!   tracking and guided prefetch;
 //! * one **DRAM** per member.
 //!
-//! [`Hierarchy::new`] and [`Hierarchy::with_domains`] build one member:
-//! one node over one DRAM. [`Hierarchy::serve_core`] is a core's access
-//! served through all three tiers at once; [`Hierarchy::serve`] is core
-//! 0's. [`Hierarchy::with_members`] builds a *group*: one single-core front
+//! [`Hierarchy::new`] builds one member: one node over one DRAM.
+//! [`Hierarchy::serve_core`] is a core's access served through all three
+//! tiers at once; [`Hierarchy::serve`] is core 0's.
+//! [`Hierarchy::with_members`] builds a *group*: one single-core front
 //! over several members that differ only below the private caches, where
 //! members with the same L3-side setting share a node. A group runs a
 //! stretch of accesses at a time: [`Hierarchy::record`] runs the front and
@@ -41,6 +41,11 @@
 //! member's own times. This is exact because no cache, prefetcher or
 //! pinning state of a single core ever reads time: only the core and the
 //! DRAM do.
+//!
+//! A node reaches DRAM through one port interface. Serving at once, a
+//! logged replay and functional warming all run the same node code; only
+//! the port differs, and one port type maps each request kind to a DRAM
+//! call and a time.
 //!
 //! Without a bus the private domains never observe each other's writes —
 //! only correct for disjoint data. With one (MESI), every access first runs
@@ -75,6 +80,15 @@ pub enum XmemMode {
     Full,
 }
 
+/// Concurrent streams in each stride prefetcher (Table 3).
+const STRIDE_STREAMS: usize = 16;
+/// Lines per stride-prefetcher trigger.
+const STRIDE_DEGREE: usize = 2;
+/// Lines per XMem-guided prefetch. Guided prefetch knows the atom's exact
+/// extents, so it can run further ahead without waste (§5.1: "prefetches
+/// the rest based on the expressed access pattern").
+const XMEM_PREFETCH_DEGREE: usize = 4;
+
 /// Hierarchy configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HierarchyConfig {
@@ -88,14 +102,6 @@ pub struct HierarchyConfig {
     /// core. It stays on in the XMem modes, where guided prefetch takes
     /// over only for misses to atoms that qualify (§5.2(4)).
     pub stride_prefetcher: bool,
-    /// Concurrent streams in the stride prefetcher (16 in Table 3).
-    pub stride_streams: usize,
-    /// Prefetch degree (lines per trigger) for the stride prefetcher.
-    pub prefetch_degree: usize,
-    /// Prefetch degree for XMem-guided prefetch. Guided prefetch knows the
-    /// atom's exact extents, so it can run further ahead without waste
-    /// (§5.1: "prefetches the rest based on the expressed access pattern").
-    pub xmem_prefetch_degree: usize,
     /// XMem operating mode.
     pub xmem: XmemMode,
 }
@@ -108,23 +114,8 @@ impl HierarchyConfig {
             l2: CacheConfig::l2_westmere(),
             l3: CacheConfig::l3_westmere(),
             stride_prefetcher: true,
-            stride_streams: 16,
-            prefetch_degree: 2,
-            xmem_prefetch_degree: 4,
             xmem: XmemMode::Off,
         }
-    }
-
-    /// Same geometry with a different XMem mode.
-    pub fn with_xmem(mut self, mode: XmemMode) -> Self {
-        self.xmem = mode;
-        self
-    }
-
-    /// Same configuration with a different L3 capacity (Fig 5 sweep).
-    pub fn with_l3_size(mut self, bytes: u64) -> Self {
-        self.l3 = self.l3.with_size(bytes);
-        self
     }
 
     /// Whether an L3 node built for `self` simulates `other` exactly:
@@ -133,9 +124,6 @@ impl HierarchyConfig {
     fn same_l3_side(&self, other: &HierarchyConfig) -> bool {
         self.l3 == other.l3
             && self.stride_prefetcher == other.stride_prefetcher
-            && self.stride_streams == other.stride_streams
-            && self.prefetch_degree == other.prefetch_degree
-            && self.xmem_prefetch_degree == other.xmem_prefetch_degree
             && self.xmem == other.xmem
     }
 }
@@ -210,7 +198,9 @@ impl Sinks {
 /// Where an L3 node sends its DRAM traffic. Every request happens either
 /// at the access's own time (`now`: private dirty lines sinking past the
 /// L3) or at its memory time (`now` plus the latency down to the L3: the
-/// demand read, prefetches and L3 victims).
+/// demand read, prefetches and L3 victims). A timed access and a
+/// functional-warming one run the same L3 code; they differ only in the
+/// port ([`Warming`]).
 trait DramPort {
     /// The demand read of an L3 miss, at the memory time.
     fn demand(&mut self, line: u64);
@@ -224,7 +214,34 @@ trait DramPort {
     fn warm(&mut self, line: u64);
 }
 
-/// A port that serves each request at once: the one-member path.
+/// Functional warming over `P`: reads (demand and prefetch) only open
+/// their rows, and writebacks are dropped — they produce timing and
+/// traffic, neither of which exists while warming.
+#[derive(Debug)]
+struct Warming<'p, P>(&'p mut P);
+
+impl<P: DramPort> DramPort for Warming<'_, P> {
+    #[inline]
+    fn demand(&mut self, line: u64) {
+        self.0.warm(line);
+    }
+    #[inline]
+    fn sink(&mut self, _line: u64) {}
+    #[inline]
+    fn writeback(&mut self, _line: u64) {}
+    #[inline]
+    fn prefetch(&mut self, line: u64) {
+        self.0.warm(line);
+    }
+    #[inline]
+    fn warm(&mut self, line: u64) {
+        self.0.warm(line);
+    }
+}
+
+/// A port that serves each request at once, and the one place a request
+/// kind becomes a [`Dram`] call at a time: the one-member path, and a
+/// group member's replay of its node's log ([`replay_cmd`]).
 #[derive(Debug)]
 struct Served<'a> {
     dram: &'a mut Dram,
@@ -277,7 +294,8 @@ const CMD_PREFETCH: u64 = 4;
 const CMD_WARM: u64 = 5;
 const CMD_MASK: u64 = 7;
 
-/// A port that logs each request for the members to replay.
+/// A port that logs each request for the members to replay through
+/// [`replay_cmd`].
 impl DramPort for Vec<u64> {
     #[inline]
     fn demand(&mut self, line: u64) {
@@ -298,6 +316,20 @@ impl DramPort for Vec<u64> {
     #[inline]
     fn warm(&mut self, line: u64) {
         self.push(line | CMD_WARM);
+    }
+}
+
+/// Sends one logged word's request to `port`: the inverse of the
+/// `Vec<u64>` port.
+#[inline]
+fn replay_cmd<P: DramPort>(cmd: u64, port: &mut P) {
+    let line = cmd & !CMD_MASK;
+    match cmd & CMD_MASK {
+        CMD_DEMAND => port.demand(line),
+        CMD_SINK => port.sink(line),
+        CMD_WRITEBACK => port.writeback(line),
+        CMD_PREFETCH => port.prefetch(line),
+        _ => port.warm(line),
     }
 }
 
@@ -337,7 +369,7 @@ impl L3Node {
         let stride_pf = || {
             config
                 .stride_prefetcher
-                .then(|| MultiStridePrefetcher::new(config.stride_streams, config.prefetch_degree))
+                .then(|| MultiStridePrefetcher::new(STRIDE_STREAMS, STRIDE_DEGREE))
         };
         assert!(
             config.l1.line_bytes > CMD_MASK && config.l3.line_bytes > CMD_MASK,
@@ -404,8 +436,10 @@ impl L3Node {
     /// The shared levels below `core`'s private miss on `pa`: pinning
     /// refresh, the L3, DRAM, and prefetching. `atom` is the ALB's answer
     /// for `pa` and `sinks` the private levels' dirty victims, which land
-    /// after the L3 fill and before any prefetch. Returns whether the L3
-    /// hit.
+    /// after the L3 fill and before any prefetch. Over a [`Warming`] port
+    /// this is the functional-warming access: the same probes, fills,
+    /// replacement updates, pinning refresh, prefetcher training and
+    /// prefetch fills, with no timing. Returns whether the L3 hit.
     fn access<P: DramPort>(
         &mut self,
         core: usize,
@@ -434,7 +468,7 @@ impl L3Node {
             for &line in sinks {
                 self.sink(line, port);
             }
-            self.issue_stride_prefetches(stride_reqs, port, false);
+            self.issue_stride_prefetches(stride_reqs, port);
             return true;
         }
 
@@ -449,43 +483,10 @@ impl L3Node {
 
         // Prefetching: XMem-guided for data whose atom expresses a pattern
         // (§5.2(4)); the hardware stride engine covers everything else.
-        if !self.guided_prefetch(pa, atom, xmem, port, false) {
-            self.issue_stride_prefetches(stride_reqs, port, false);
+        if !self.guided_prefetch(pa, atom, xmem, port) {
+            self.issue_stride_prefetches(stride_reqs, port);
         }
         false
-    }
-
-    /// The functional-warming counterpart of [`L3Node::access`] for core
-    /// 0: the same probes, fills, replacement updates, pinning refresh,
-    /// prefetcher training and prefetch fills, but no timing — dirty
-    /// victims are dropped and DRAM sees only row warming.
-    fn warm<P: DramPort>(
-        &mut self,
-        pa: u64,
-        atom: Option<AtomId>,
-        xmem: Option<XmemView<'_>>,
-        port: &mut P,
-    ) {
-        let line_addr = pa & self.line_mask;
-        if let Some(x) = xmem {
-            if self.config.xmem != XmemMode::Off {
-                self.refresh_pinning(x);
-            }
-        }
-        let stride_reqs = self.stride_pfs[0]
-            .as_mut()
-            .map(|pf| pf.train(pa))
-            .unwrap_or_default();
-        if self.l3.probe(pa, false) {
-            self.note_demand_hit(0, line_addr);
-            self.issue_stride_prefetches(stride_reqs, port, true);
-            return;
-        }
-        port.warm(line_addr);
-        let _ = self.l3.fill(line_addr, false, self.l3_priority(atom));
-        if !self.guided_prefetch(pa, atom, xmem, port, true) {
-            self.issue_stride_prefetches(stride_reqs, port, true);
-        }
     }
 
     fn writeback_to_dram<P: DramPort>(ev: Eviction, port: &mut P) {
@@ -495,34 +496,27 @@ impl L3Node {
     }
 
     /// Prefetches `target` into the L3 unless it is resident, tracking the
-    /// fill; returns whether it was issued. Timed (`warm` false), DRAM sees
-    /// the read and then a dirty victim's writeback; warming, DRAM only
-    /// opens the row and the victim is dropped.
+    /// fill; returns whether it was issued. DRAM sees the read and then a
+    /// dirty victim's writeback.
     fn prefetch_into_l3<P: DramPort>(
         &mut self,
         target: u64,
         priority: InsertPriority,
         port: &mut P,
-        warm: bool,
     ) -> bool {
         let FillOutcome::Filled(evicted) = self.l3.fill_if_absent(target, false, priority) else {
             return false;
         };
-        if warm {
-            port.warm(target);
-        } else {
-            // DRAM sees the prefetch read before the victim's writeback.
-            port.prefetch(target);
-            if let Some(ev) = evicted {
-                Self::writeback_to_dram(ev, port);
-            }
+        port.prefetch(target);
+        if let Some(ev) = evicted {
+            Self::writeback_to_dram(ev, port);
         }
         self.inflight_prefetches.insert(target);
         true
     }
 
     /// XMem-guided prefetch targets after a miss on `pa` belonging to
-    /// `atom` (§5.2(4)): the next `xmem_prefetch_degree` lines of the
+    /// `atom` (§5.2(4)): the next [`XMEM_PREFETCH_DEGREE`] lines of the
     /// atom's data in the direction of the expressed stride, *bounded to
     /// the atom's extents* (the AMU broadcasts extent information for
     /// exactly this purpose, §4.2(4)). When the walk reaches the end of the
@@ -547,8 +541,8 @@ impl L3Node {
             .position(|e| pa >= e.start.raw() && pa < e.start.raw() + e.len)
             .unwrap_or(0);
         let mut pos = pa & !(line - 1);
-        let mut targets = Vec::with_capacity(self.config.xmem_prefetch_degree);
-        for _ in 0..self.config.xmem_prefetch_degree {
+        let mut targets = Vec::with_capacity(XMEM_PREFETCH_DEGREE);
+        for _ in 0..XMEM_PREFETCH_DEGREE {
             if forward {
                 pos += line;
                 if pos >= exts[ei].start.raw() + exts[ei].len {
@@ -602,7 +596,6 @@ impl L3Node {
         atom: Option<AtomId>,
         xmem: Option<XmemView<'_>>,
         port: &mut P,
-        warm: bool,
     ) -> bool {
         let (Some(x), Some(a)) = (xmem, atom) else {
             return false;
@@ -618,7 +611,7 @@ impl L3Node {
         if qualifies {
             if let Some((targets, priority)) = self.xmem_prefetch_targets(pa, a, x) {
                 for target in targets {
-                    if self.prefetch_into_l3(target, priority, port, warm) {
+                    if self.prefetch_into_l3(target, priority, port) {
                         self.xmem_pf_stats.issued += 1;
                     }
                 }
@@ -630,15 +623,10 @@ impl L3Node {
     /// Issues the stride prefetcher's requests into the L3. Prefetches
     /// insert with the default policy priority: distant insertion would
     /// make far-ahead prefetches immediate victims.
-    fn issue_stride_prefetches<P: DramPort>(
-        &mut self,
-        reqs: PrefetchRun,
-        port: &mut P,
-        warm: bool,
-    ) {
+    fn issue_stride_prefetches<P: DramPort>(&mut self, reqs: PrefetchRun, port: &mut P) {
         for req in reqs {
             let target = req.addr & !(self.config.l3.line_bytes - 1);
-            self.prefetch_into_l3(target, InsertPriority::Normal, port, warm);
+            self.prefetch_into_l3(target, InsertPriority::Normal, port);
         }
     }
 }
@@ -707,18 +695,7 @@ pub struct Hierarchy {
 impl Hierarchy {
     /// Creates an empty one-core hierarchy in front of `dram`.
     pub fn new(config: HierarchyConfig, dram: Dram) -> Self {
-        Self::with_domains(config, dram, 1, None)
-    }
-
-    /// Creates `cores` private domains over one shared L3 in front of
-    /// `dram`, kept coherent by a MESI snooping bus when `bus` is given.
-    pub fn with_domains(
-        config: HierarchyConfig,
-        dram: Dram,
-        cores: usize,
-        bus: Option<BusConfig>,
-    ) -> Self {
-        Self::with_members(vec![(config, dram)], cores, bus)
+        Self::with_members(vec![(config, dram)], 1, None)
     }
 
     /// Creates the memory system of `members`: `cores` private domains,
@@ -883,11 +860,6 @@ impl Hierarchy {
     /// Snooping-bus traffic (all zero without a bus).
     pub fn bus_stats(&self) -> BusStats {
         self.bus.as_ref().map(SnoopBus::stats).unwrap_or_default()
-    }
-
-    /// Atoms currently pinned by the greedy algorithm.
-    pub fn pinned_atoms(&self) -> &[AtomId] {
-        &self.nodes[0].pinned
     }
 
     /// A dirty line evicted from `core`'s L1 (`level` 1) or L2 (`level` 2)
@@ -1088,7 +1060,14 @@ impl Hierarchy {
         let node = &mut self.nodes[0];
         let atom = Self::lookup(node.config.xmem, pa, &mut xmem);
         let mut port = Served::new(&mut self.drams[0], 0, 0);
-        node.warm(pa, atom, xmem.as_ref().map(XmemView::of), &mut port);
+        node.access(
+            0,
+            pa,
+            atom,
+            &[],
+            xmem.as_ref().map(XmemView::of),
+            &mut Warming(&mut port),
+        );
     }
 
     /// The private levels' part of a warming access by core 0; returns
@@ -1190,7 +1169,9 @@ impl Hierarchy {
                     BelowKind::Access => {
                         node.access(0, b.pa, atom, b.sinks.as_slice(), view, &mut cmds);
                     }
-                    BelowKind::Warm => node.warm(b.pa, atom, view, &mut cmds),
+                    BelowKind::Warm => {
+                        node.access(0, b.pa, atom, &[], view, &mut Warming(&mut cmds));
+                    }
                 }
                 ends.push(cmds.len());
             }
@@ -1246,24 +1227,11 @@ impl Replay<'_> {
         };
         let end = self.ends[self.rec];
         self.rec += 1;
-        let mut latency = 0;
+        let mut port = Served::new(self.dram, now, t_mem);
         for &cmd in &self.cmds[start..end] {
-            let line = cmd & !CMD_MASK;
-            match cmd & CMD_MASK {
-                CMD_DEMAND => latency = self.dram.serve(line, OpAttrs::read(), t_mem),
-                CMD_SINK => {
-                    let _ = self.dram.serve(line, OpAttrs::write(), now);
-                }
-                CMD_WRITEBACK => {
-                    let _ = self.dram.serve(line, OpAttrs::write(), t_mem);
-                }
-                CMD_PREFETCH => {
-                    let _ = self.dram.serve_prefetch(line, t_mem);
-                }
-                _ => self.dram.warm_access(line),
-            }
+            replay_cmd(cmd, &mut port);
         }
-        latency
+        port.latency
     }
 
     /// Plays a warming stretch: every row the nodes warmed, in order.
@@ -1327,9 +1295,6 @@ mod tests {
                 policy: crate::config::ReplacementPolicy::Drrip,
             },
             stride_prefetcher: true,
-            stride_streams: 16,
-            prefetch_degree: 2,
-            xmem_prefetch_degree: 4,
             xmem: mode,
         }
     }
@@ -1343,7 +1308,7 @@ mod tests {
     }
 
     fn two_domains() -> Hierarchy {
-        Hierarchy::with_domains(small_config(XmemMode::Off), small_dram(), 2, None)
+        Hierarchy::with_members(vec![(small_config(XmemMode::Off), small_dram())], 2, None)
     }
 
     #[test]
@@ -1377,14 +1342,12 @@ mod tests {
             line,
             InsertPriority::Normal,
             &mut Served::new(&mut h.drams[0], 0, 0),
-            false,
         ));
         assert!(
             !h.nodes[0].prefetch_into_l3(
                 line,
                 InsertPriority::Normal,
                 &mut Served::new(&mut h.drams[0], 0, 0),
-                false,
             ),
             "resident"
         );
@@ -1481,7 +1444,7 @@ mod tests {
         for i in 0..512u64 {
             h.serve(i * 64, false, i, None);
         }
-        assert!(h.pinned_atoms().is_empty());
+        assert!(h.nodes[0].pinned.is_empty());
     }
 
     #[test]

@@ -86,11 +86,6 @@ impl LatencyHistogram {
         }
         self.total += other.total;
     }
-
-    /// Per-bucket counts, for rendering.
-    pub fn buckets(&self) -> &[u64; BUCKETS] {
-        &self.counts
-    }
 }
 
 #[cfg(test)]

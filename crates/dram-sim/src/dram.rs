@@ -13,8 +13,10 @@
 //!
 //! Scheduling note: requests are processed in arrival order with an open-row
 //! policy, which captures the first-order effect of FR-FCFS (row hits are
-//! cheap and banks pipeline). The standalone [`crate::frfcfs`] module
-//! implements the full reordering scheduler for batch studies and ablation.
+//! cheap and banks pipeline) but not its reordering. The cache hierarchy
+//! reaches this model from one place, its `Served` port, which picks the
+//! call ([`Dram::serve`], [`Dram::serve_prefetch`] or
+//! [`Dram::warm_access`]) and the time for each request kind.
 
 use crate::config::{DramConfig, RowPolicy};
 use crate::mapping::{AddressMapping, Decoder};
@@ -249,25 +251,6 @@ impl Dram {
         self.busy_banks(now) as u64 + bus_backlog
     }
 
-    /// The row currently open in global bank `bank` (`None` when the bank
-    /// is precharged). Exposing the timing model's own bank state lets a
-    /// scheduler's first-ready predicate never drift from it.
-    pub fn open_row(&self, bank: usize) -> Option<u64> {
-        let row = self.open_rows[bank];
-        (row != NO_ROW).then_some(row)
-    }
-
-    /// Whether an access to `addr` would be a row-buffer hit right now.
-    /// Ideal-RBL devices hit by definition; writes never open rows, so a
-    /// written row does not make later reads "first ready".
-    pub fn row_hit(&self, addr: u64) -> bool {
-        if self.ideal_rbl {
-            return true;
-        }
-        let loc = self.decoder.decode(addr);
-        self.open_rows[loc.global_bank(&self.config)] == loc.row
-    }
-
     /// Serves one access arriving at cycle `now`; returns its latency.
     /// (The inherent mirror of [`MemoryPath::serve`], so callers holding a
     /// concrete `Dram` need no trait import.)
@@ -436,25 +419,16 @@ mod tests {
         assert!(d.stats().row_hit_rate() > 0.95, "{:?}", d.stats());
     }
 
+    /// Writes are buffered and never open rows: a read after a write to
+    /// the same row is a row miss, after a read a row hit.
     #[test]
-    fn open_row_inspection_matches_timing() {
-        let mut d = dram(AddressMapping::scheme5());
-        assert!(!d.row_hit(0), "banks start precharged");
-        d.serve(0, OpAttrs::read(), 0);
-        assert!(d.row_hit(64), "same row is open");
-        let loc = AddressMapping::scheme5().decode(0, d.config());
-        assert_eq!(d.open_row(loc.global_bank(d.config())), Some(loc.row));
-        assert!(
-            !d.row_hit(d.config().row_bytes),
-            "other row of the same bank"
-        );
-        // Writes are buffered and never open rows.
+    fn writes_never_open_rows() {
         let mut d = dram(AddressMapping::scheme5());
         d.serve(0, OpAttrs::write(), 0);
-        assert!(!d.row_hit(64));
-        // Ideal-RBL devices hit by definition.
-        let ideal = Dram::new_ideal_rbl(DramConfig::ddr3_1066(3.6), AddressMapping::scheme5());
-        assert!(ideal.row_hit(1 << 30));
+        d.serve(64, OpAttrs::read(), 1000);
+        assert_eq!((d.stats().row_hits, d.stats().row_misses), (0, 1));
+        d.serve(128, OpAttrs::read(), 2000);
+        assert_eq!(d.stats().row_hits, 1);
     }
 
     #[test]
@@ -550,10 +524,9 @@ mod tests {
     fn warm_access_opens_rows_without_stats_or_timing() {
         let mut d = dram(AddressMapping::scheme5());
         d.warm_access(0);
-        assert!(d.row_hit(64), "warm probe opened the row");
         assert_eq!(d.stats(), DramStats::default(), "no statistics recorded");
         assert_eq!(d.busy_banks(0), 0, "no bank timing consumed");
-        // A detailed read after warming is a row hit.
+        // The warm probe opened the row: a detailed read is a row hit.
         d.serve(64, OpAttrs::read(), 0);
         assert_eq!(d.stats().row_hits, 1);
         // Closed-row policy: warm probes leave the bank precharged.
@@ -563,7 +536,8 @@ mod tests {
         };
         let mut closed = Dram::new(cfg, AddressMapping::scheme5());
         closed.warm_access(0);
-        assert!(!closed.row_hit(64));
+        closed.serve(64, OpAttrs::read(), 0);
+        assert_eq!(closed.stats().row_hits, 0);
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! * [`AddressMapping`] — PA → (channel, rank, bank, row, column).
 //! * [`Dram`] — the per-access timing model every experiment runs: requests
 //!   in arrival order (row hits/misses/conflicts, bank queueing, channel
-//!   bus bandwidth).
-//! * [`frfcfs`] — a standalone reordering FR-FCFS scheduler for batch
-//!   studies and ablation against FCFS; no experiment runs it.
+//!   bus bandwidth). Arrival order with an open row captures the
+//!   first-order effect of the paper's FR-FCFS controller (row hits are
+//!   cheap and banks pipeline), not its reordering.
 //!
 //! ```
 //! use cpu_sim::batch::OpAttrs;
@@ -31,7 +31,6 @@
 
 pub mod config;
 pub mod dram;
-pub mod frfcfs;
 pub mod mapping;
 
 pub use crate::config::{DramConfig, RowPolicy};

@@ -86,20 +86,9 @@ impl PageTable {
         self.dense[i] = pfn;
     }
 
-    /// Removes the mapping for `vpn`, returning the frame it held.
-    pub fn unmap_page(&mut self, vpn: u64) -> Option<u64> {
-        if vpn >= DENSE_VPNS {
-            return self.sparse.remove(&vpn);
-        }
-        self.dense
-            .get_mut(addr_to_index(vpn))
-            .map(|slot| std::mem::replace(slot, NO_FRAME))
-            .filter(|&pfn| pfn != NO_FRAME)
-    }
-
     /// The frame backing `vpn`, if mapped.
     #[inline]
-    pub fn frame_of(&self, vpn: u64) -> Option<u64> {
+    fn frame_of(&self, vpn: u64) -> Option<u64> {
         if vpn < DENSE_VPNS {
             self.dense
                 .get(addr_to_index(vpn))
@@ -158,17 +147,8 @@ mod tests {
         assert_eq!(pt.mapped_pages(), 1);
     }
 
-    #[test]
-    fn unmap() {
-        let mut pt = PageTable::new(4096);
-        pt.map_page(2, 3);
-        assert_eq!(pt.unmap_page(2), Some(3));
-        assert_eq!(pt.unmap_page(2), None);
-        assert_eq!(pt.translate(VirtAddr::new(2 * 4096)), None);
-    }
-
-    /// A VPN far above the dense range maps, translates and unmaps through
-    /// the sparse map, without growing the dense vector.
+    /// A VPN far above the dense range maps and translates through the
+    /// sparse map, without growing the dense vector.
     #[test]
     fn sparse_vpn_needs_no_large_allocation() {
         let mut pt = PageTable::new(4096);
@@ -178,9 +158,6 @@ mod tests {
         let va = VirtAddr::new((vpn << 12) + 77);
         assert_eq!(pt.translate(va).unwrap().raw(), 9 * 4096 + 77);
         assert_eq!(pt.mapped_pages(), 1);
-        assert_eq!(pt.unmap_page(vpn), Some(9));
-        assert_eq!(pt.translate(va), None);
-        assert_eq!(pt.mapped_pages(), 0);
     }
 
     /// Unmapped VPNs translate to `None` below the highest dense mapping,
@@ -199,12 +176,6 @@ mod tests {
         assert_eq!(pt.frame_of(DENSE_VPNS - 1), Some(5));
         assert_eq!(pt.frame_of(DENSE_VPNS), Some(6));
         assert_eq!(pt.mapped_pages(), 4);
-        // Unmapping a dense VPN never mapped, or twice, changes nothing.
-        assert_eq!(pt.unmap_page(3), None);
-        assert_eq!(pt.unmap_page(1), Some(10));
-        assert_eq!(pt.unmap_page(1), None);
-        assert_eq!(pt.unmap_page(1 << 40), None);
-        assert_eq!(pt.mapped_pages(), 3);
     }
 
     #[test]

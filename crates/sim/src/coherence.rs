@@ -174,11 +174,6 @@ impl CoherentCluster {
         self.memory.get(&self.line_of(addr)).copied().unwrap_or(0)
     }
 
-    /// `core`'s cached value for the line holding `addr`, if resident.
-    pub fn cached_value(&self, core: usize, addr: u64) -> Option<u64> {
-        self.copies.get(&(core, self.line_of(addr))).copied()
-    }
-
     /// Accumulated bus traffic.
     pub fn bus_stats(&self) -> BusStats {
         self.bus.stats()

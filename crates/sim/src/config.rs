@@ -127,9 +127,6 @@ impl SystemConfig {
                 policy: ReplacementPolicy::Drrip,
             },
             stride_prefetcher: true,
-            stride_streams: 16,
-            prefetch_degree: 2,
-            xmem_prefetch_degree: 4,
             xmem: kind.xmem_mode(),
         };
         SystemConfig {
@@ -169,12 +166,6 @@ impl SystemConfig {
         SystemConfigBuilder {
             config: SystemConfig::westmere_like(),
         }
-    }
-
-    /// A builder seeded with `self`, for deriving variants of an existing
-    /// configuration (e.g. the scaled machines).
-    pub fn to_builder(self) -> SystemConfigBuilder {
-        SystemConfigBuilder { config: self }
     }
 
     /// Enables a TLB with the default geometry (64 entries, 30-cycle walk).
@@ -301,12 +292,6 @@ pub struct MultiCoreConfig {
     pub l3: CacheConfig,
     /// Enable the per-core stride prefetchers.
     pub stride_prefetcher: bool,
-    /// Streams per stride prefetcher.
-    pub stride_streams: usize,
-    /// Stride prefetch degree.
-    pub prefetch_degree: usize,
-    /// XMem guided prefetch degree.
-    pub xmem_prefetch_degree: usize,
     /// XMem operating mode.
     pub xmem: XmemMode,
     /// Shared DRAM timing/geometry.
@@ -341,9 +326,6 @@ impl MultiCoreConfig {
             l2: h.l2,
             l3: h.l3,
             stride_prefetcher: h.stride_prefetcher,
-            stride_streams: h.stride_streams,
-            prefetch_degree: h.prefetch_degree,
-            xmem_prefetch_degree: h.xmem_prefetch_degree,
             xmem: h.xmem,
             dram: system.dram,
             mapping: system.mapping,
@@ -381,9 +363,6 @@ impl MultiCoreConfig {
                 l2: self.l2,
                 l3: self.l3,
                 stride_prefetcher: self.stride_prefetcher,
-                stride_streams: self.stride_streams,
-                prefetch_degree: self.prefetch_degree,
-                xmem_prefetch_degree: self.xmem_prefetch_degree,
                 xmem: self.xmem,
             },
             dram: self.dram,

@@ -200,9 +200,9 @@ impl MemSystem {
     /// stamps that are already near-freshest. A small direct-mapped filter
     /// over the last lines warmed skips the full hierarchy walk for those
     /// repeats, which is most of the functional-warming cost on sequential
-    /// streams. The approximation is bounded: only lines warmed since the
-    /// last filter wipe are skipped, and a store after a clean access
-    /// still walks, to set the dirty bit the first access did not.
+    /// streams. The approximation is bounded: only the lines warmed most
+    /// recently are skipped, and a store after a clean access still
+    /// walks, to set the dirty bit the first access did not.
     #[inline]
     fn warm_filtered(&mut self, va: u64, is_write: bool) -> bool {
         let line = va >> WARM_LINE_SHIFT;
@@ -1086,7 +1086,10 @@ impl TraceSink for Machine {
     }
 
     fn alloc(&mut self, bytes: u64, atom: Option<AtomId>) -> u64 {
-        // The page table is about to grow: drop the translate cache.
+        // The page table is about to change: drop the translate cache.
+        // `Os::malloc` maps only fresh pages today, but `map_page` can
+        // replace a mapping, and this wipe is what keeps the cache exact
+        // whatever the OS does. It costs one 128-byte store per allocation.
         self.mem.tc_vpn = [TC_EMPTY; TC_ENTRIES];
         self.mem
             .os

@@ -47,12 +47,6 @@ impl KernelParams {
         }
     }
 
-    /// Same parameters with a different tile size (the Fig 4 sweep).
-    pub fn with_tile(mut self, tile_bytes: u64) -> Self {
-        self.tile_bytes = tile_bytes;
-        self
-    }
-
     /// Minimum block side for 2D-blocked kernels, in elements. Polyhedral
     /// tilers do not emit degenerate 2- or 3-element blocks (the traffic
     /// amplification from re-streaming the untiled operands would dwarf any
