@@ -3,6 +3,8 @@
 //! `run`, at 1 and 8 workers. Each standalone record is also digested and
 //! checked against `golden/published.json` (see the `golden` module), so
 //! the grids' published numbers are pinned, not only their grouping.
+//! Every unsampled standalone report must also balance the conservation
+//! ledger (see [`ledger`]).
 //!
 //! Release builds check the full Figs 4–7 `--quick` grids, plus Fig 5's
 //! grid with a telemetry epoch (`--epoch=997`) and under interval sampling
@@ -13,7 +15,7 @@
 mod golden;
 
 use xmem_bench::grids;
-use xmem_sim::{run, JsonValue, RunRecord, RunSpec, SamplingSpec, Sweep};
+use xmem_sim::{run, JsonValue, RunRecord, RunReport, RunSpec, SamplingSpec, Sweep};
 
 /// The `--quick` problem size of the use-case-1 figures.
 const QUICK_N: usize = 48;
@@ -27,6 +29,36 @@ fn rendered(record: &RunRecord) -> String {
     JsonValue::Object(fields).render()
 }
 
+/// The cross-layer conservation laws of one fully detailed report: each
+/// level's demand misses are the next level's demand accesses, the L3's
+/// demand misses are DRAM's demand reads, every L3 fill (demand or
+/// prefetch) is one DRAM read, and every DRAM read is a row hit, miss or
+/// conflict. The ideal-RBL device (`ideal_rbl`) sends writes down its read
+/// path and counts each one as a row hit, so there the row outcomes sum to
+/// reads plus writes (DESIGN.md "Modeling decisions").
+fn ledger(label: &str, r: &RunReport, ideal_rbl: bool) {
+    let d = &r.dram;
+    let row_path = if ideal_rbl {
+        d.reads + d.writes
+    } else {
+        d.reads
+    };
+    let laws = [
+        ("l1 misses = l2 accesses", r.l1.misses(), r.l2.accesses),
+        ("l2 misses = l3 accesses", r.l2.misses(), r.l3.accesses),
+        ("l3 misses = demand reads", r.l3.misses(), d.demand_reads),
+        ("l3 fills = dram reads", r.l3.fills, d.reads),
+        (
+            "row outcomes",
+            d.row_hits + d.row_misses + d.row_conflicts,
+            row_path,
+        ),
+    ];
+    for (law, lhs, rhs) in laws {
+        assert_eq!(lhs, rhs, "{label}: {law}");
+    }
+}
+
 /// In debug builds, the first `keep` runs of `per` consecutive specs (a
 /// kernel's points); in release builds, every spec.
 fn reduce(specs: Vec<RunSpec>, per: usize, keep: usize) -> Vec<RunSpec> {
@@ -38,8 +70,8 @@ fn reduce(specs: Vec<RunSpec>, per: usize, keep: usize) -> Vec<RunSpec> {
 }
 
 /// Checks every point of `specs`' standalone run against the golden file
-/// under `name`, then each grouped record against the standalone one;
-/// returns the sweep's group sizes.
+/// under `name` and, unless sampled, the [`ledger`], then each grouped
+/// record against the standalone one; returns the sweep's group sizes.
 fn check(
     name: &str,
     specs: &[RunSpec],
@@ -50,6 +82,9 @@ fn check(
         .iter()
         .map(|spec| {
             let out = run(&spec.config, &spec.workload, epoch, sampling);
+            if sampling.is_none() {
+                ledger(&spec.label, &out.report, spec.config.ideal_rbl);
+            }
             rendered(&RunRecord {
                 label: spec.label.clone(),
                 config: spec.config,

@@ -13,7 +13,7 @@
 
 use crate::coherence::MesiState;
 use crate::config::{CacheConfig, ReplacementPolicy};
-use xmem_core::addr::{addr_to_index, addr_to_u16};
+use xmem_core::addr::addr_to_index;
 
 /// Insertion priority for a fill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,10 +143,6 @@ impl CacheStats {
 }
 
 const RRPV_MAX: u8 = 3;
-/// SHiP signature table entries (power of two).
-const SHCT_ENTRIES: usize = 1024;
-/// SHiP counter saturation.
-const SHCT_MAX: u8 = 3;
 /// Fraction of BRRIP fills that use the long (rather than distant) interval.
 const BRRIP_LONG_EVERY: u32 = 32;
 /// PSEL counter width for DRRIP set dueling.
@@ -161,13 +157,11 @@ const DUEL_PERIOD: usize = 64;
 const TAG_INVALID: u64 = u64::MAX;
 
 /// Per-line state, packed into one byte so a set's victim scan and a
-/// fill's state write touch a single contiguous lane: four flag bits, the
+/// fill's state write touch a single contiguous lane: three flag bits, the
 /// RRIP re-reference prediction value, and the MESI state.
 const META_VALID: u8 = 1 << 0;
 const META_DIRTY: u8 = 1 << 1;
 const META_PINNED: u8 = 1 << 2;
-/// SHiP: whether the line was re-referenced since insertion.
-const META_OUTCOME: u8 = 1 << 3;
 /// The RRPV field (`0..=RRPV_MAX`).
 const RRPV_SHIFT: u32 = 4;
 const META_RRPV: u8 = RRPV_MAX << RRPV_SHIFT;
@@ -189,7 +183,7 @@ fn rrpv_of(meta: u8) -> u8 {
 /// `fill` installs a line after a miss and reports any eviction.
 ///
 /// Line state is stored struct-of-arrays: one lane per field (`tags`,
-/// `lru`, `sigs`, and the packed `meta` byte holding the flags, RRPV and
+/// `lru`, and the packed `meta` byte holding the flags, RRPV and
 /// MESI state), all indexed by `set * ways + way`. The hot probe loop
 /// scans the tag lane and a fill's victim search one metadata byte per
 /// way — a handful of contiguous cache lines per set — instead of
@@ -220,8 +214,6 @@ pub struct Cache {
     tags: Vec<u64>,
     /// LRU stamps (same indexing).
     lru: Vec<u64>,
-    /// SHiP signatures of the inserting region.
-    sigs: Vec<u16>,
     /// Packed flag bits ([`META_VALID`] etc.), RRPV and MESI state.
     meta: Vec<u8>,
     clock: u64,
@@ -232,8 +224,6 @@ pub struct Cache {
     stats: CacheStats,
     /// Maximum pinned ways per set (75% of associativity, §5.2(3)).
     pin_cap_ways: usize,
-    /// SHiP: signature history counter table (2-bit saturating counters).
-    shct: Vec<u8>,
 }
 
 impl Cache {
@@ -255,22 +245,14 @@ impl Cache {
             set_mask: sets as u64 - 1,
             tags: vec![TAG_INVALID; lines],
             lru: vec![0; lines],
-            sigs: vec![0; lines],
             meta: vec![0; lines],
             clock: 0,
             psel: 0,
             brrip_ctr: 0,
             stats: CacheStats::default(),
             pin_cap_ways: ((config.ways as f64) * 0.75).floor().max(1.0) as usize,
-            shct: vec![1; SHCT_ENTRIES],
             config,
         }
-    }
-
-    /// SHiP signature: the 16 KB region of the address (SHiP-Mem flavor).
-    #[inline]
-    fn signature(addr: u64) -> u16 {
-        addr_to_u16((addr >> 14) & (SHCT_ENTRIES as u64 - 1))
     }
 
     /// The configuration in use.
@@ -281,11 +263,6 @@ impl Cache {
     /// Accumulated statistics.
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// Resets statistics (contents are kept).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
     }
 
     /// The DRRIP set-dueling policy-select counter. Positive favors BRRIP
@@ -367,7 +344,7 @@ impl Cache {
         }
     }
 
-    /// Hit-side bookkeeping: promote, mark dirty, SHiP outcome feedback.
+    /// Hit-side bookkeeping: promote and mark dirty.
     #[inline]
     fn probe_hit(&mut self, i: usize, is_write: bool) {
         self.lru[i] = self.clock;
@@ -378,11 +355,6 @@ impl Cache {
         }
         if is_write {
             self.meta[i] |= META_DIRTY;
-        }
-        if self.config.policy == ReplacementPolicy::Ship && self.meta[i] & META_OUTCOME == 0 {
-            self.meta[i] |= META_OUTCOME;
-            let c = &mut self.shct[self.sigs[i] as usize];
-            *c = (*c + 1).min(SHCT_MAX);
         }
         self.stats.hits += 1;
     }
@@ -453,7 +425,7 @@ impl Cache {
             }
             return (Slot { index: i, tag }, None);
         }
-        self.install(addr, (set, tag), &scan, dirty, priority, brrip_long)
+        self.install((set, tag), &scan, dirty, priority, brrip_long)
     }
 
     /// Installs `addr` unless it is resident, with one scan of its set. A
@@ -476,7 +448,7 @@ impl Cache {
         self.clock += 1;
         let brrip_long = self.next_brrip_long();
         FillOutcome::Filled(
-            self.install(addr, (set, tag), &scan, dirty, priority, brrip_long)
+            self.install((set, tag), &scan, dirty, priority, brrip_long)
                 .1,
         )
     }
@@ -634,11 +606,10 @@ impl Cache {
         }
     }
 
-    /// Installs `addr` (absent, per `scan` of its set): picks the victim,
+    /// Installs `tag` in `set` (absent, per `scan` of it): picks the victim,
     /// writes the new line's lanes and reports the eviction.
     fn install(
         &mut self,
-        addr: u64,
         (set, tag): (usize, u64),
         scan: &SetScan,
         dirty: bool,
@@ -646,12 +617,6 @@ impl Cache {
         brrip_long: bool,
     ) -> (Slot, Option<Eviction>) {
         let clock = self.clock;
-        // SHiP signature work only matters under the SHiP policy; the sigs
-        // lane is read exclusively from SHiP-gated paths, so a zero
-        // signature under other policies is unobservable.
-        let ship = self.config.policy == ReplacementPolicy::Ship;
-        let sig = if ship { Self::signature(addr) } else { 0 };
-        let ship_dead = ship && self.shct[sig as usize] == 0;
         // Resolve the effective policy for this set (DRRIP dueling).
         let policy = match self.config.policy {
             ReplacementPolicy::Drrip => match set % DUEL_PERIOD {
@@ -719,14 +684,6 @@ impl Cache {
                         RRPV_MAX
                     }
                 }
-                ReplacementPolicy::Ship => {
-                    // Predicted dead (counter at zero): distant insertion.
-                    if ship_dead {
-                        RRPV_MAX
-                    } else {
-                        RRPV_MAX - 1
-                    }
-                }
                 ReplacementPolicy::Drrip => unreachable!("resolved above"),
             },
         };
@@ -737,13 +694,6 @@ impl Cache {
         };
         self.tags[victim] = tag;
         self.lru[victim] = lru;
-        // The sigs lane is read only under SHiP, so other policies leave
-        // it alone.
-        let ev_sig = if ship {
-            std::mem::replace(&mut self.sigs[victim], sig)
-        } else {
-            0
-        };
         // A fresh line never inherits the victim's MESI state (the field
         // is left 0); the coherence engine assigns the real state right
         // after the fill.
@@ -758,12 +708,6 @@ impl Cache {
         self.stats.fills += 1;
         let slot = Slot { index: victim, tag };
         let eviction = if ev_meta & META_VALID != 0 {
-            // SHiP feedback: a line evicted without re-reference votes its
-            // signature down.
-            if ship && ev_meta & META_OUTCOME == 0 {
-                let c = &mut self.shct[ev_sig as usize];
-                *c = c.saturating_sub(1);
-            }
             self.stats.evictions += 1;
             if ev_meta & META_DIRTY != 0 {
                 self.stats.writebacks += 1;
@@ -797,11 +741,6 @@ impl Cache {
             .iter()
             .filter(|&&m| m & (META_VALID | META_PINNED) == META_VALID | META_PINNED)
             .count()
-    }
-
-    /// Number of valid lines.
-    pub fn valid_lines(&self) -> usize {
-        self.meta.iter().filter(|&&m| m & META_VALID != 0).count()
     }
 
     /// Marks `addr` dirty if resident (no stats impact); returns whether the
@@ -872,7 +811,6 @@ impl Cache {
         let dirty = self.meta[i] & META_DIRTY != 0;
         self.tags[i] = TAG_INVALID;
         self.lru[i] = 0;
-        self.sigs[i] = 0;
         self.meta[i] = 0;
         self.stats.snoop_invalidations += 1;
         if dirty {
@@ -885,7 +823,6 @@ impl Cache {
     pub fn flush(&mut self) {
         self.tags.fill(TAG_INVALID);
         self.lru.fill(0);
-        self.sigs.fill(0);
         self.meta.fill(0);
     }
 }
@@ -1207,84 +1144,6 @@ mod tests {
     }
 
     #[test]
-    fn ship_learns_streaming_signatures() {
-        // One region streams (never re-referenced), another is hot.
-        // After warmup, SHiP inserts the streaming region at distant RRPV,
-        // protecting the hot region's lines.
-        let mut c = Cache::new(CacheConfig {
-            size_bytes: 16 << 10, // 256 lines
-            ways: 8,
-            line_bytes: 64,
-            latency: 1,
-            policy: ReplacementPolicy::Ship,
-        });
-        let hot_lines = 128u64; // half the cache, re-referenced constantly
-        let mut hot_hits_late = 0u64;
-        let mut hot_accesses_late = 0u64;
-        for round in 0..200u64 {
-            for i in 0..hot_lines {
-                let addr = i * 64; // region 0 (first 16 KB)
-                let hit = c.probe(addr, false);
-                if !hit {
-                    c.fill(addr, false, InsertPriority::Normal);
-                }
-                if round >= 100 {
-                    hot_accesses_late += 1;
-                    hot_hits_late += hit as u64;
-                }
-            }
-            // The stream pollutes from far-away regions, never repeating.
-            for k in 0..64u64 {
-                let addr = (1 << 24) + (round * 64 + k) * 64;
-                if !c.probe(addr, false) {
-                    c.fill(addr, false, InsertPriority::Normal);
-                }
-            }
-        }
-        let hot_rate = hot_hits_late as f64 / hot_accesses_late as f64;
-        assert!(
-            hot_rate > 0.95,
-            "SHiP should protect the hot region: {hot_rate:.3}"
-        );
-    }
-
-    #[test]
-    fn ship_beats_lru_under_stream_pollution() {
-        let run = |policy| {
-            let mut c = Cache::new(CacheConfig {
-                size_bytes: 16 << 10,
-                ways: 8,
-                line_bytes: 64,
-                latency: 1,
-                policy,
-            });
-            let mut hits = 0u64;
-            for round in 0..150u64 {
-                for i in 0..128u64 {
-                    if c.probe(i * 64, false) {
-                        hits += 1;
-                    } else {
-                        c.fill(i * 64, false, InsertPriority::Normal);
-                    }
-                }
-                // A cyclic stream over a fixed 128 KB buffer: lines are
-                // reused only after a full lap (far beyond capacity), so
-                // SHiP learns their regions are dead on arrival.
-                for k in 0..256u64 {
-                    let addr = (1 << 24) + ((round * 256 + k) % 2048) * 64;
-                    if !c.probe(addr, false) {
-                        c.fill(addr, false, InsertPriority::Normal);
-                    }
-                }
-            }
-            hits
-        };
-        let ship = run(ReplacementPolicy::Ship);
-        let lru = run(ReplacementPolicy::Lru);
-        assert!(ship > lru, "ship {ship} vs lru {lru}");
-    }
-
-    #[test]
     fn stats_consistency() {
         let mut c = tiny(ReplacementPolicy::Lru);
         for i in 0..100u64 {
@@ -1307,6 +1166,5 @@ mod tests {
         c.flush();
         assert!(!c.contains(0));
         assert_eq!(c.stats().hits, 1);
-        assert_eq!(c.valid_lines(), 0);
     }
 }

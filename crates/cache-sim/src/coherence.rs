@@ -184,27 +184,15 @@ pub const fn snoop_transition(state: MesiState, op: BusOp) -> Option<(MesiState,
     }
 }
 
-/// Timing parameters of the snooping bus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BusConfig {
-    /// Cycles to win arbitration and broadcast one transaction.
-    pub arb_latency: u64,
-    /// Extra cycles for a cache-to-cache (M/E → requester) data transfer.
-    /// Cheaper than DRAM, dearer than an L3 hit.
-    pub c2c_latency: u64,
-}
+// The bus sits between the scaled L3 (27 cycles) and DRAM (~100+):
+// arbitration alone costs half an L3 hit; a full cache-to-cache transfer
+// lands at L3-hit-plus-bus territory.
 
-impl Default for BusConfig {
-    fn default() -> Self {
-        // Between the scaled L3 (27 cycles) and DRAM (~100+): arbitration
-        // alone costs half an L3 hit; a full cache-to-cache transfer lands
-        // at L3-hit-plus-bus territory.
-        BusConfig {
-            arb_latency: 12,
-            c2c_latency: 30,
-        }
-    }
-}
+/// Cycles to win arbitration and broadcast one transaction.
+pub const ARB_LATENCY: u64 = 12;
+/// Extra cycles for a cache-to-cache (M/E → requester) data transfer.
+/// Cheaper than DRAM, dearer than an L3 hit.
+pub const C2C_LATENCY: u64 = 30;
 
 /// Traffic and timing counters of the snooping bus.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -248,30 +236,16 @@ impl BusStats {
 }
 
 /// The timed snooping bus: one transaction at a time, FCFS in simulated
-/// time. A requester arriving while the bus is busy waits for the previous
-/// transaction to drain (counted in [`BusStats::stall_cycles`]).
-#[derive(Debug, Clone)]
+/// time, at the fixed [`ARB_LATENCY`] and [`C2C_LATENCY`]. A requester
+/// arriving while the bus is busy waits for the previous transaction to
+/// drain (counted in [`BusStats::stall_cycles`]). The default bus is idle.
+#[derive(Debug, Clone, Default)]
 pub struct SnoopBus {
-    config: BusConfig,
     busy_until: u64,
     stats: BusStats,
 }
 
 impl SnoopBus {
-    /// An idle bus.
-    pub fn new(config: BusConfig) -> Self {
-        SnoopBus {
-            config,
-            busy_until: 0,
-            stats: BusStats::default(),
-        }
-    }
-
-    /// The timing parameters.
-    pub fn config(&self) -> BusConfig {
-        self.config
-    }
-
     /// Accumulated traffic counters.
     pub fn stats(&self) -> BusStats {
         self.stats
@@ -284,13 +258,13 @@ impl SnoopBus {
         let start = self.busy_until.max(now);
         let wait = start - now;
         self.stats.stall_cycles += wait;
-        self.busy_until = start + self.config.arb_latency;
+        self.busy_until = start + ARB_LATENCY;
         match op {
             BusOp::Rd => self.stats.bus_rd += 1,
             BusOp::RdX => self.stats.bus_rdx += 1,
             BusOp::Upgr => self.stats.bus_upgr += 1,
         }
-        wait + self.config.arb_latency
+        wait + ARB_LATENCY
     }
 
     /// Extends the current transaction with a cache-to-cache data transfer
@@ -298,8 +272,8 @@ impl SnoopBus {
     /// M/E peer supplies the line.
     pub fn cache_to_cache(&mut self) -> u64 {
         self.stats.c2c_transfers += 1;
-        self.busy_until += self.config.c2c_latency;
-        self.config.c2c_latency
+        self.busy_until += C2C_LATENCY;
+        C2C_LATENCY
     }
 
     /// Records a coherence writeback (snoop flush or M-line eviction).
@@ -555,18 +529,15 @@ mod tests {
 
     #[test]
     fn bus_serializes_back_to_back_transactions() {
-        let mut bus = SnoopBus::new(BusConfig {
-            arb_latency: 10,
-            c2c_latency: 20,
-        });
-        // First transaction at t=0 occupies [0, 10).
-        assert_eq!(bus.transact(BusOp::Rd, 0), 10);
-        // Second at t=4 waits 6, then arbitrates: 16 cycles total.
-        assert_eq!(bus.transact(BusOp::RdX, 4), 16);
-        assert_eq!(bus.stats().stall_cycles, 6);
-        // A c2c transfer extends the occupancy.
-        assert_eq!(bus.cache_to_cache(), 20);
-        assert_eq!(bus.transact(BusOp::Upgr, 0), 40 + 10);
+        let mut bus = SnoopBus::default();
+        // First transaction at t=0 occupies [0, 12).
+        assert_eq!(bus.transact(BusOp::Rd, 0), ARB_LATENCY);
+        // Second at t=4 waits 8, then arbitrates: 20 cycles total.
+        assert_eq!(bus.transact(BusOp::RdX, 4), 8 + ARB_LATENCY);
+        assert_eq!(bus.stats().stall_cycles, 8);
+        // A c2c transfer extends the occupancy to 24 + 30 = 54.
+        assert_eq!(bus.cache_to_cache(), C2C_LATENCY);
+        assert_eq!(bus.transact(BusOp::Upgr, 0), 54 + ARB_LATENCY);
         let s = bus.stats();
         assert_eq!((s.bus_rd, s.bus_rdx, s.bus_upgr), (1, 1, 1));
         assert_eq!(s.transactions(), 3);
@@ -575,9 +546,9 @@ mod tests {
 
     #[test]
     fn idle_bus_costs_only_arbitration() {
-        let mut bus = SnoopBus::new(BusConfig::default());
+        let mut bus = SnoopBus::default();
         let lat = bus.transact(BusOp::Rd, 1_000_000);
-        assert_eq!(lat, BusConfig::default().arb_latency);
+        assert_eq!(lat, ARB_LATENCY);
         assert_eq!(bus.stats().stall_cycles, 0);
     }
 }

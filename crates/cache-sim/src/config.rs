@@ -15,10 +15,6 @@ pub enum ReplacementPolicy {
     /// Dynamic RRIP: set dueling chooses between SRRIP and BRRIP.
     #[default]
     Drrip,
-    /// Signature-based Hit Prediction (SHiP-Mem, Wu et al. MICRO'11):
-    /// memory-region signatures predict whether an insertion will be
-    /// re-referenced; predicted-dead lines insert at distant RRPV.
-    Ship,
 }
 
 /// Geometry and timing of one cache level.

@@ -54,7 +54,7 @@
 //! the shared levels, through the same L3/DRAM/pinning/prefetch code.
 
 use crate::cache::{Cache, CacheStats, Eviction, FillOutcome, InsertPriority};
-use crate::coherence::{mesi_access, BusConfig, BusStats, CoherentAccess, MesiDomains, SnoopBus};
+use crate::coherence::{mesi_access, BusStats, CoherentAccess, MesiDomains, SnoopBus};
 use crate::config::CacheConfig;
 use crate::pin::{select_pinned, PinCandidate};
 use crate::prefetch::{MultiStridePrefetcher, PrefetchRun, PrefetchStats};
@@ -695,13 +695,13 @@ pub struct Hierarchy {
 impl Hierarchy {
     /// Creates an empty one-core hierarchy in front of `dram`.
     pub fn new(config: HierarchyConfig, dram: Dram) -> Self {
-        Self::with_members(vec![(config, dram)], 1, None)
+        Self::with_members(vec![(config, dram)], 1, false)
     }
 
     /// Creates the memory system of `members`: `cores` private domains,
     /// built from the first member's configuration, over every member's L3
-    /// side and DRAM, kept coherent by a MESI snooping bus when `bus` is
-    /// given. Members whose configurations agree below the private levels
+    /// side and DRAM, kept coherent by a MESI snooping bus when `coherent`
+    /// is set. Members whose configurations agree below the private levels
     /// share one L3 node. More than one member makes a *group*, which has
     /// one core and no bus and runs by stretches (see the module docs).
     ///
@@ -712,10 +712,10 @@ impl Hierarchy {
     pub fn with_members(
         members: Vec<(HierarchyConfig, Dram)>,
         cores: usize,
-        bus: Option<BusConfig>,
+        coherent: bool,
     ) -> Self {
         assert!(
-            members.len() == 1 || (cores == 1 && bus.is_none()),
+            members.len() == 1 || (cores == 1 && !coherent),
             "a group is one core without a bus"
         );
         // simlint: allow(unwrap, reason = "documented panic: a hierarchy needs a member")
@@ -744,7 +744,7 @@ impl Hierarchy {
             l2_lat: config.l1.latency + config.l2.latency,
             l1s: (0..cores).map(|_| Cache::new(config.l1)).collect(),
             l2s: (0..cores).map(|_| Cache::new(config.l2)).collect(),
-            bus: bus.map(SnoopBus::new),
+            bus: coherent.then(SnoopBus::default),
             coh_acc: CoherentAccess::default(),
             nodes,
             drams,
@@ -1308,7 +1308,7 @@ mod tests {
     }
 
     fn two_domains() -> Hierarchy {
-        Hierarchy::with_members(vec![(small_config(XmemMode::Off), small_dram())], 2, None)
+        Hierarchy::with_members(vec![(small_config(XmemMode::Off), small_dram())], 2, false)
     }
 
     #[test]

@@ -42,8 +42,8 @@ mod tracker;
 
 pub use crate::cache::{Cache, CacheStats, Eviction, FillOutcome, InsertPriority, Slot};
 pub use crate::coherence::{
-    local_next, mesi_access, snoop_transition, BusConfig, BusOp, BusStats, CoherentAccess,
-    MesiDomains, MesiState, SnoopAction, SnoopBus,
+    local_next, mesi_access, snoop_transition, BusOp, BusStats, CoherentAccess, MesiDomains,
+    MesiState, SnoopAction, SnoopBus,
 };
 pub use crate::config::{CacheConfig, ReplacementPolicy};
 pub use crate::dram_cache::{DramCache, DramCacheConfig, DramCacheStats};

@@ -15,8 +15,6 @@ use cache_sim::config::{CacheConfig, ReplacementPolicy};
 use xmem_core::rng::SplitMix64;
 
 const RRPV_MAX: u8 = 3;
-const SHCT_ENTRIES: usize = 1024;
-const SHCT_MAX: u8 = 3;
 const PSEL_MAX: i32 = 1023;
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -25,11 +23,8 @@ struct Line {
     tag: u64,
     dirty: bool,
     pinned: bool,
-    /// SHiP: re-referenced since insertion.
-    reused: bool,
     lru: u64,
     rrpv: u8,
-    sig: usize,
     /// MESI state; `None` reads as `Invalid`.
     coh: Option<MesiState>,
 }
@@ -43,7 +38,6 @@ struct Model {
     clock: u64,
     psel: i32,
     brrip_ctr: u32,
-    shct: Vec<u8>,
     stats: CacheStats,
 }
 
@@ -57,7 +51,6 @@ impl Model {
             clock: 0,
             psel: 0,
             brrip_ctr: 0,
-            shct: vec![1; SHCT_ENTRIES],
             stats: CacheStats::default(),
         }
     }
@@ -94,10 +87,6 @@ impl Model {
             l.rrpv = 0;
         }
         l.dirty |= write;
-        if policy == ReplacementPolicy::Ship && !l.reused {
-            l.reused = true;
-            self.shct[l.sig] = (self.shct[l.sig] + 1).min(SHCT_MAX);
-        }
         self.stats.hits += 1;
         true
     }
@@ -131,7 +120,7 @@ impl Model {
             l.dirty |= dirty;
             return None;
         }
-        self.install(addr, set, tag, dirty, priority, brrip_long)
+        self.install(set, tag, dirty, priority, brrip_long)
     }
 
     fn fill_if_absent(&mut self, addr: u64, dirty: bool, priority: InsertPriority) -> FillOutcome {
@@ -145,7 +134,6 @@ impl Model {
 
     fn install(
         &mut self,
-        addr: u64,
         set: usize,
         tag: u64,
         dirty: bool,
@@ -190,13 +178,11 @@ impl Model {
                 }
             }
         };
-        let sig = ((addr >> 14) as usize) & (SHCT_ENTRIES - 1);
         let rrpv = match (priority, policy) {
             (InsertPriority::Pinned, _) => 0,
             (InsertPriority::Low, _) => RRPV_MAX,
             (_, ReplacementPolicy::Lru) => 0,
             (_, ReplacementPolicy::Brrip) if !brrip_long => RRPV_MAX,
-            (_, ReplacementPolicy::Ship) if self.shct[sig] == 0 => RRPV_MAX,
             _ => RRPV_MAX - 1,
         };
         let old = self.sets[set][victim];
@@ -205,26 +191,17 @@ impl Model {
             tag,
             dirty,
             pinned: priority == InsertPriority::Pinned,
-            reused: false,
             lru: if priority == InsertPriority::Low {
                 self.clock.saturating_sub(1 << 20)
             } else {
                 self.clock
             },
             rrpv,
-            sig: if self.policy == ReplacementPolicy::Ship {
-                sig
-            } else {
-                0
-            },
             coh: None,
         };
         self.stats.fills += 1;
         if !old.valid {
             return None;
-        }
-        if self.policy == ReplacementPolicy::Ship && !old.reused {
-            self.shct[old.sig] = self.shct[old.sig].saturating_sub(1);
         }
         self.stats.evictions += 1;
         self.stats.writebacks += u64::from(old.dirty);
@@ -383,7 +360,6 @@ fn soa_cache_matches_naive_model() {
         ReplacementPolicy::Srrip,
         ReplacementPolicy::Brrip,
         ReplacementPolicy::Drrip,
-        ReplacementPolicy::Ship,
     ] {
         for ways in [1, 8, 16] {
             for seed in 1..=4 {

@@ -11,14 +11,12 @@
 //!   NUMA socket, interleave salt), replacing the divergent positional
 //!   `access` signatures;
 //! * [`MemoryPath`] — the memory side of the machine: serve one op
-//!   ([`MemoryPath::serve`]) or a whole buffer in place
-//!   ([`MemoryPath::serve_batch`]).
+//!   ([`MemoryPath::serve`]).
 //!
-//! Simple models (fixed-latency stubs, test doubles) implement only
-//! `serve` and inherit the default `serve_batch`. Batched execution is
-//! *semantically identical* to per-op execution: ops are served in buffer
-//! order against the same mutable state, so reports are byte-identical
-//! either way (the identity suite in `crates/sim/tests` asserts this).
+//! Batched execution is *semantically identical* to per-op execution: the
+//! core serves a batch's ops in buffer order against the same mutable
+//! state, so reports are byte-identical either way (the identity suite in
+//! `crates/sim/tests` asserts this).
 
 use crate::trace::Op;
 
@@ -140,32 +138,29 @@ const fn kind_of(flags: u16) -> OpKind {
 /// A fixed-capacity struct-of-arrays buffer of trace operations.
 ///
 /// Layout is `#[repr(C)]`: four parallel lanes, one entry per op, hot
-/// lanes first. The `cycles` lane is dual-use: the producer writes each
-/// op's *start* cycle, and [`MemoryPath::serve_batch`] overwrites it in
-/// place with the op's *latency* — the batch is both request and response,
-/// so a round trip allocates nothing.
+/// lanes first. The `cycles` lane holds the start cycle the producer gave
+/// each op.
 ///
 /// # Examples
 ///
 /// ```
-/// use cpu_sim::batch::{MemoryPath, OpBatch};
-/// use cpu_sim::trace::{FixedLatency, Op};
+/// use cpu_sim::batch::{OpBatch, OpKind};
+/// use cpu_sim::trace::Op;
 ///
 /// let mut batch = OpBatch::new();
 /// batch.push_op(Op::load(0x40), 100);
 /// batch.push_op(Op::Compute(8), 100);
 /// batch.push_op(Op::store(0x80), 101);
-/// // FixedLatency implements only `serve`; `serve_batch` is the default.
-/// FixedLatency { latency: 7 }.serve_batch(&mut batch);
-/// assert_eq!(batch.latency(0), 7);
-/// assert_eq!(batch.latency(2), 7);
+/// assert_eq!(batch.kind(2), OpKind::Store);
+/// assert_eq!(batch.start(2), 101);
+/// assert_eq!(batch.op(1), Op::Compute(8));
 /// ```
 #[derive(Clone)]
 #[repr(C)]
 pub struct OpBatch {
     /// Virtual address per op (instruction count for `Compute`).
     addrs: [u64; BATCH_CAPACITY],
-    /// Start cycle in, latency out (memory ops only).
+    /// Start cycle per op.
     cycles: [u64; BATCH_CAPACITY],
     /// Auxiliary attribute word (interleave salt).
     aux: [u64; BATCH_CAPACITY],
@@ -270,22 +265,10 @@ impl OpBatch {
         OpAttrs::unpack(self.flags[i], self.aux[i])
     }
 
-    /// The start cycle of op `i` (producer side of the cycles lane).
+    /// The start cycle of op `i`.
     #[inline]
     pub fn start(&self, i: usize) -> u64 {
         self.cycles[i]
-    }
-
-    /// The served latency of op `i` (consumer side of the cycles lane).
-    #[inline]
-    pub fn latency(&self, i: usize) -> u64 {
-        self.cycles[i]
-    }
-
-    /// Writes op `i`'s latency in place.
-    #[inline]
-    pub fn set_latency(&mut self, i: usize, latency: u64) {
-        self.cycles[i] = latency;
     }
 
     /// Reconstructs op `i` as a trace [`Op`].
@@ -317,35 +300,20 @@ impl OpBatch {
     }
 }
 
-/// The batched interface between the core model and the memory hierarchy.
+/// The interface between the core model and the memory hierarchy.
 ///
 /// This is the memory-path contract: [`MemoryPath::serve`] performs one
-/// access with typed [`OpAttrs`], and [`MemoryPath::serve_batch`] serves a whole
-/// [`OpBatch`] in place. Implementations mutate their internal state per
-/// op *in buffer order*, which is what keeps batched and scalar execution
-/// byte-identical.
+/// access with typed [`OpAttrs`]. The core calls it once per memory op of
+/// an [`OpBatch`], *in buffer order*, which is what keeps batched and
+/// scalar execution byte-identical.
 pub trait MemoryPath {
     /// Serves one access at cycle `now`, returning its latency in cycles.
     fn serve(&mut self, addr: u64, attrs: OpAttrs, now: u64) -> u64;
-
-    /// Serves every memory op in `batch`, overwriting each op's cycles
-    /// lane entry (start cycle in, latency out). `Compute` entries are
-    /// untouched. The default forwards to [`MemoryPath::serve`] per op.
-    fn serve_batch(&mut self, batch: &mut OpBatch) {
-        for i in 0..batch.len() {
-            if matches!(batch.kind(i), OpKind::Compute) {
-                continue;
-            }
-            let latency = self.serve(batch.addr(i), batch.attrs(i), batch.start(i));
-            batch.set_latency(i, latency);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::FixedLatency;
 
     #[test]
     fn attrs_pack_round_trip() {
@@ -382,20 +350,6 @@ mod tests {
         let back: Vec<Op> = batch.ops().collect();
         assert_eq!(back, ops);
         assert_eq!(batch.start(3), 30);
-    }
-
-    #[test]
-    fn serve_batch_default_matches_scalar() {
-        let mut batch = OpBatch::new();
-        batch.push_op(Op::load(0x40), 5);
-        batch.push_op(Op::Compute(100), 5);
-        batch.push_op(Op::store(0x80), 6);
-        let mut mem = FixedLatency { latency: 9 };
-        mem.serve_batch(&mut batch);
-        assert_eq!(batch.latency(0), 9);
-        // Compute lanes are untouched (still the start cycle).
-        assert_eq!(batch.cycles[1], 5);
-        assert_eq!(batch.latency(2), 9);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! DRAM timing and geometry configuration.
 //!
 //! Defaults reproduce Table 3 of the paper: DDR3-1066, 2 channels, 1 rank
-//! per channel, 8 banks per rank, FR-FCFS scheduling with an open-row
-//! policy. All latencies are expressed in *core cycles* so the DRAM model
-//! plugs directly into the core timing model; the constructor converts the
-//! DDR3 nanosecond parameters at the configured core frequency.
+//! per channel, 8 banks per rank, and an open-row policy: every read
+//! leaves its row open. All latencies are expressed in *core cycles* so
+//! the DRAM model plugs directly into the core timing model; the
+//! constructor converts the DDR3 nanosecond parameters at the configured
+//! core frequency.
 
 /// DRAM geometry + timing, in core cycles.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -38,18 +39,6 @@ pub struct DramConfig {
     /// Set with [`DramConfig::with_capacity`] so the full geometry tiles the
     /// simulated physical memory.
     pub row_bits: u32,
-    /// Row-buffer management policy.
-    pub row_policy: RowPolicy,
-}
-
-/// Row-buffer management policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RowPolicy {
-    /// Keep the row open after an access (Table 3: "open-row policy").
-    #[default]
-    Open,
-    /// Precharge immediately after each access (close-page), for ablation.
-    Closed,
 }
 
 impl DramConfig {
@@ -81,7 +70,6 @@ impl DramConfig {
             // DDR3-1066 peak ≈ 8.53 GB/s per channel: 64 B in ~7.5 ns.
             bus_cycles: ns(7.5),
             row_bits: 16,
-            row_policy: RowPolicy::Open,
         }
     }
 

@@ -18,7 +18,7 @@
 //! call ([`Dram::serve`], [`Dram::serve_prefetch`] or
 //! [`Dram::warm_access`]) and the time for each request kind.
 
-use crate::config::{DramConfig, RowPolicy};
+use crate::config::DramConfig;
 use crate::mapping::{AddressMapping, Decoder};
 use cpu_sim::batch::{MemoryPath, OpAttrs};
 use cpu_sim::stats::LatencyHistogram;
@@ -222,11 +222,6 @@ impl Dram {
         self.stats
     }
 
-    /// Resets statistics (device state is kept).
-    pub fn reset_stats(&mut self) {
-        self.stats = DramStats::default();
-    }
-
     /// Total cycles banks have been occupied serving reads, summed over
     /// all banks. Divide a delta of this by `elapsed_cycles *
     /// config().total_banks()` for an average busy fraction.
@@ -285,10 +280,7 @@ impl Dram {
         }
         let loc = self.decoder.decode(addr);
         let bank_idx = loc.global_bank(&self.config);
-        self.open_rows[bank_idx] = match self.config.row_policy {
-            RowPolicy::Open => loc.row,
-            RowPolicy::Closed => NO_ROW,
-        };
+        self.open_rows[bank_idx] = loc.row;
     }
 
     fn serve_inner(&mut self, addr: u64, is_write: bool, is_prefetch: bool, now: u64) -> u64 {
@@ -343,7 +335,7 @@ impl Dram {
             // slot); a precharge/activate occupies the bank until the row is
             // open. The *latency* of this access still includes the full
             // command chain above.
-            let mut ready = start
+            let ready = start
                 + ras_wait
                 + match outcome {
                     RowOutcome::Hit => self.config.bus_cycles,
@@ -354,14 +346,7 @@ impl Dram {
                 // Row was (re)activated: tRAS runs from activation.
                 self.ras_until[bank_idx] = start + ras_wait + self.config.t_ras;
             }
-            self.open_rows[bank_idx] = match self.config.row_policy {
-                RowPolicy::Open => loc.row,
-                RowPolicy::Closed => {
-                    // Auto-precharge after the access.
-                    ready = ready.max(done) + self.config.t_rp;
-                    NO_ROW
-                }
-            };
+            self.open_rows[bank_idx] = loc.row;
             self.ready_at[bank_idx] = ready;
             self.busy_bank_cycles += ready - start;
             done - now
@@ -506,21 +491,6 @@ mod tests {
     }
 
     #[test]
-    fn closed_policy_never_hits() {
-        let cfg = DramConfig {
-            row_policy: RowPolicy::Closed,
-            ..DramConfig::ddr3_1066(3.6)
-        };
-        let mut d = Dram::new(cfg, AddressMapping::scheme5());
-        let mut t = 0;
-        for line in 0..16u64 {
-            t += d.serve(line * 64, OpAttrs::read(), t);
-        }
-        assert_eq!(d.stats().row_hits, 0);
-        assert_eq!(d.stats().row_misses, 16);
-    }
-
-    #[test]
     fn warm_access_opens_rows_without_stats_or_timing() {
         let mut d = dram(AddressMapping::scheme5());
         d.warm_access(0);
@@ -529,15 +499,6 @@ mod tests {
         // The warm probe opened the row: a detailed read is a row hit.
         d.serve(64, OpAttrs::read(), 0);
         assert_eq!(d.stats().row_hits, 1);
-        // Closed-row policy: warm probes leave the bank precharged.
-        let cfg = DramConfig {
-            row_policy: RowPolicy::Closed,
-            ..DramConfig::ddr3_1066(3.6)
-        };
-        let mut closed = Dram::new(cfg, AddressMapping::scheme5());
-        closed.warm_access(0);
-        closed.serve(64, OpAttrs::read(), 0);
-        assert_eq!(closed.stats().row_hits, 0);
     }
 
     #[test]

@@ -33,6 +33,6 @@ pub mod config;
 pub mod dram;
 pub mod mapping;
 
-pub use crate::config::{DramConfig, RowPolicy};
+pub use crate::config::DramConfig;
 pub use crate::dram::{Dram, DramStats, RowOutcome};
 pub use crate::mapping::{AddressMapping, Decoder, DramLocation, Field};

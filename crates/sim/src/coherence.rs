@@ -14,7 +14,7 @@
 use cache_sim::cache::Cache;
 use cache_sim::coherence::{mesi_access, CoherentAccess, MesiDomains, MesiState, SnoopBus};
 use cache_sim::config::CacheConfig;
-use cache_sim::{BusConfig, BusStats, ReplacementPolicy};
+use cache_sim::{BusStats, ReplacementPolicy};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A self-contained coherent multicore cluster over a flat value-tracked
@@ -48,17 +48,11 @@ pub struct CoherentCluster {
 
 impl CoherentCluster {
     /// A cluster of `cores` domains with the given cache geometries.
-    pub fn new(
-        cores: usize,
-        l1: CacheConfig,
-        l2: CacheConfig,
-        bus: BusConfig,
-        mem_lat: u64,
-    ) -> Self {
+    pub fn new(cores: usize, l1: CacheConfig, l2: CacheConfig, mem_lat: u64) -> Self {
         CoherentCluster {
             l1s: (0..cores).map(|_| Cache::new(l1)).collect(),
             l2s: (0..cores).map(|_| Cache::new(l2)).collect(),
-            bus: SnoopBus::new(bus),
+            bus: SnoopBus::default(),
             l1_lat: l1.latency,
             l2_lat: l2.latency,
             mem_lat,
@@ -86,7 +80,7 @@ impl CoherentCluster {
             latency: 6,
             policy: ReplacementPolicy::Lru,
         };
-        CoherentCluster::new(cores, l1, l2, BusConfig::default(), 100)
+        CoherentCluster::new(cores, l1, l2, 100)
     }
 
     /// Number of cores.

@@ -1,7 +1,7 @@
 //! Full-system configuration (Table 3 of the paper, plus the scaled
 //! variants the harness uses — see DESIGN.md's scaling note).
 
-use cache_sim::{BusConfig, CacheConfig, HierarchyConfig, ReplacementPolicy, XmemMode};
+use cache_sim::{CacheConfig, HierarchyConfig, ReplacementPolicy, XmemMode};
 use cpu_sim::CoreConfig;
 use dram_sim::{AddressMapping, DramConfig};
 use std::fmt;
@@ -305,8 +305,6 @@ pub struct MultiCoreConfig {
     pub frame_policy: FramePolicyKind,
     /// Coherence protocol over the private hierarchies.
     pub coherence: CoherenceMode,
-    /// Snooping-bus timing (only consulted under [`CoherenceMode::Mesi`]).
-    pub bus: BusConfig,
     /// Under MESI, exempt read-write shared (migratory) atoms from L3
     /// pinning so the pin budget goes to read-mostly/private data whose
     /// lines actually stay put (see DESIGN.md "Coherence").
@@ -332,7 +330,6 @@ impl MultiCoreConfig {
             phys_bytes: system.phys_bytes,
             frame_policy: system.frame_policy,
             coherence: CoherenceMode::None,
-            bus: BusConfig::default(),
             coherence_aware_pinning: true,
         }
     }

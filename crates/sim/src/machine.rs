@@ -26,7 +26,7 @@ use crate::report::RunReport;
 use crate::sampling::{SamplePhase, SamplingSpec, SamplingSummary, WindowFeatures};
 use crate::telemetry::{TelemetrySample, TelemetrySeries};
 use cache_sim::hierarchy::{Hierarchy, XmemContext};
-use cache_sim::{BusConfig, CacheConfig};
+use cache_sim::CacheConfig;
 use cpu_sim::batch::{MemoryPath, OpAttrs, OpBatch, OpKind};
 use cpu_sim::core::Core;
 use cpu_sim::trace::Op;
@@ -706,7 +706,7 @@ impl Machine {
         segment: &AtomSegment,
         lib: XMemLib,
         cores: usize,
-        bus: Option<BusConfig>,
+        coherent: bool,
         pin_exempt: BTreeSet<AtomId>,
     ) -> Self {
         let config = &configs[0];
@@ -756,7 +756,7 @@ impl Machine {
                 (c.hierarchy, dram)
             })
             .collect::<Vec<_>>();
-        let mut hierarchy = Hierarchy::with_members(members, cores, bus);
+        let mut hierarchy = Hierarchy::with_members(members, cores, coherent);
         hierarchy.set_pin_exempt(pin_exempt);
         let leaves = configs
             .iter()
@@ -1347,7 +1347,7 @@ fn prologue<G: Generator>(
         &scan.segment(),
         XMemLib::new(),
         1,
-        None,
+        false,
         BTreeSet::new(),
     );
     for leaf in &mut machine.leaves {

@@ -220,7 +220,7 @@ pub fn run_corun(config: &MultiCoreConfig, logs: &[Vec<TraceEvent>]) -> CorunRep
         &lib.segment(),
         lib,
         config.cores,
-        (config.coherence == CoherenceMode::Mesi).then_some(config.bus),
+        config.coherence == CoherenceMode::Mesi,
         pin_exempt,
     );
 

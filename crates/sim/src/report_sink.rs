@@ -169,11 +169,14 @@ impl JsonValue {
     }
 
     /// Parses a JSON document (strict enough for everything this module
-    /// renders; accepts arbitrary whitespace).
+    /// renders; accepts arbitrary whitespace). Arrays and objects nested
+    /// deeper than [`MAX_JSON_DEPTH`] are an error, so a corrupt file
+    /// cannot exhaust the stack.
     pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -255,9 +258,16 @@ impl std::fmt::Display for SinkError {
 
 impl std::error::Error for SinkError {}
 
+/// The deepest array/object nesting [`JsonValue::parse`] accepts. Report
+/// and point files nest at most 6 levels, telemetry and sampling blocks
+/// included.
+pub const MAX_JSON_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -306,8 +316,19 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') => {
+                if self.depth == MAX_JSON_DEPTH {
+                    return Err(self.err("nesting too deep"));
+                }
+                self.depth += 1;
+                let value = if self.peek() == Some(b'[') {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
@@ -998,6 +1019,9 @@ pub fn write_report(path: impl AsRef<Path>, sink: &dyn ReportSink) -> io::Result
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sampling::{SamplingSpec, SamplingSummary, WindowFeatures};
+    use crate::telemetry::{TelemetrySample, TelemetrySeries};
+    use xmem_core::rng::SplitMix64;
 
     #[test]
     fn json_renders_and_parses_scalars() {
@@ -1025,6 +1049,93 @@ mod tests {
         assert!(JsonValue::parse("[1,2").is_err());
         assert!(JsonValue::parse("12 34").is_err());
         assert!(JsonValue::parse("").is_err());
+    }
+
+    /// Nesting past [`MAX_JSON_DEPTH`] is an error, not a stack overflow,
+    /// so one corrupt point file cannot abort a resume.
+    #[test]
+    fn json_nesting_is_bounded() {
+        for open in ["[", "{\"k\":"] {
+            assert!(JsonValue::parse(&open.repeat(10_000)).is_err(), "{open}");
+        }
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(JsonValue::parse(&nest(MAX_JSON_DEPTH)).is_ok());
+        let err = JsonValue::parse(&nest(MAX_JSON_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_JSON_DEPTH);
+    }
+
+    /// Replaces, drops or truncates random nodes of `v`, keeping it JSON.
+    fn mutate_tree(v: &mut JsonValue, rng: &mut SplitMix64) {
+        if rng.percent(8) {
+            *v = match rng.below(6) {
+                0 => JsonValue::Null,
+                1 => JsonValue::U64(rng.next_u64()),
+                2 => JsonValue::F64(-1.5),
+                3 => JsonValue::Str("x".into()),
+                4 => JsonValue::Array(Vec::new()),
+                _ => JsonValue::Object(Vec::new()),
+            };
+            return;
+        }
+        match v {
+            JsonValue::Array(items) => {
+                if rng.percent(10) {
+                    items.truncate(rng.below(items.len() as u64 + 1) as usize);
+                }
+                items.iter_mut().for_each(|item| mutate_tree(item, rng));
+            }
+            JsonValue::Object(pairs) => {
+                if !pairs.is_empty() && rng.percent(10) {
+                    pairs.remove(rng.below(pairs.len() as u64) as usize);
+                }
+                pairs.iter_mut().for_each(|(_, v)| mutate_tree(v, rng));
+            }
+            _ => {}
+        }
+    }
+
+    /// SplitMix64 mutation fuzz over a rendered point record with
+    /// telemetry and sampling blocks: byte edits (flips, structural-byte
+    /// insertions, deletions, truncation) of its text, and node edits of
+    /// its tree. The parser and every decoder a resume runs return a value
+    /// or `Err`/`None`, never a panic.
+    #[test]
+    fn mutated_point_records_never_panic() {
+        let decode = |json: &JsonValue| {
+            let _ = RunRecord::report_from_json(json);
+            let _ = TelemetrySeries::from_record_json(json);
+            let _ = SamplingSummary::from_record_json(json);
+            let _ = RunMeta::from_record_json(json);
+        };
+        let mut record = synthetic_record();
+        record.telemetry = Some(synthetic_series());
+        record.sampling = Some(synthetic_summary());
+        let valid = record.to_json();
+        let text = valid.render().into_bytes();
+        const STRUCTURAL: &[u8; 11] = b"[]{}\":,-.e9";
+        let mut rng = SplitMix64::new(0xF022);
+        for _ in 0..1000 {
+            let mut buf = text.clone();
+            for _ in 0..rng.range(1, 5) {
+                let at = rng.below(buf.len() as u64) as usize;
+                match rng.below(3) {
+                    0 => buf[at] ^= rng.range(1, 256) as u8,
+                    1 => buf.insert(at, STRUCTURAL[rng.below(11) as usize]),
+                    _ => {
+                        buf.remove(at);
+                    }
+                }
+            }
+            if rng.percent(20) {
+                buf.truncate(rng.below(buf.len() as u64 + 1) as usize);
+            }
+            if let Ok(json) = JsonValue::parse(&String::from_utf8_lossy(&buf)) {
+                decode(&json);
+            }
+            let mut tree = valid.clone();
+            mutate_tree(&mut tree, &mut rng);
+            decode(&tree);
+        }
     }
 
     fn synthetic_record() -> RunRecord {
@@ -1164,14 +1275,8 @@ mod tests {
         assert!(record.to_json().get("workload_params").is_none());
     }
 
-    #[test]
-    fn telemetry_block_is_optional_and_backwards_compatible() {
-        use crate::telemetry::{TelemetrySample, TelemetrySeries};
-        let mut record = synthetic_record();
-        // Without sampling there is no block at all — pre-telemetry
-        // readers of xmem-report-v1 see an unchanged record.
-        let bare = record.to_json();
-        assert!(bare.get("telemetry").is_none());
+    /// A two-sample telemetry series, with negative psel floats.
+    fn synthetic_series() -> TelemetrySeries {
         let mut series = TelemetrySeries::new(100);
         series.samples.push(TelemetrySample {
             instructions: 100,
@@ -1187,6 +1292,51 @@ mod tests {
             l2_psel: 2.0,
             ..Default::default()
         });
+        series
+    }
+
+    /// A sampling summary over two detailed windows.
+    fn synthetic_summary() -> SamplingSummary {
+        let spec = SamplingSpec {
+            warmup_ops: 100,
+            window_ops: 200,
+            interval: 1000,
+        };
+        let windows = vec![
+            WindowFeatures {
+                instructions: 200,
+                cycles: 250,
+                l1_misses: 3,
+                l2_misses: 1,
+                l3_misses: 0,
+                dram_accesses: 10,
+                row_hits: 7,
+                alb_lookups: 10,
+                alb_hits: 9,
+            },
+            WindowFeatures {
+                instructions: 200,
+                cycles: 330,
+                l1_misses: 6,
+                l2_misses: 2,
+                l3_misses: 1,
+                dram_accesses: 10,
+                row_hits: 4,
+                alb_lookups: 10,
+                alb_hits: 5,
+            },
+        ];
+        SamplingSummary::from_windows(spec, 10_000, 2000, 1000, &windows)
+    }
+
+    #[test]
+    fn telemetry_block_is_optional_and_backwards_compatible() {
+        let mut record = synthetic_record();
+        // Without sampling there is no block at all — pre-telemetry
+        // readers of xmem-report-v1 see an unchanged record.
+        let bare = record.to_json();
+        assert!(bare.get("telemetry").is_none());
+        let series = synthetic_series();
         record.telemetry = Some(series.clone());
         let json = record.to_json();
         // The block sits between the component stats and `derived`, and a
@@ -1218,42 +1368,12 @@ mod tests {
 
     #[test]
     fn sampling_block_is_optional_and_backwards_compatible() {
-        use crate::sampling::{SamplingSpec, SamplingSummary, WindowFeatures};
         let mut record = synthetic_record();
         // Without sampled execution there is no block at all — pre-sampling
         // readers of xmem-report-v1 see an unchanged record.
         let bare = record.to_json();
         assert!(bare.get("sampling").is_none());
-        let spec = SamplingSpec {
-            warmup_ops: 100,
-            window_ops: 200,
-            interval: 1000,
-        };
-        let windows = vec![
-            WindowFeatures {
-                instructions: 200,
-                cycles: 250,
-                l1_misses: 3,
-                l2_misses: 1,
-                l3_misses: 0,
-                dram_accesses: 10,
-                row_hits: 7,
-                alb_lookups: 10,
-                alb_hits: 9,
-            },
-            WindowFeatures {
-                instructions: 200,
-                cycles: 330,
-                l1_misses: 6,
-                l2_misses: 2,
-                l3_misses: 1,
-                dram_accesses: 10,
-                row_hits: 4,
-                alb_lookups: 10,
-                alb_hits: 5,
-            },
-        ];
-        let summary = SamplingSummary::from_windows(spec, 10_000, 2000, 1000, &windows);
+        let summary = synthetic_summary();
         record.sampling = Some(summary.clone());
         let json = record.to_json();
         // The block sits after the component stats (and telemetry, when

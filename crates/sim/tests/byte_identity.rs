@@ -1,16 +1,15 @@
 //! The byte-identity suite for the batched memory path (PR 6).
 //!
 //! The batched API's contract is that buffering ops into [`OpBatch`]es and
-//! serving them through `MemoryPath::serve_batch` is *observably identical*
-//! to the scalar one-op-at-a-time execution it replaced. These tests pin
+//! stepping the core through them is *observably identical* to the scalar
+//! one-op-at-a-time execution it replaced. These tests pin
 //! that contract at every level:
 //!
 //! * quick-sized fig4–fig7 grid points, batched vs. the scalar reference
 //!   arm (`run_scalar`, which drives the machine without a
 //!   `BatchEmitter`), with telemetry armed as well as unarmed;
 //! * sweep records under 1 worker vs. 8 workers;
-//! * SplitMix64-fuzzed `OpBatch` lane round trips and `serve_batch` vs.
-//!   per-op `serve` through the DRAM layer and the scalar adapter.
+//! * SplitMix64-fuzzed `OpBatch` lane round trips.
 //!
 //! PR 8 extends the contract to the interval-sampling engine: a
 //! 100%-coverage [`SamplingSpec`] (every op detailed, nothing fast-forwarded)
@@ -23,9 +22,8 @@
 //! offset within a batch, and multi-instruction `Compute` ops straddle
 //! epoch edges.
 
-use cpu_sim::batch::{MemoryPath, OpAttrs, OpBatch, OpKind, BATCH_CAPACITY};
+use cpu_sim::batch::{OpAttrs, OpBatch, OpKind, BATCH_CAPACITY};
 use cpu_sim::trace::Op;
-use dram_sim::{AddressMapping, Dram, DramConfig};
 use workloads::placement::PlacementWorkload;
 use workloads::polybench::{KernelParams, PolybenchKernel};
 use workloads::sink::TraceSink;
@@ -331,50 +329,6 @@ fn opbatch_lanes_round_trip_fuzzed() {
             };
             assert_eq!(batch.op(i), expect_op);
         }
-    }
-}
-
-/// Fuzz: `serve_batch` against the DRAM layer leaves the model in exactly
-/// the state per-op `serve` calls produce, and returns the same latencies.
-#[test]
-fn dram_serve_batch_matches_per_op_serve_fuzzed() {
-    let mut rng = SplitMix64::new(0xD1A);
-    let fresh = || {
-        Dram::new(
-            DramConfig::ddr3_1066(3.6).with_capacity(64 << 20),
-            AddressMapping::scheme1(),
-        )
-    };
-    let mut batched = fresh();
-    let mut scalar = fresh();
-    let mut now = 0u64;
-    for _ in 0..32 {
-        let mut batch = OpBatch::new();
-        let mut mirror = Vec::new();
-        for _ in 0..rng.range(1, 257) {
-            now += rng.range(1, 32);
-            random_push(&mut rng, &mut batch, now);
-            mirror.push(now);
-        }
-        let reference: Vec<Option<u64>> = (0..batch.len())
-            .map(|i| match batch.kind(i) {
-                OpKind::Compute => None,
-                _ => Some(scalar.serve(batch.addr(i), batch.attrs(i), batch.start(i))),
-            })
-            .collect();
-        batched.serve_batch(&mut batch);
-        for (i, expect) in reference.iter().enumerate() {
-            match expect {
-                Some(lat) => assert_eq!(batch.latency(i), *lat, "op {i}"),
-                // Compute lanes keep their start cycle untouched.
-                None => assert_eq!(batch.latency(i), mirror[i], "compute op {i}"),
-            }
-        }
-        assert_eq!(
-            format!("{batched:?}"),
-            format!("{scalar:?}"),
-            "DRAM state diverged"
-        );
     }
 }
 

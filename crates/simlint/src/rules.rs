@@ -106,10 +106,8 @@ pub fn hint_for(rule: &str) -> &'static str {
              integer counters or add `// simlint: allow(float-cmp, reason = \"...\")`"
         }
         RULE_SCALAR_ACCESS => {
-            "the scalar `fn access(...)` memory API is superseded by the batched \
-             `MemoryPath::serve`/`serve_batch` (see DESIGN.md \"The batched hot path\"); \
-             implement `MemoryPath` instead — only the compatibility adapter in \
-             cpu-sim/src/trace.rs keeps the old name"
+            "the scalar `fn access(...)` memory API is superseded by `MemoryPath::serve` \
+             (see DESIGN.md \"The batched hot path\"); implement `MemoryPath` instead"
         }
         RULE_SYNC_AUDIT => {
             "shared mutable sim state behind locks/atomics invites scheduling-order \
@@ -582,9 +580,8 @@ fn unwrap_rule(toks: &[Tok], i: usize, t: &Tok, ctx: &FileCtx, out: &mut Vec<Fin
     }
 }
 
-/// R6: no new scalar `fn access(` definitions in sim-state crates (the
-/// batched `MemoryPath::serve`/`serve_batch` API replaced them; only the
-/// compatibility adapter keeps the old name, allowlisted by path).
+/// R6: no new scalar `fn access(` definitions in sim-state crates
+/// (`MemoryPath::serve` replaced them).
 fn scalar_access(toks: &[Tok], i: usize, t: &Tok, ctx: &FileCtx, out: &mut Vec<Finding>) {
     if !t.is_ident("fn") {
         return;

@@ -281,17 +281,6 @@ pub fn addr_to_u32(value: u64) -> u32 {
     value as u32
 }
 
-/// Narrows an address-derived value to `u16` (e.g. a SHiP signature).
-#[inline]
-#[track_caller]
-pub fn addr_to_u16(value: u64) -> u16 {
-    debug_assert!(
-        u16::try_from(value).is_ok(),
-        "address-derived value {value:#x} does not fit in u16"
-    );
-    value as u16
-}
-
 /// Narrows a cycle count to `u32` (e.g. a latency bucket boundary).
 #[inline]
 #[track_caller]
@@ -378,7 +367,6 @@ mod tests {
         assert_eq!(addr_to_index(0), 0);
         assert_eq!(addr_to_index(0xffff), 0xffff);
         assert_eq!(addr_to_u32(u64::from(u32::MAX)), u32::MAX);
-        assert_eq!(addr_to_u16(0x3fff), 0x3fff);
         assert_eq!(cycles_to_u32(123_456), 123_456);
         assert_eq!(cycles_to_u64(987_654_321), 987_654_321);
         assert_eq!(cycles_to_u64(u128::from(u64::MAX)), u64::MAX);
@@ -394,12 +382,6 @@ mod tests {
     #[cfg(debug_assertions)]
     mod narrowing_bounds {
         use super::super::*;
-
-        #[test]
-        #[should_panic(expected = "does not fit in u16")]
-        fn addr_to_u16_overflow_asserts() {
-            let _ = addr_to_u16(0x1_0000);
-        }
 
         #[test]
         #[should_panic(expected = "does not fit in u32")]

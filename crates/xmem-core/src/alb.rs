@@ -164,11 +164,6 @@ impl AtomLookasideBuffer {
     pub fn stats(&self) -> AlbStats {
         self.stats
     }
-
-    /// Resets the statistics (entries are kept).
-    pub fn reset_stats(&mut self) {
-        self.stats = AlbStats::default();
-    }
 }
 
 #[cfg(test)]

@@ -61,7 +61,7 @@ impl AtomSegment {
         &self.atoms
     }
 
-    /// s to the versioned binary format.
+    /// Serializes the segment to the versioned binary format.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + self.atoms.len() * 40);
         out.extend_from_slice(SEGMENT_MAGIC);
@@ -323,6 +323,33 @@ mod tests {
         ));
         let parsed = AtomSegment::from_bytes(&seg.to_bytes()).unwrap();
         assert_eq!(parsed.atoms()[0].attrs().props().bits(), 0xF000_0000);
+    }
+
+    /// SplitMix64 mutation fuzz: byte flips, insertions, deletions and
+    /// truncations of a valid segment decode to a segment or an error,
+    /// never a panic.
+    #[test]
+    fn mutated_segments_never_panic() {
+        use crate::rng::SplitMix64;
+        let mut rng = SplitMix64::new(0x5E6);
+        let valid = sample_segment().to_bytes();
+        for _ in 0..4000 {
+            let mut buf = valid.clone();
+            for _ in 0..rng.range(1, 5) {
+                let at = rng.below(buf.len() as u64) as usize;
+                match rng.below(3) {
+                    0 => buf[at] ^= rng.range(1, 256) as u8,
+                    1 => buf.insert(at, rng.below(256) as u8),
+                    _ => {
+                        buf.remove(at);
+                    }
+                }
+            }
+            if rng.percent(30) {
+                buf.truncate(rng.below(buf.len() as u64 + 1) as usize);
+            }
+            let _ = AtomSegment::from_bytes(&buf);
+        }
     }
 
     #[test]
