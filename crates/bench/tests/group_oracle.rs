@@ -4,7 +4,10 @@
 //! checked against `golden/published.json` (see the `golden` module), so
 //! the grids' published numbers are pinned, not only their grouping.
 //! Every unsampled standalone report must also balance the conservation
-//! ledger (see [`ledger`]).
+//! ledger (see [`ledger`]), every telemetry series must add up to its
+//! report (see [`epoch_ledger`]), every sampled run's clusters must hold
+//! all of its windows, and every report of one workload must retire the
+//! same instructions, whatever the system under it.
 //!
 //! Release builds check the full Figs 4–7 `--quick` grids, plus Fig 5's
 //! grid with a telemetry epoch (`--epoch=997`) and under interval sampling
@@ -14,8 +17,12 @@
 
 mod golden;
 
+use std::collections::BTreeMap;
 use xmem_bench::grids;
-use xmem_sim::{run, JsonValue, RunRecord, RunReport, RunSpec, SamplingSpec, Sweep};
+use xmem_sim::{
+    run, JsonValue, RunRecord, RunReport, RunSpec, SamplingSpec, Sweep, TelemetrySample,
+    TelemetrySeries,
+};
 
 /// The `--quick` problem size of the use-case-1 figures.
 const QUICK_N: usize = 48;
@@ -59,6 +66,41 @@ fn ledger(label: &str, r: &RunReport, ideal_rbl: bool) {
     }
 }
 
+/// The telemetry series of one run against its report: the last sample
+/// reads the report's cumulative instructions and cycles (so the final
+/// partial epoch was flushed), and the per-epoch prefetch counts sum to
+/// the report's stride plus XMem-guided totals.
+fn epoch_ledger(label: &str, r: &RunReport, series: &TelemetrySeries) {
+    let last = series
+        .samples
+        .last()
+        .unwrap_or_else(|| panic!("{label}: no telemetry samples"));
+    let stride = r.stride_prefetch.unwrap_or_default();
+    let pf = &r.xmem_prefetch;
+    let sum = |f: fn(&TelemetrySample) -> u64| series.samples.iter().map(f).sum();
+    let laws = [
+        (
+            "last sample instructions",
+            last.instructions,
+            r.core.instructions,
+        ),
+        ("last sample cycles", last.cycles, r.core.cycles),
+        (
+            "epoch prefetches issued",
+            sum(|s| s.prefetch_issued),
+            stride.issued + pf.issued,
+        ),
+        (
+            "epoch prefetches useful",
+            sum(|s| s.prefetch_useful),
+            stride.useful + pf.useful,
+        ),
+    ];
+    for (law, lhs, rhs) in laws {
+        assert_eq!(lhs, rhs, "{label}: {law}");
+    }
+}
+
 /// In debug builds, the first `keep` runs of `per` consecutive specs (a
 /// kernel's points); in release builds, every spec.
 fn reduce(specs: Vec<RunSpec>, per: usize, keep: usize) -> Vec<RunSpec> {
@@ -70,7 +112,9 @@ fn reduce(specs: Vec<RunSpec>, per: usize, keep: usize) -> Vec<RunSpec> {
 }
 
 /// Checks every point of `specs`' standalone run against the golden file
-/// under `name` and, unless sampled, the [`ledger`], then each grouped
+/// under `name`, the [`ledger`] (unless sampled), the [`epoch_ledger`]
+/// (with an epoch), the sampled windows' clustering (when sampled) and
+/// the instruction count of the point's workload, then each grouped
 /// record against the standalone one; returns the sweep's group sizes.
 fn check(
     name: &str,
@@ -78,13 +122,34 @@ fn check(
     epoch: Option<u64>,
     sampling: Option<SamplingSpec>,
 ) -> Vec<usize> {
+    // Workload (keyed by its `Debug` form, as `Sweep::groups` keys it) →
+    // the first point's label and instruction count.
+    let mut work: BTreeMap<String, (String, u64)> = BTreeMap::new();
     let alone: Vec<String> = specs
         .iter()
         .map(|spec| {
+            let label = &spec.label;
             let out = run(&spec.config, &spec.workload, epoch, sampling);
             if sampling.is_none() {
-                ledger(&spec.label, &out.report, spec.config.ideal_rbl);
+                ledger(label, &out.report, spec.config.ideal_rbl);
             }
+            if epoch.is_some() {
+                let series = out.telemetry.as_ref();
+                let series = series.unwrap_or_else(|| panic!("{label}: no telemetry"));
+                epoch_ledger(label, &out.report, series);
+            }
+            if let Some(s) = &out.sampling {
+                let clustered: u64 = s.clusters.iter().map(|c| c.windows).sum();
+                assert_eq!(clustered, s.windows, "{label}: clustered windows");
+            }
+            let retired = out.report.core.instructions;
+            let (first, want) = work
+                .entry(format!("{:?}", spec.workload))
+                .or_insert_with(|| (label.clone(), retired));
+            assert_eq!(
+                retired, *want,
+                "{label}: retires other instructions than {first} of the same workload"
+            );
             rendered(&RunRecord {
                 label: spec.label.clone(),
                 config: spec.config,

@@ -42,14 +42,30 @@ fn check(name: &str, bin: &str, args: &[&str]) {
     golden::verify(name, vec![("stdout".into(), golden::digest(&stdout))], true);
 }
 
+/// A fresh, empty directory for `name`'s reports.
+fn report_dir(name: &str) -> PathBuf {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("published-{name}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// `stdout` without the lines starting with `prefix` (those that name the
+/// report directory).
+fn without_lines(stdout: &str, prefix: &str) -> String {
+    stdout
+        .lines()
+        .filter(|line| !line.starts_with(prefix))
+        .map(|line| format!("{line}\n"))
+        .collect()
+}
+
 /// Runs figure `name` under `--quick` (plus `--csv` when `csv`) with its
 /// reports in a fresh directory. Checks its stdout's digest, less the
 /// `wrote …` lines that name that directory, under `<name> --quick`; that
 /// the JSON report holds `points` `xmem-report-v1` records; and that the
 /// CSV has a header plus one row per point.
 fn check_figure(name: &str, bin: &str, points: usize, csv: bool) {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("published-{name}"));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = report_dir(name);
     let mut args = vec![
         "--quick".to_string(),
         format!("--report-dir={}", dir.display()),
@@ -57,11 +73,7 @@ fn check_figure(name: &str, bin: &str, points: usize, csv: bool) {
     if csv {
         args.push("--csv".to_string());
     }
-    let stdout: String = stdout_of(name, bin, &args)
-        .lines()
-        .filter(|line| !line.starts_with("wrote "))
-        .map(|line| format!("{line}\n"))
-        .collect();
+    let stdout = without_lines(&stdout_of(name, bin, &args), "wrote ");
     let check = format!("{name} --quick");
     golden::verify(
         &check,
@@ -134,10 +146,31 @@ fn corun_placement() {
     check("corun_placement", bin, &["--quick"]);
 }
 
+/// The MESI co-run's stdout (less its `report: …` line) and its JSON
+/// report are both pinned, so a run-to-run drift in either fails too.
 #[test]
 fn corun_shared() {
-    let bin = env!("CARGO_BIN_EXE_corun_shared");
-    check("corun_shared", bin, &["--quick", "--no-report"]);
+    let name = "corun_shared";
+    let dir = report_dir(name);
+    let args = [
+        "--quick".to_string(),
+        format!("--report-dir={}", dir.display()),
+    ];
+    let stdout = without_lines(
+        &stdout_of(name, env!("CARGO_BIN_EXE_corun_shared"), &args),
+        "report: ",
+    );
+    let path = dir.join("corun_shared.json");
+    let report =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    golden::verify(
+        name,
+        vec![
+            ("stdout".into(), golden::digest(&stdout)),
+            ("corun_shared.json".into(), golden::digest(&report)),
+        ],
+        true,
+    );
 }
 
 #[test]

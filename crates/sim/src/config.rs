@@ -145,29 +145,6 @@ impl SystemConfig {
         }
     }
 
-    /// A builder seeded with the full-size [`SystemConfig::westmere_like`]
-    /// machine. Experiment code should derive variant configurations
-    /// through this instead of mutating public fields:
-    ///
-    /// ```
-    /// use dram_sim::AddressMapping;
-    /// use xmem_sim::{FramePolicyKind, SystemConfig};
-    ///
-    /// let cfg = SystemConfig::builder()
-    ///     .phys_bytes(64 << 20)
-    ///     .mapping(AddressMapping::scheme5())
-    ///     .frame_policy(FramePolicyKind::XmemPlacement)
-    ///     .stride_prefetcher(false)
-    ///     .build();
-    /// assert_eq!(cfg.phys_bytes, 64 << 20);
-    /// assert_eq!(cfg.mapping, AddressMapping::scheme5());
-    /// ```
-    pub fn builder() -> SystemConfigBuilder {
-        SystemConfigBuilder {
-            config: SystemConfig::westmere_like(),
-        }
-    }
-
     /// Enables a TLB with the default geometry (64 entries, 30-cycle walk).
     pub fn with_tlb(mut self) -> Self {
         self.tlb = Some(os_sim::tlb::TlbConfig::default());
@@ -180,76 +157,6 @@ impl SystemConfig {
             .dram
             .with_channel_bandwidth(gbps / self.dram.channels as f64, 3.6);
         self
-    }
-}
-
-/// Step-by-step construction of a [`SystemConfig`] (see
-/// [`SystemConfig::builder`]). Setters keep dependent fields consistent:
-/// [`phys_bytes`](Self::phys_bytes) resizes the DRAM capacity to match.
-#[derive(Debug, Clone, Copy)]
-pub struct SystemConfigBuilder {
-    config: SystemConfig,
-}
-
-impl SystemConfigBuilder {
-    /// Sets the physical memory size, resizing DRAM capacity to match.
-    pub fn phys_bytes(mut self, bytes: u64) -> Self {
-        self.config.phys_bytes = bytes;
-        self.config.dram = self.config.dram.with_capacity(bytes);
-        self
-    }
-
-    /// Sets the DRAM address mapping scheme.
-    pub fn mapping(mut self, mapping: AddressMapping) -> Self {
-        self.config.mapping = mapping;
-        self
-    }
-
-    /// Sets the OS frame-allocation policy.
-    pub fn frame_policy(mut self, policy: FramePolicyKind) -> Self {
-        self.config.frame_policy = policy;
-        self
-    }
-
-    /// Models the Fig 7 "Ideal" DRAM (every access a row hit).
-    pub fn ideal_rbl(mut self, ideal: bool) -> Self {
-        self.config.ideal_rbl = ideal;
-        self
-    }
-
-    /// Enables or disables the baseline stride prefetcher.
-    pub fn stride_prefetcher(mut self, on: bool) -> Self {
-        self.config.hierarchy.stride_prefetcher = on;
-        self
-    }
-
-    /// Sets the XMem operating mode via a [`SystemKind`].
-    pub fn system(mut self, kind: SystemKind) -> Self {
-        self.config.hierarchy.xmem = kind.xmem_mode();
-        self
-    }
-
-    /// Sets the full DRAM timing/geometry directly.
-    pub fn dram(mut self, dram: DramConfig) -> Self {
-        self.config.dram = dram;
-        self
-    }
-
-    /// Adjusts per-core memory bandwidth (Fig 6: 2 / 1 / 0.5 GB/s).
-    pub fn per_core_gbps(mut self, gbps: f64) -> Self {
-        self.config = self.config.with_per_core_bandwidth(gbps);
-        self
-    }
-
-    /// Enables a TLB with the default geometry.
-    pub fn tlb(mut self) -> Self {
-        self.config = self.config.with_tlb();
-        self
-    }
-
-    /// Finalizes the configuration.
-    pub fn build(self) -> SystemConfig {
-        self.config
     }
 }
 

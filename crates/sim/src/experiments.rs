@@ -132,13 +132,14 @@ fn uc2_config(
     ideal: bool,
     prefetcher: bool,
 ) -> SystemConfig {
-    SystemConfig::builder()
-        .phys_bytes(UC2_PHYS)
-        .mapping(mapping)
-        .frame_policy(policy)
-        .ideal_rbl(ideal)
-        .stride_prefetcher(prefetcher)
-        .build()
+    let mut cfg = SystemConfig::westmere_like();
+    cfg.phys_bytes = UC2_PHYS;
+    cfg.dram = cfg.dram.with_capacity(UC2_PHYS);
+    cfg.mapping = mapping;
+    cfg.frame_policy = policy;
+    cfg.ideal_rbl = ideal;
+    cfg.hierarchy.stride_prefetcher = prefetcher;
+    cfg
 }
 
 /// The §6.3 configuration grid for one placement workload under one

@@ -48,7 +48,7 @@ pub mod telemetry;
 
 pub use crate::coherence::CoherentCluster;
 pub use crate::config::{
-    CoherenceMode, FramePolicyKind, MultiCoreConfig, SystemConfig, SystemConfigBuilder, SystemKind,
+    CoherenceMode, FramePolicyKind, MultiCoreConfig, SystemConfig, SystemKind,
 };
 pub use crate::experiments::{placement_specs, run_placement, KernelRun, Uc2System};
 pub use crate::harness::{
@@ -65,8 +65,8 @@ pub use crate::report_sink::{
     JsonSink, JsonValue, ReportSink, JSON_SCHEMA,
 };
 pub use crate::sampling::{
-    SampleCluster, SamplePhase, SampledMetric, SamplingSpec, SamplingSummary, WindowFeatures,
+    SampleCluster, SamplePhase, SampledMetric, SamplingSpec, SamplingSummary,
 };
 pub use crate::telemetry::{
-    ChromeTrace, TelemetrySample, TelemetrySeries, DEFAULT_EPOCH_INSTRUCTIONS,
+    ChromeTrace, Counters, TelemetrySample, TelemetrySeries, DEFAULT_EPOCH_INSTRUCTIONS,
 };

@@ -23,8 +23,8 @@
 
 use crate::config::{FramePolicyKind, SystemConfig};
 use crate::report::RunReport;
-use crate::sampling::{SamplePhase, SamplingSpec, SamplingSummary, WindowFeatures};
-use crate::telemetry::{TelemetrySample, TelemetrySeries};
+use crate::sampling::{SamplePhase, SamplingSpec, SamplingSummary};
+use crate::telemetry::{ratio, Counters, TelemetrySample, TelemetrySeries};
 use cache_sim::hierarchy::{Hierarchy, XmemContext};
 use cache_sim::CacheConfig;
 use cpu_sim::batch::{MemoryPath, OpAttrs, OpBatch, OpKind};
@@ -236,32 +236,13 @@ impl MemoryPath for MemSystem {
     }
 }
 
-/// Cumulative counter values captured at an epoch boundary. Each telemetry
-/// sample reports the deltas between two consecutive snapshots, so rates
-/// (IPC, MPKI, row-hit rate) describe *that epoch*, not the run so far.
-#[derive(Debug, Clone, Copy, Default)]
-struct Snapshot {
-    instructions: u64,
-    cycles: u64,
-    l1_misses: u64,
-    l2_misses: u64,
-    l3_misses: u64,
-    prefetch_issued: u64,
-    prefetch_useful: u64,
-    row_hits: u64,
-    dram_accesses: u64,
-    busy_bank_cycles: u64,
-    alb_hits: u64,
-    alb_lookups: u64,
-    amu_invalidations: u64,
-}
-
-/// Live telemetry state: the series under construction plus the snapshot
-/// taken at the previous epoch boundary.
+/// Live telemetry state: the series under construction plus the counters
+/// read at the previous epoch boundary. Each sample reports the delta
+/// since then, so its rates describe *that epoch*, not the run so far.
 #[derive(Debug)]
 struct TelemetryState {
     series: TelemetrySeries,
-    prev: Snapshot,
+    prev: Counters,
 }
 
 /// Live sampling state: the schedule, the op/phase accounting, and the
@@ -301,10 +282,10 @@ struct SamplingState {
     window_active: bool,
     /// Detailed ops executed in the current window so far.
     window_detailed: u64,
-    /// Snapshot at the end of the current window's ramp, once taken.
-    window_start: Option<Snapshot>,
-    /// One feature vector per closed detailed window, in time order.
-    windows: Vec<WindowFeatures>,
+    /// Counters at the end of the current window's ramp, once read.
+    window_start: Option<Counters>,
+    /// The counters of each closed detailed window, in time order.
+    windows: Vec<Counters>,
 }
 
 /// One member of the machine: the timing tier. It owns the member's cores
@@ -342,7 +323,7 @@ impl Leaf {
         self.next_sample_at = series.epoch_instructions;
         self.telemetry = Some(TelemetryState {
             series,
-            prev: Snapshot::default(),
+            prev: Counters::default(),
         });
     }
 
@@ -400,21 +381,10 @@ impl Leaf {
             // The window ended inside its ramp: nothing measured.
             return;
         };
-        let cur = self.snapshot(mem);
-        let features = WindowFeatures {
-            instructions: cur.instructions - start.instructions,
-            cycles: cur.cycles.saturating_sub(start.cycles),
-            l1_misses: cur.l1_misses - start.l1_misses,
-            l2_misses: cur.l2_misses - start.l2_misses,
-            l3_misses: cur.l3_misses - start.l3_misses,
-            dram_accesses: cur.dram_accesses - start.dram_accesses,
-            row_hits: cur.row_hits - start.row_hits,
-            alb_lookups: cur.alb_lookups - start.alb_lookups,
-            alb_hits: cur.alb_hits - start.alb_hits,
-        };
+        let window = self.snapshot(mem).since(&start);
         // simlint: allow(unwrap, reason = "guarded by the window_active match above: sampling state is present")
         let st = self.sampling.as_mut().expect("sampling state present");
-        st.windows.push(features);
+        st.windows.push(window);
     }
 
     /// Fires the sampling boundary that falls at the current op, if any
@@ -488,7 +458,7 @@ impl Leaf {
     }
 
     /// Captures the current cumulative counters across all layers.
-    fn snapshot(&self, mem: &MemSystem) -> Snapshot {
+    fn snapshot(&self, mem: &MemSystem) -> Counters {
         let core = self.cores[0].stats();
         let h = &mem.hierarchy;
         let dram = h.member_dram(self.member);
@@ -502,7 +472,7 @@ impl Leaf {
             .member_stride_prefetch_stats(self.member)
             .unwrap_or_default();
         let xmem_pf = h.member_xmem_prefetch_stats(self.member);
-        Snapshot {
+        Counters {
             instructions: core.instructions,
             cycles: core.cycles,
             l1_misses: h.l1_stats().misses(),
@@ -529,42 +499,25 @@ impl Leaf {
             return;
         };
         let cur = self.snapshot(mem);
-        let d_instr = cur.instructions - prev.instructions;
-        let d_cycles = cur.cycles.saturating_sub(prev.cycles);
-        let ratio = |n: u64, d: u64| if d == 0 { 0.0 } else { n as f64 / d as f64 };
-        let per_kilo = |n: u64| ratio(n, d_instr) * 1000.0;
-        let now = self.cores[0].now();
+        let delta = cur.since(&prev);
         let h = &mem.hierarchy;
         let dram = h.member_dram(self.member);
         let total_banks = dram.config().total_banks() as u64;
         let sample = TelemetrySample {
             instructions: cur.instructions,
             cycles: cur.cycles,
-            ipc: ratio(d_instr, d_cycles),
             rob_load_occupancy: self.cores[0].rob_load_occupancy() as u64,
             outstanding_loads: self.cores[0].outstanding_loads() as u64,
-            l1_mpki: per_kilo(cur.l1_misses - prev.l1_misses),
-            l2_mpki: per_kilo(cur.l2_misses - prev.l2_misses),
-            l3_mpki: per_kilo(cur.l3_misses - prev.l3_misses),
             l2_psel: h.l2_psel() as f64,
             l3_psel: h.member_l3_psel(self.member) as f64,
-            prefetch_issued: cur.prefetch_issued - prev.prefetch_issued,
-            prefetch_useful: cur.prefetch_useful - prev.prefetch_useful,
-            row_hit_rate: ratio(
-                cur.row_hits - prev.row_hits,
-                cur.dram_accesses - prev.dram_accesses,
-            ),
-            bank_busy_fraction: ratio(
-                cur.busy_bank_cycles - prev.busy_bank_cycles,
-                d_cycles * total_banks,
-            ),
-            queue_depth: dram.queued_requests(now) as f64,
-            alb_hit_rate: ratio(
-                cur.alb_hits - prev.alb_hits,
-                cur.alb_lookups - prev.alb_lookups,
-            ),
-            amu_invalidations: cur.amu_invalidations - prev.amu_invalidations,
-        };
+            prefetch_issued: delta.prefetch_issued,
+            prefetch_useful: delta.prefetch_useful,
+            bank_busy_fraction: ratio(delta.busy_bank_cycles, delta.cycles * total_banks),
+            queue_depth: dram.queued_requests(self.cores[0].now()) as f64,
+            amu_invalidations: delta.amu_invalidations,
+            ..TelemetrySample::default()
+        }
+        .with_metrics(&delta);
         // simlint: allow(unwrap, reason = "sample() is only called when next_sample_at is armed, which implies telemetry state")
         let state = self.telemetry.as_mut().expect("telemetry state present");
         let epoch = state.series.epoch_instructions;

@@ -1019,8 +1019,8 @@ pub fn write_report(path: impl AsRef<Path>, sink: &dyn ReportSink) -> io::Result
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sampling::{SamplingSpec, SamplingSummary, WindowFeatures};
-    use crate::telemetry::{TelemetrySample, TelemetrySeries};
+    use crate::sampling::{SamplingSpec, SamplingSummary};
+    use crate::telemetry::{Counters, TelemetrySample, TelemetrySeries};
     use xmem_core::rng::SplitMix64;
 
     #[test]
@@ -1303,7 +1303,7 @@ mod tests {
             interval: 1000,
         };
         let windows = vec![
-            WindowFeatures {
+            Counters {
                 instructions: 200,
                 cycles: 250,
                 l1_misses: 3,
@@ -1313,8 +1313,9 @@ mod tests {
                 row_hits: 7,
                 alb_lookups: 10,
                 alb_hits: 9,
+                ..Counters::default()
             },
-            WindowFeatures {
+            Counters {
                 instructions: 200,
                 cycles: 330,
                 l1_misses: 6,
@@ -1324,6 +1325,7 @@ mod tests {
                 row_hits: 4,
                 alb_lookups: 10,
                 alb_hits: 5,
+                ..Counters::default()
             },
         ];
         SamplingSummary::from_windows(spec, 10_000, 2000, 1000, &windows)

@@ -34,6 +34,7 @@
 //! byte-identity suite pins this.
 
 use crate::report_sink::JsonValue;
+use crate::telemetry::{Counters, Metric, METRICS};
 
 /// The per-op execution mode the sampling schedule assigns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -190,119 +191,17 @@ impl SamplingSpec {
     }
 }
 
-/// The raw counter deltas measured over one detailed window (between the
-/// machine snapshots at the window's post-ramp open and its close).
-///
-/// Raw deltas, not ratios: the core's clock advances in miss-completion
-/// jumps, so a single short window's cycle delta is noisy — dividing
-/// per window and averaging the ratios would let near-zero denominators
-/// explode the estimate. The summary instead computes every metric as a
-/// *ratio of sums* across all windows (the standard stratified-ratio
-/// estimator), where the boundary noise cancels; the per-window ratios
-/// below feed only the clustering, the CI, and the observed range.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WindowFeatures {
-    /// Instructions retired inside the window.
-    pub instructions: u64,
-    /// Core cycles elapsed inside the window.
-    pub cycles: u64,
-    /// L1 misses inside the window.
-    pub l1_misses: u64,
-    /// L2 misses inside the window.
-    pub l2_misses: u64,
-    /// L3 misses inside the window.
-    pub l3_misses: u64,
-    /// DRAM accesses (reads + writes) inside the window.
-    pub dram_accesses: u64,
-    /// DRAM row-buffer hits inside the window.
-    pub row_hits: u64,
-    /// ALB lookups inside the window.
-    pub alb_lookups: u64,
-    /// ALB hits inside the window.
-    pub alb_hits: u64,
-}
+/// The feature-space dimension: one per metric.
+const DIMS: usize = METRICS.len();
 
-/// The sampled-metric field order of the serialized `"metrics"` object —
-/// fixed so rendering is deterministic.
-const METRIC_COLUMNS: [&str; 6] = [
-    "ipc",
-    "l1_mpki",
-    "l2_mpki",
-    "l3_mpki",
-    "row_hit_rate",
-    "alb_hit_rate",
-];
-
-fn ratio(n: u64, d: u64) -> f64 {
-    if d == 0 {
-        0.0
-    } else {
-        n as f64 / d as f64
-    }
-}
-
-impl WindowFeatures {
-    /// Instructions per cycle over this window.
-    pub fn ipc(&self) -> f64 {
-        ratio(self.instructions, self.cycles)
-    }
-
-    /// L1 misses per kilo-instruction over this window.
-    pub fn l1_mpki(&self) -> f64 {
-        ratio(self.l1_misses, self.instructions) * 1000.0
-    }
-
-    /// L2 misses per kilo-instruction over this window.
-    pub fn l2_mpki(&self) -> f64 {
-        ratio(self.l2_misses, self.instructions) * 1000.0
-    }
-
-    /// L3 misses per kilo-instruction over this window.
-    pub fn l3_mpki(&self) -> f64 {
-        ratio(self.l3_misses, self.instructions) * 1000.0
-    }
-
-    /// DRAM row-hit rate over this window's accesses.
-    pub fn row_hit_rate(&self) -> f64 {
-        ratio(self.row_hits, self.dram_accesses)
-    }
-
-    /// ALB hit rate over this window's lookups.
-    pub fn alb_hit_rate(&self) -> f64 {
-        ratio(self.alb_hits, self.alb_lookups)
-    }
-
-    /// One metric's numerator, denominator, and output scale for the
-    /// ratio-of-sums estimator.
-    fn metric_parts(&self, name: &str) -> (u64, u64, f64) {
-        match name {
-            "ipc" => (self.instructions, self.cycles, 1.0),
-            "l1_mpki" => (self.l1_misses, self.instructions, 1000.0),
-            "l2_mpki" => (self.l2_misses, self.instructions, 1000.0),
-            "l3_mpki" => (self.l3_misses, self.instructions, 1000.0),
-            "row_hit_rate" => (self.row_hits, self.dram_accesses, 1.0),
-            "alb_hit_rate" => (self.alb_hits, self.alb_lookups, 1.0),
-            _ => unreachable!("unknown sampled metric {name}"),
-        }
-    }
-
-    fn metric(&self, name: &str) -> f64 {
-        let (n, d, scale) = self.metric_parts(name);
-        ratio(n, d) * scale
-    }
-
-    /// The clustering feature vector (the telemetry signal of PR 3: IPC,
-    /// per-level MPKI, row-hit rate, ALB hit rate).
-    fn features(&self) -> [f64; 6] {
-        [
-            self.ipc(),
-            self.l1_mpki(),
-            self.l2_mpki(),
-            self.l3_mpki(),
-            self.row_hit_rate(),
-            self.alb_hit_rate(),
-        ]
-    }
+/// The [`METRICS`] of one detailed window: the clustering feature vector
+/// (the telemetry signal of the epoch sampler). Windows are kept as raw
+/// counter deltas, not ratios: a short window's cycle delta is noisy (the
+/// core's clock advances in miss-completion jumps), so the summary's
+/// estimates are ratios of sums across windows, and the per-window ratios
+/// feed only the clustering, the CI and the observed range.
+fn features(window: &Counters) -> [f64; DIMS] {
+    METRICS.map(|m| m.of(window))
 }
 
 /// One sampled metric: the ratio-of-sums estimate across all detailed
@@ -372,8 +271,7 @@ pub struct SamplingSummary {
     pub coverage: f64,
     /// The post-stratification clusters, in cluster-index order.
     pub clusters: Vec<SampleCluster>,
-    /// Per-metric stratified estimates, in the fixed order `ipc`,
-    /// `l1_mpki`, `l2_mpki`, `l3_mpki`, `row_hit_rate`, `alb_hit_rate`.
+    /// Per-metric stratified estimates, in [`METRICS`] order.
     pub metrics: Vec<(String, SampledMetric)>,
 }
 
@@ -386,7 +284,7 @@ impl SamplingSummary {
         total_ops: u64,
         detailed_ops: u64,
         warm_ops: u64,
-        windows: &[WindowFeatures],
+        windows: &[Counters],
     ) -> SamplingSummary {
         let assignment = cluster_windows(windows);
         let k = assignment.iter().copied().max().map_or(0, |m| m + 1);
@@ -400,12 +298,12 @@ impl SamplingSummary {
                 }
             })
             .collect();
-        let metrics = METRIC_COLUMNS
+        let metrics = METRICS
             .iter()
-            .map(|&name| {
+            .map(|m| {
                 (
-                    name.to_string(),
-                    stratified_metric(windows, name, &assignment, k),
+                    m.name.to_string(),
+                    stratified_metric(windows, m, &assignment, k),
                 )
             })
             .collect();
@@ -484,12 +382,12 @@ impl SamplingSummary {
             })
             .collect::<Option<Vec<_>>>()?;
         let metrics_obj = block.get("metrics")?;
-        let metrics = METRIC_COLUMNS
+        let metrics = METRICS
             .iter()
-            .map(|&name| {
+            .map(|m| {
                 Some((
-                    name.to_string(),
-                    SampledMetric::from_json(metrics_obj.get(name)?)?,
+                    m.name.to_string(),
+                    SampledMetric::from_json(metrics_obj.get(m.name)?)?,
                 ))
             })
             .collect::<Option<Vec<_>>>()?;
@@ -517,7 +415,7 @@ impl SamplingSummary {
 /// spaced window indices, a fixed 16 assignment/update rounds, ties to the
 /// lowest cluster index. No RNG, no wall clock — the same windows always
 /// cluster the same way (simlint forbids nondeterminism in the sim crates).
-fn cluster_windows(windows: &[WindowFeatures]) -> Vec<usize> {
+fn cluster_windows(windows: &[Counters]) -> Vec<usize> {
     let n = windows.len();
     if n == 0 {
         return Vec::new();
@@ -525,20 +423,20 @@ fn cluster_windows(windows: &[WindowFeatures]) -> Vec<usize> {
     let k = n.min(3);
     // Min-max normalize each feature dimension so MPKI (tens) does not
     // drown IPC (ones) in the distance metric.
-    let raw: Vec<[f64; 6]> = windows.iter().map(|w| w.features()).collect();
-    let mut lo = [f64::INFINITY; 6];
-    let mut hi = [f64::NEG_INFINITY; 6];
+    let raw: Vec<[f64; DIMS]> = windows.iter().map(features).collect();
+    let mut lo = [f64::INFINITY; DIMS];
+    let mut hi = [f64::NEG_INFINITY; DIMS];
     for f in &raw {
-        for d in 0..6 {
+        for d in 0..DIMS {
             lo[d] = lo[d].min(f[d]);
             hi[d] = hi[d].max(f[d]);
         }
     }
-    let norm: Vec<[f64; 6]> = raw
+    let norm: Vec<[f64; DIMS]> = raw
         .iter()
         .map(|f| {
-            let mut out = [0.0; 6];
-            for d in 0..6 {
+            let mut out = [0.0; DIMS];
+            for d in 0..DIMS {
                 let span = hi[d] - lo[d];
                 // Degenerate dimension (all windows equal): contribute 0
                 // rather than dividing by the zero span.
@@ -551,11 +449,12 @@ fn cluster_windows(windows: &[WindowFeatures]) -> Vec<usize> {
             out
         })
         .collect();
-    let dist2 =
-        |a: &[f64; 6], b: &[f64; 6]| -> f64 { (0..6).map(|d| (a[d] - b[d]) * (a[d] - b[d])).sum() };
+    let dist2 = |a: &[f64; DIMS], b: &[f64; DIMS]| -> f64 {
+        (0..DIMS).map(|d| (a[d] - b[d]) * (a[d] - b[d])).sum()
+    };
     // Seed centroids at evenly spaced window indices (sorted by time, so
     // program phases seed distinct clusters).
-    let mut centroids: Vec<[f64; 6]> = (0..k)
+    let mut centroids: Vec<[f64; DIMS]> = (0..k)
         .map(|c| norm[if k == 1 { 0 } else { c * (n - 1) / (k - 1) }])
         .collect();
     let mut assignment = vec![0usize; n];
@@ -577,9 +476,9 @@ fn cluster_windows(windows: &[WindowFeatures]) -> Vec<usize> {
             if members.is_empty() {
                 continue;
             }
-            let mut mean = [0.0; 6];
+            let mut mean = [0.0; DIMS];
             for &i in &members {
-                for d in 0..6 {
+                for d in 0..DIMS {
                     mean[d] += norm[i][d];
                 }
             }
@@ -608,11 +507,11 @@ fn cluster_windows(windows: &[WindowFeatures]) -> Vec<usize> {
 
 /// The member window closest (in raw feature space) to the cluster's mean;
 /// ties break to the lowest window index.
-fn representative_of(windows: &[WindowFeatures], members: &[usize]) -> usize {
-    let mut mean = [0.0; 6];
+fn representative_of(windows: &[Counters], members: &[usize]) -> usize {
+    let mut mean = [0.0; DIMS];
     for &i in members {
-        let f = windows[i].features();
-        for d in 0..6 {
+        let f = features(&windows[i]);
+        for d in 0..DIMS {
             mean[d] += f[d];
         }
     }
@@ -622,8 +521,8 @@ fn representative_of(windows: &[WindowFeatures], members: &[usize]) -> usize {
     let mut best = members.first().copied().unwrap_or(0);
     let mut best_d = f64::INFINITY;
     for &i in members {
-        let f = windows[i].features();
-        let d: f64 = (0..6).map(|x| (f[x] - mean[x]) * (f[x] - mean[x])).sum();
+        let f = features(&windows[i]);
+        let d: f64 = (0..DIMS).map(|x| (f[x] - mean[x]) * (f[x] - mean[x])).sum();
         if d < best_d {
             best_d = d;
             best = i;
@@ -638,8 +537,8 @@ fn representative_of(windows: &[WindowFeatures], members: &[usize]) -> usize {
 /// per-window variance `Σ (n_c/N)² · s_c²/n_c` (singleton strata
 /// contribute zero — they have no within-cluster variance to estimate).
 fn stratified_metric(
-    windows: &[WindowFeatures],
-    name: &str,
+    windows: &[Counters],
+    metric: &Metric,
     assignment: &[usize],
     k: usize,
 ) -> SampledMetric {
@@ -647,20 +546,8 @@ fn stratified_metric(
     if n == 0 {
         return SampledMetric::default();
     }
-    let mut num = 0u64;
-    let mut den = 0u64;
-    let mut scale = 1.0;
-    let values: Vec<f64> = windows
-        .iter()
-        .map(|w| {
-            let (wn, wd, s) = w.metric_parts(name);
-            num += wn;
-            den += wd;
-            scale = s;
-            w.metric(name)
-        })
-        .collect();
-    let mean = ratio(num, den) * scale;
+    let values: Vec<f64> = windows.iter().map(|w| metric.of(w)).collect();
+    let mean = metric.of_sum(windows);
     let mut var = 0.0;
     for c in 0..k {
         let members: Vec<f64> = (0..n)
@@ -810,8 +697,8 @@ mod tests {
 
     /// A 1000-instruction window: `cycles` sets its IPC, `l1_misses` its
     /// MPKI (misses == MPKI at 1000 instructions).
-    fn window(cycles: u64, l1_misses: u64) -> WindowFeatures {
-        WindowFeatures {
+    fn window(cycles: u64, l1_misses: u64) -> Counters {
+        Counters {
             instructions: 1000,
             cycles,
             l1_misses,
@@ -821,6 +708,7 @@ mod tests {
             row_hits: 8,
             alb_lookups: 10,
             alb_hits: 5,
+            ..Counters::default()
         }
     }
 
@@ -828,7 +716,7 @@ mod tests {
     fn clustering_is_deterministic_and_separates_phases() {
         // Two clearly distinct phases: high-IPC/low-MPKI (4.0 IPC, 1 MPKI)
         // and the reverse (0.5 IPC, 40 MPKI).
-        let windows: Vec<WindowFeatures> = (0..8)
+        let windows: Vec<Counters> = (0..8)
             .map(|i| {
                 if i < 4 {
                     window(250, 1)

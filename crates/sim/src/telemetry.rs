@@ -11,8 +11,12 @@
 //! * **caches** — per-level MPKI over the epoch, the L2/L3 DRRIP PSEL
 //!   trajectory, prefetches issued/useful;
 //! * **DRAM** — row-hit rate over the epoch, mean bank-busy fraction,
-//!   FR-FCFS queue-depth proxy;
+//!   queue-depth proxy;
 //! * **XMem** — ALB hit rate over the epoch, AMU invalidations.
+//!
+//! An epoch is a delta of one member's cumulative [`Counters`], as is an
+//! interval-sampling window (`crate::sampling`), and both read their ratio
+//! metrics from the one [`METRICS`] table.
 //!
 //! A series serializes as an optional, backwards-compatible `"telemetry"`
 //! block of `xmem-report-v1` records (columnar arrays, byte-identical
@@ -29,11 +33,148 @@ use crate::report_sink::JsonValue;
 /// Default sampling epoch: one sample per 100k retired instructions.
 pub const DEFAULT_EPOCH_INSTRUCTIONS: u64 = 100_000;
 
+/// One member's cumulative counters across every layer, as read at one
+/// instant. The counters of an interval — a telemetry epoch or a sampling
+/// window — are `end.since(&start)`, and every ratio metric of
+/// [`METRICS`] is read off such a delta.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Counters {
+    /// Instructions retired.
+    pub instructions: u64,
+    /// Core cycles.
+    pub cycles: u64,
+    /// L1 misses.
+    pub l1_misses: u64,
+    /// L2 misses.
+    pub l2_misses: u64,
+    /// L3 misses.
+    pub l3_misses: u64,
+    /// DRAM accesses (reads + writes).
+    pub dram_accesses: u64,
+    /// DRAM row-buffer hits.
+    pub row_hits: u64,
+    /// Bank-cycles spent serving DRAM reads.
+    pub busy_bank_cycles: u64,
+    /// Prefetches issued (stride + XMem-guided).
+    pub prefetch_issued: u64,
+    /// Prefetched lines proven useful.
+    pub prefetch_useful: u64,
+    /// ALB lookups.
+    pub alb_lookups: u64,
+    /// ALB hits.
+    pub alb_hits: u64,
+    /// ALB entries invalidated by remaps.
+    pub amu_invalidations: u64,
+}
+
+impl Counters {
+    /// The counters of the interval from `earlier` to `self`. Cycles
+    /// saturate: the core's clock includes the completion time of its
+    /// latest outstanding miss, so it can stand past a later reading.
+    pub fn since(&self, earlier: &Counters) -> Counters {
+        Counters {
+            instructions: self.instructions - earlier.instructions,
+            cycles: self.cycles.saturating_sub(earlier.cycles),
+            l1_misses: self.l1_misses - earlier.l1_misses,
+            l2_misses: self.l2_misses - earlier.l2_misses,
+            l3_misses: self.l3_misses - earlier.l3_misses,
+            dram_accesses: self.dram_accesses - earlier.dram_accesses,
+            row_hits: self.row_hits - earlier.row_hits,
+            busy_bank_cycles: self.busy_bank_cycles - earlier.busy_bank_cycles,
+            prefetch_issued: self.prefetch_issued - earlier.prefetch_issued,
+            prefetch_useful: self.prefetch_useful - earlier.prefetch_useful,
+            alb_lookups: self.alb_lookups - earlier.alb_lookups,
+            alb_hits: self.alb_hits - earlier.alb_hits,
+            amu_invalidations: self.amu_invalidations - earlier.amu_invalidations,
+        }
+    }
+}
+
+/// `n / d`, or 0 for an empty denominator.
+pub(crate) fn ratio(n: u64, d: u64) -> f64 {
+    if d == 0 {
+        0.0
+    } else {
+        n as f64 / d as f64
+    }
+}
+
+/// A ratio metric of an interval's [`Counters`]: `scale · num / den`.
+#[derive(Debug, Clone, Copy)]
+pub struct Metric {
+    /// The metric's column name in the `"telemetry"` and `"sampling"`
+    /// blocks.
+    pub name: &'static str,
+    num: fn(&Counters) -> u64,
+    den: fn(&Counters) -> u64,
+    scale: f64,
+}
+
+impl Metric {
+    /// This metric over the interval `c`.
+    pub fn of(&self, c: &Counters) -> f64 {
+        self.value((self.num)(c), (self.den)(c))
+    }
+
+    /// This metric over all of `intervals` at once: the ratio of their
+    /// summed numerators and denominators.
+    pub fn of_sum(&self, intervals: &[Counters]) -> f64 {
+        let num = intervals.iter().map(self.num).sum();
+        let den = intervals.iter().map(self.den).sum();
+        self.value(num, den)
+    }
+
+    fn value(&self, num: u64, den: u64) -> f64 {
+        ratio(num, den) * self.scale
+    }
+}
+
+/// The ratio metrics that telemetry samples per epoch and interval
+/// sampling estimates per window, in the order both serialize them.
+pub const METRICS: [Metric; 6] = [
+    Metric {
+        name: "ipc",
+        num: |c| c.instructions,
+        den: |c| c.cycles,
+        scale: 1.0,
+    },
+    Metric {
+        name: "l1_mpki",
+        num: |c| c.l1_misses,
+        den: |c| c.instructions,
+        scale: 1000.0,
+    },
+    Metric {
+        name: "l2_mpki",
+        num: |c| c.l2_misses,
+        den: |c| c.instructions,
+        scale: 1000.0,
+    },
+    Metric {
+        name: "l3_mpki",
+        num: |c| c.l3_misses,
+        den: |c| c.instructions,
+        scale: 1000.0,
+    },
+    Metric {
+        name: "row_hit_rate",
+        num: |c| c.row_hits,
+        den: |c| c.dram_accesses,
+        scale: 1.0,
+    },
+    Metric {
+        name: "alb_hit_rate",
+        num: |c| c.alb_hits,
+        den: |c| c.alb_lookups,
+        scale: 1.0,
+    },
+];
+
 /// One telemetry sample, taken at an epoch boundary (or at end of run for
-/// the final partial epoch). Rate-style fields (`ipc`, `*_mpki`,
-/// `row_hit_rate`, `alb_hit_rate`, `bank_busy_fraction`, prefetch counts,
-/// `amu_invalidations`) cover *this epoch only*; `instructions` / `cycles`
-/// are cumulative, and the remaining fields are instantaneous gauges.
+/// the final partial epoch). Rate-style fields (the [`METRICS`],
+/// `bank_busy_fraction`, prefetch counts, `amu_invalidations`) cover
+/// *this epoch only*; `instructions` / `cycles` are cumulative, and the
+/// remaining fields are instantaneous gauges.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TelemetrySample {
     /// Cumulative instructions retired at the sample point.
@@ -64,7 +205,8 @@ pub struct TelemetrySample {
     pub row_hit_rate: f64,
     /// Mean fraction of banks busy serving reads over the epoch.
     pub bank_busy_fraction: f64,
-    /// FR-FCFS queue-depth proxy at the sample point (gauge).
+    /// DRAM queue-depth proxy at the sample point (gauge): busy banks
+    /// plus queued burst slots.
     pub queue_depth: f64,
     /// ALB hit rate over the epoch's lookups.
     pub alb_hit_rate: f64,
@@ -72,88 +214,75 @@ pub struct TelemetrySample {
     pub amu_invalidations: u64,
 }
 
-/// The columnar field order of the serialized `"telemetry"` block — one
-/// array per field, all of equal length. Fixed so rendering (and the
-/// determinism tests built on byte comparison) never reorders.
-const U64_COLUMNS: [&str; 7] = [
-    "instructions",
-    "cycles",
-    "rob_load_occupancy",
-    "outstanding_loads",
-    "prefetch_issued",
-    "prefetch_useful",
-    "amu_invalidations",
+/// One serialized column of a [`TelemetrySample`]: its name and the field
+/// it reads and writes.
+#[derive(Clone, Copy)]
+enum Column {
+    U64(&'static str, fn(&mut TelemetrySample) -> &mut u64),
+    F64(&'static str, fn(&mut TelemetrySample) -> &mut f64),
+    /// The epoch's value of `METRICS[i]`, which names the column.
+    Metric(usize, fn(&mut TelemetrySample) -> &mut f64),
+}
+
+/// The `"telemetry"` block's columns, one array each, in their fixed JSON
+/// order (so rendering, and the determinism tests built on byte
+/// comparison, never reorder): `instructions`/`cycles` lead, then the
+/// per-component columns in machine order (core, caches, prefetch, DRAM,
+/// XMem).
+const COLUMNS: [Column; 17] = [
+    Column::U64("instructions", |s| &mut s.instructions),
+    Column::U64("cycles", |s| &mut s.cycles),
+    Column::Metric(0, |s| &mut s.ipc),
+    Column::U64("rob_load_occupancy", |s| &mut s.rob_load_occupancy),
+    Column::U64("outstanding_loads", |s| &mut s.outstanding_loads),
+    Column::Metric(1, |s| &mut s.l1_mpki),
+    Column::Metric(2, |s| &mut s.l2_mpki),
+    Column::Metric(3, |s| &mut s.l3_mpki),
+    Column::F64("l2_psel", |s| &mut s.l2_psel),
+    Column::F64("l3_psel", |s| &mut s.l3_psel),
+    Column::U64("prefetch_issued", |s| &mut s.prefetch_issued),
+    Column::U64("prefetch_useful", |s| &mut s.prefetch_useful),
+    Column::Metric(4, |s| &mut s.row_hit_rate),
+    Column::F64("bank_busy_fraction", |s| &mut s.bank_busy_fraction),
+    Column::F64("queue_depth", |s| &mut s.queue_depth),
+    Column::Metric(5, |s| &mut s.alb_hit_rate),
+    Column::U64("amu_invalidations", |s| &mut s.amu_invalidations),
 ];
-const F64_COLUMNS: [&str; 10] = [
-    "ipc",
-    "l1_mpki",
-    "l2_mpki",
-    "l3_mpki",
-    "l2_psel",
-    "l3_psel",
-    "row_hit_rate",
-    "bank_busy_fraction",
-    "queue_depth",
-    "alb_hit_rate",
-];
+
+impl Column {
+    fn name(self) -> &'static str {
+        match self {
+            Column::U64(name, _) | Column::F64(name, _) => name,
+            Column::Metric(i, _) => METRICS[i].name,
+        }
+    }
+
+    fn get(self, mut sample: TelemetrySample) -> JsonValue {
+        match self {
+            Column::U64(_, field) => JsonValue::U64(*field(&mut sample)),
+            Column::F64(_, field) | Column::Metric(_, field) => JsonValue::F64(*field(&mut sample)),
+        }
+    }
+
+    fn set(self, sample: &mut TelemetrySample, v: &JsonValue) -> Option<()> {
+        match self {
+            Column::U64(_, field) => *field(sample) = v.as_u64()?,
+            Column::F64(_, field) | Column::Metric(_, field) => *field(sample) = v.as_f64()?,
+        }
+        Some(())
+    }
+}
 
 impl TelemetrySample {
-    fn u64_column(&self, name: &str) -> u64 {
-        match name {
-            "instructions" => self.instructions,
-            "cycles" => self.cycles,
-            "rob_load_occupancy" => self.rob_load_occupancy,
-            "outstanding_loads" => self.outstanding_loads,
-            "prefetch_issued" => self.prefetch_issued,
-            "prefetch_useful" => self.prefetch_useful,
-            "amu_invalidations" => self.amu_invalidations,
-            _ => unreachable!("unknown u64 column {name}"),
+    /// This sample with its [`METRICS`] columns set to their values over
+    /// the interval `epoch`.
+    pub fn with_metrics(mut self, epoch: &Counters) -> TelemetrySample {
+        for column in COLUMNS {
+            if let Column::Metric(i, field) = column {
+                *field(&mut self) = METRICS[i].of(epoch);
+            }
         }
-    }
-
-    fn u64_column_mut(&mut self, name: &str) -> &mut u64 {
-        match name {
-            "instructions" => &mut self.instructions,
-            "cycles" => &mut self.cycles,
-            "rob_load_occupancy" => &mut self.rob_load_occupancy,
-            "outstanding_loads" => &mut self.outstanding_loads,
-            "prefetch_issued" => &mut self.prefetch_issued,
-            "prefetch_useful" => &mut self.prefetch_useful,
-            "amu_invalidations" => &mut self.amu_invalidations,
-            _ => unreachable!("unknown u64 column {name}"),
-        }
-    }
-
-    fn f64_column(&self, name: &str) -> f64 {
-        match name {
-            "ipc" => self.ipc,
-            "l1_mpki" => self.l1_mpki,
-            "l2_mpki" => self.l2_mpki,
-            "l3_mpki" => self.l3_mpki,
-            "l2_psel" => self.l2_psel,
-            "l3_psel" => self.l3_psel,
-            "row_hit_rate" => self.row_hit_rate,
-            "bank_busy_fraction" => self.bank_busy_fraction,
-            "queue_depth" => self.queue_depth,
-            "alb_hit_rate" => self.alb_hit_rate,
-            _ => unreachable!("unknown f64 column {name}"),
-        }
-    }
-
-    fn f64_column_mut(&mut self, name: &str) -> &mut f64 {
-        match name {
-            "ipc" => &mut self.ipc,
-            "l1_mpki" => &mut self.l1_mpki,
-            "l2_mpki" => &mut self.l2_mpki,
-            "l3_mpki" => &mut self.l3_mpki,
-            "l2_psel" => &mut self.l2_psel,
-            "l3_psel" => &mut self.l3_psel,
-            "row_hit_rate" => &mut self.row_hit_rate,
-            "bank_busy_fraction" => &mut self.bank_busy_fraction,
-            "queue_depth" => &mut self.queue_depth,
-            "alb_hit_rate" => &mut self.alb_hit_rate,
-            _ => unreachable!("unknown f64 column {name}"),
-        }
+        self
     }
 }
 
@@ -179,42 +308,13 @@ impl TelemetrySeries {
     /// `{"epoch_instructions": N, "series": {"<column>": [...], ...}}`,
     /// columnar with a fixed column order so rendering is deterministic.
     pub fn to_json(&self) -> JsonValue {
-        let mut columns: Vec<(String, JsonValue)> = Vec::new();
-        // `instructions`/`cycles` lead, then the per-component columns in
-        // machine order (core, caches, prefetch, DRAM, XMem).
-        let order: [(&str, bool); 17] = [
-            ("instructions", true),
-            ("cycles", true),
-            ("ipc", false),
-            ("rob_load_occupancy", true),
-            ("outstanding_loads", true),
-            ("l1_mpki", false),
-            ("l2_mpki", false),
-            ("l3_mpki", false),
-            ("l2_psel", false),
-            ("l3_psel", false),
-            ("prefetch_issued", true),
-            ("prefetch_useful", true),
-            ("row_hit_rate", false),
-            ("bank_busy_fraction", false),
-            ("queue_depth", false),
-            ("alb_hit_rate", false),
-            ("amu_invalidations", true),
-        ];
-        for (name, is_u64) in order {
-            let items = self
-                .samples
-                .iter()
-                .map(|s| {
-                    if is_u64 {
-                        JsonValue::U64(s.u64_column(name))
-                    } else {
-                        JsonValue::F64(s.f64_column(name))
-                    }
-                })
-                .collect();
-            columns.push((name.to_string(), JsonValue::Array(items)));
-        }
+        let columns = COLUMNS
+            .iter()
+            .map(|column| {
+                let items = self.samples.iter().map(|s| column.get(*s)).collect();
+                (column.name().to_string(), JsonValue::Array(items))
+            })
+            .collect();
         JsonValue::object([
             (
                 "epoch_instructions",
@@ -230,24 +330,15 @@ impl TelemetrySeries {
     pub fn from_json(block: &JsonValue) -> Option<TelemetrySeries> {
         let epoch_instructions = block.get("epoch_instructions")?.as_u64()?;
         let series = block.get("series")?;
-        let len = series.get("instructions")?.as_array()?.len();
+        let len = series.get(COLUMNS[0].name())?.as_array()?.len();
         let mut samples = vec![TelemetrySample::default(); len];
-        for name in U64_COLUMNS {
-            let col = series.get(name)?.as_array()?;
+        for column in COLUMNS {
+            let col = series.get(column.name())?.as_array()?;
             if col.len() != len {
                 return None;
             }
             for (sample, v) in samples.iter_mut().zip(col) {
-                *sample.u64_column_mut(name) = v.as_u64()?;
-            }
-        }
-        for name in F64_COLUMNS {
-            let col = series.get(name)?.as_array()?;
-            if col.len() != len {
-                return None;
-            }
-            for (sample, v) in samples.iter_mut().zip(col) {
-                *sample.f64_column_mut(name) = v.as_f64()?;
+                column.set(sample, v)?;
             }
         }
         Some(TelemetrySeries {
@@ -404,6 +495,41 @@ mod tests {
             epoch_instructions: 1000,
             samples: (0..3).map(sample).collect(),
         }
+    }
+
+    /// An interval's counters are the field-wise delta (cycles saturate),
+    /// and a sample's metric columns read the delta through `METRICS`.
+    #[test]
+    fn metrics_read_interval_deltas() {
+        let start = Counters {
+            instructions: 1000,
+            cycles: 5000,
+            l1_misses: 5,
+            dram_accesses: 2,
+            row_hits: 1,
+            ..Counters::default()
+        };
+        let end = Counters {
+            instructions: 3000,
+            cycles: 6000,
+            l1_misses: 25,
+            dram_accesses: 6,
+            row_hits: 4,
+            ..Counters::default()
+        };
+        let delta = end.since(&start);
+        assert_eq!((delta.instructions, delta.cycles), (2000, 1000));
+        let s = TelemetrySample::default().with_metrics(&delta);
+        assert_eq!((s.ipc, s.l1_mpki, s.l2_mpki), (2.0, 10.0, 0.0));
+        assert_eq!((s.row_hit_rate, s.alb_hit_rate), (0.75, 0.0));
+        // The core's clock can stand past a later reading.
+        let stalled = Counters {
+            cycles: 4000,
+            ..end
+        }
+        .since(&start);
+        assert_eq!(stalled.cycles, 0);
+        assert_eq!(METRICS[0].of(&stalled), 0.0);
     }
 
     /// The block round-trips exactly — values, column order, and bytes.
