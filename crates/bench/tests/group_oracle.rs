@@ -20,8 +20,8 @@ mod golden;
 use std::collections::BTreeMap;
 use xmem_bench::grids;
 use xmem_sim::{
-    run, JsonValue, RunRecord, RunReport, RunSpec, SamplingSpec, Sweep, TelemetrySample,
-    TelemetrySeries,
+    placement_specs, run, FramePolicyKind, JsonValue, RunRecord, RunReport, RunSpec, SamplingSpec,
+    Sweep, TelemetrySample, TelemetrySeries, Uc2System,
 };
 
 /// The `--quick` problem size of the use-case-1 figures.
@@ -236,4 +236,43 @@ fn fig7_groups_match_standalone_runs() {
     let (specs, _) = grids::fig7(&workloads);
     let sizes = check("fig7", &specs, None, None);
     assert_eq!(sizes, [20, 2].repeat(workloads.len()));
+}
+
+/// How the full grids group, without running them: the group key decides
+/// which points share one front and one core model, so it sets how much
+/// of a sweep runs once. The uc2 grid is the benchmark's: each mix's first
+/// point of every system's §6.3 grid, with the Baseline's frame seed at
+/// `0xA70 + seed - 1`. At seed 1 the Baseline and Ideal-RBL points share
+/// their frames and pair up; at seed 2 every point runs alone.
+#[test]
+fn full_grids_group_as_before() {
+    let sizes = |specs: Vec<RunSpec>| -> Vec<usize> {
+        Sweep::new(specs).groups().iter().map(Vec::len).collect()
+    };
+    assert_eq!(sizes(grids::fig4(QUICK_N)), vec![2; 108]);
+    assert_eq!(sizes(grids::fig5(QUICK_N)), vec![6; 12]);
+    assert_eq!(sizes(grids::fig6(QUICK_N)), vec![12; 12]);
+    let (fig7, _) = grids::fig7(&grids::fig7_workloads(true));
+    assert_eq!(sizes(fig7), [20, 2].repeat(27));
+    let uc2 = |seed: u64| -> Vec<RunSpec> {
+        let mut specs = Vec::new();
+        for mut w in workloads::placement::PlacementWorkload::all() {
+            w.accesses /= 2;
+            for sys in [Uc2System::Baseline, Uc2System::Xmem, Uc2System::IdealRbl] {
+                let mut spec = placement_specs(&w, sys)
+                    .into_iter()
+                    .next()
+                    .expect("placement grids are non-empty");
+                if sys == Uc2System::Baseline {
+                    spec.config.frame_policy = FramePolicyKind::Randomized {
+                        seed: 0xA70 + seed - 1,
+                    };
+                }
+                specs.push(spec);
+            }
+        }
+        specs
+    };
+    assert_eq!(sizes(uc2(1)), [2, 1].repeat(27));
+    assert_eq!(sizes(uc2(2)), vec![1; 81]);
 }

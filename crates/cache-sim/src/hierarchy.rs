@@ -37,7 +37,8 @@
 //! stretch of accesses at a time: [`Hierarchy::record`] runs the front and
 //! notes what reached below it, [`Hierarchy::fan_out`] runs every node
 //! over those notes and logs each node's DRAM traffic, and
-//! [`Hierarchy::replay`] plays a node's log into one member's DRAM at that
+//! [`Hierarchy::group_replay`] serves the stretch to a core with one lane
+//! per member, playing each node's log into its members' DRAMs at each
 //! member's own times. This is exact because no cache, prefetcher or
 //! pinning state of a single core ever reads time: only the core and the
 //! DRAM do.
@@ -59,7 +60,7 @@ use crate::config::CacheConfig;
 use crate::pin::{select_pinned, PinCandidate};
 use crate::prefetch::{MultiStridePrefetcher, PrefetchRun, PrefetchStats};
 use crate::tracker::PrefetchTracker;
-use cpu_sim::batch::{MemoryPath, OpAttrs};
+use cpu_sim::batch::{LanePath, OpAttrs};
 use dram_sim::{Dram, DramStats};
 use std::collections::BTreeSet;
 use xmem_core::addr::PhysAddr;
@@ -1180,89 +1181,100 @@ impl Hierarchy {
         }
     }
 
-    /// `member`'s replay of the fanned-out stretch: a memory path that
-    /// serves the stretch's accesses, in order, at the member's own times.
-    pub fn replay(&mut self, member: usize) -> Replay<'_> {
-        let node = &self.nodes[self.node_of[member]];
-        Replay {
+    /// Plays every member's node log of a warming stretch into the
+    /// member's DRAM: every row its node warmed, in order.
+    pub fn warm_members(&mut self) {
+        for (dram, &n) in self.drams.iter_mut().zip(&self.node_of) {
+            let mut port = Served::new(dram, 0, 0);
+            for &cmd in &self.nodes[n].cmds {
+                replay_cmd(cmd, &mut port);
+            }
+        }
+    }
+
+    /// The fanned-out stretch as a [`LanePath`] with one lane per member:
+    /// it serves the stretch's accesses, in order, every member's at its
+    /// own times.
+    pub fn group_replay(&mut self) -> GroupReplay<'_> {
+        GroupReplay {
             ops: &self.ops,
-            cmds: &node.cmds,
-            ends: &node.ends,
-            dram: &mut self.drams[member],
+            nodes: &self.nodes,
+            node_of: &self.node_of,
+            drams: &mut self.drams,
             op: 0,
             rec: 0,
+            walk: 0,
+            class: OP_L1,
             l1_lat: self.l1_lat,
             l2_lat: self.l2_lat,
-            l3_lat: node.l3_lat,
         }
     }
 }
 
-/// One member's replay of a group's stretch (see [`Hierarchy::replay`]).
+/// A group's fanned-out stretch, served to a core with one lane per member
+/// (see [`Hierarchy::group_replay`]). An access that stayed in the private
+/// levels without dirty victims costs every member the same and touches no
+/// DRAM; any other replays its node's logged requests into each member's
+/// DRAM at that member's own time.
 #[derive(Debug)]
-pub struct Replay<'a> {
+pub struct GroupReplay<'a> {
     ops: &'a [u64],
-    cmds: &'a [u64],
-    ends: &'a [usize],
-    dram: &'a mut Dram,
+    nodes: &'a [L3Node],
+    node_of: &'a [usize],
+    drams: &'a mut [Dram],
     /// The next access in `ops`.
     op: usize,
-    /// The next noted access in `ends`.
+    /// The next noted access in the nodes' `ends`.
     rec: usize,
+    /// The TLB walk and class of the access begun last.
+    walk: u64,
+    class: u64,
     l1_lat: u64,
     l2_lat: u64,
-    l3_lat: u64,
 }
 
-impl Replay<'_> {
-    /// Plays the next noted access's DRAM requests at `now` (its own time)
-    /// and `t_mem` (its memory time); returns the demand read's latency, 0
-    /// when there was none.
-    #[inline]
-    fn play(&mut self, now: u64, t_mem: u64) -> u64 {
-        let start = if self.rec == 0 {
-            0
-        } else {
-            self.ends[self.rec - 1]
-        };
-        let end = self.ends[self.rec];
-        self.rec += 1;
-        let mut port = Served::new(self.dram, now, t_mem);
-        for &cmd in &self.cmds[start..end] {
-            replay_cmd(cmd, &mut port);
-        }
-        port.latency
-    }
-
-    /// Plays a warming stretch: every row the nodes warmed, in order.
-    pub fn warm(mut self) {
-        while self.rec < self.ends.len() {
-            let _ = self.play(0, 0);
-        }
-    }
-
+impl GroupReplay<'_> {
     /// Whether every access of the stretch has been served.
     pub fn is_done(&self) -> bool {
-        self.op == self.ops.len() && self.rec == self.ends.len()
+        self.op == self.ops.len() && self.rec == self.nodes[0].ends.len()
     }
 }
 
-impl MemoryPath for Replay<'_> {
+impl LanePath for GroupReplay<'_> {
     #[inline]
-    fn serve(&mut self, _va: u64, _attrs: OpAttrs, now: u64) -> u64 {
+    fn begin(&mut self, _addr: u64, _attrs: OpAttrs) -> Option<u64> {
         let op = self.ops[self.op];
         self.op += 1;
         let walk = op >> 2;
-        let now = now + walk;
-        walk + match op & 3 {
-            OP_L1 => self.l1_lat,
-            OP_L2 => self.l2_lat,
-            OP_L2_SINKS => {
-                let _ = self.play(now, now);
-                self.l2_lat
+        match op & 3 {
+            OP_L1 => Some(walk + self.l1_lat),
+            OP_L2 => Some(walk + self.l2_lat),
+            class => {
+                self.walk = walk;
+                self.class = class;
+                self.rec += 1;
+                None
             }
-            _ => self.l3_lat + self.play(now, now + self.l3_lat),
         }
+    }
+
+    #[inline]
+    fn serve_lane(&mut self, lane: usize, now: u64) -> u64 {
+        let node = &self.nodes[self.node_of[lane]];
+        let rec = self.rec - 1;
+        let start = if rec == 0 { 0 } else { node.ends[rec - 1] };
+        let cmds = &node.cmds[start..node.ends[rec]];
+        let now = now + self.walk;
+        let (lat, t_mem) = if self.class == OP_L2_SINKS {
+            (self.l2_lat, now)
+        } else {
+            (node.l3_lat, now + node.l3_lat)
+        };
+        let mut port = Served::new(&mut self.drams[lane], now, t_mem);
+        for &cmd in cmds {
+            replay_cmd(cmd, &mut port);
+        }
+        self.walk + lat + port.latency
     }
 }
 

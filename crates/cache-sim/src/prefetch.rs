@@ -76,19 +76,16 @@ impl PrefetchStats {
     }
 }
 
+/// One stream's training state. Its region tag and LRU stamp live in the
+/// table's lanes, which the per-access search scans.
 #[derive(Debug, Clone, Copy, Default)]
 struct StreamEntry {
-    /// Region tag (page index) this stream tracks.
-    tag: u64,
     /// Last accessed line-granular address in the region.
     last_addr: u64,
     /// Detected stride in bytes (line granular).
     stride: i64,
     /// Confidence in the stride (saturating).
     confidence: u8,
-    /// LRU stamp for entry replacement.
-    lru: u64,
-    valid: bool,
 }
 
 /// A multi-stride prefetcher tracking up to `streams` concurrent strided
@@ -111,6 +108,11 @@ struct StreamEntry {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MultiStridePrefetcher {
+    /// Each slot's region tag; [`NO_REGION`] for a free slot.
+    tags: Vec<u64>,
+    /// Each slot's LRU stamp; 0 for a free slot (stamps start at 1), so a
+    /// free slot is always the least recently used.
+    lrus: Vec<u64>,
     entries: Vec<StreamEntry>,
     degree: usize,
     clock: u64,
@@ -119,6 +121,8 @@ pub struct MultiStridePrefetcher {
 
 /// Region size used to identify streams.
 const REGION_BYTES: u64 = 4096;
+/// The tag of a free slot: no address's region (`addr / 4096`) reaches it.
+const NO_REGION: u64 = u64::MAX;
 /// Confidence needed before prefetching (a delta that repeats once —
 /// i.e. two consecutive equal deltas — makes the stream confident).
 const CONF_THRESHOLD: u8 = 1;
@@ -135,6 +139,8 @@ impl MultiStridePrefetcher {
         assert!(streams > 0, "need at least one stream");
         assert!(degree > 0, "degree must be non-zero");
         MultiStridePrefetcher {
+            tags: vec![NO_REGION; streams],
+            lrus: vec![0; streams],
             entries: vec![StreamEntry::default(); streams],
             degree,
             clock: 0,
@@ -149,32 +155,30 @@ impl MultiStridePrefetcher {
         let region = addr / REGION_BYTES;
         let degree = self.degree;
 
-        let slot = match self.entries.iter().position(|e| e.valid && e.tag == region) {
-            Some(i) => i,
-            None => {
-                // Allocate the LRU slot for this new region.
-                let i = self
-                    .entries
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, e)| if e.valid { e.lru } else { 0 })
-                    .map(|(i, _)| i)
-                    // simlint: allow(unwrap, reason = "the stream table is constructed non-empty")
-                    .expect("non-empty table");
-                self.entries[i] = StreamEntry {
-                    tag: region,
-                    last_addr: addr,
-                    stride: 0,
-                    confidence: 0,
-                    lru: clock,
-                    valid: true,
-                };
-                return PrefetchRun::default();
+        // The tag lane holds every slot's region (a free slot's never
+        // matches), so finding the stream is one scan of it; a miss then
+        // takes the first least recently used slot.
+        let Some(slot) = self.tags.iter().position(|&tag| tag == region) else {
+            let mut victim = 0;
+            let mut oldest = u64::MAX;
+            for (i, &lru) in self.lrus.iter().enumerate() {
+                if lru < oldest {
+                    oldest = lru;
+                    victim = i;
+                }
             }
+            self.tags[victim] = region;
+            self.lrus[victim] = clock;
+            self.entries[victim] = StreamEntry {
+                last_addr: addr,
+                stride: 0,
+                confidence: 0,
+            };
+            return PrefetchRun::default();
         };
 
+        self.lrus[slot] = clock;
         let entry = &mut self.entries[slot];
-        entry.lru = clock;
         let delta = addr as i64 - entry.last_addr as i64;
         entry.last_addr = addr;
         if delta == 0 {
@@ -216,15 +220,164 @@ impl MultiStridePrefetcher {
 
     /// Clears all streams (context switch).
     pub fn flush(&mut self) {
-        for e in &mut self.entries {
-            e.valid = false;
-        }
+        self.tags.fill(NO_REGION);
+        self.lrus.fill(0);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The stream table as it was written with a two-pass search (a
+    /// `position` for the region, then a `min_by_key` for the victim) over
+    /// array-of-structs entries: the reference for the one-pass search.
+    mod reference {
+        use super::super::{PrefetchRun, PrefetchStats, CONF_MAX, CONF_THRESHOLD, REGION_BYTES};
+
+        #[derive(Debug, Clone, Copy, Default)]
+        struct StreamEntry {
+            tag: u64,
+            last_addr: u64,
+            stride: i64,
+            confidence: u8,
+            lru: u64,
+            valid: bool,
+        }
+
+        pub struct Naive {
+            entries: Vec<StreamEntry>,
+            degree: usize,
+            clock: u64,
+            pub stats: PrefetchStats,
+        }
+
+        impl Naive {
+            pub fn new(streams: usize, degree: usize) -> Self {
+                Naive {
+                    entries: vec![StreamEntry::default(); streams],
+                    degree,
+                    clock: 0,
+                    stats: PrefetchStats::default(),
+                }
+            }
+
+            pub fn train(&mut self, addr: u64) -> PrefetchRun {
+                self.clock += 1;
+                let clock = self.clock;
+                let region = addr / REGION_BYTES;
+                let degree = self.degree;
+                let slot = match self.entries.iter().position(|e| e.valid && e.tag == region) {
+                    Some(i) => i,
+                    None => {
+                        let i = self
+                            .entries
+                            .iter()
+                            .enumerate()
+                            .min_by_key(|(_, e)| if e.valid { e.lru } else { 0 })
+                            .map(|(i, _)| i)
+                            .unwrap();
+                        self.entries[i] = StreamEntry {
+                            tag: region,
+                            last_addr: addr,
+                            stride: 0,
+                            confidence: 0,
+                            lru: clock,
+                            valid: true,
+                        };
+                        return PrefetchRun::default();
+                    }
+                };
+                let entry = &mut self.entries[slot];
+                entry.lru = clock;
+                let delta = addr as i64 - entry.last_addr as i64;
+                entry.last_addr = addr;
+                if delta == 0 {
+                    return PrefetchRun::default();
+                }
+                if delta == entry.stride {
+                    entry.confidence = (entry.confidence + 1).min(CONF_MAX);
+                } else {
+                    entry.stride = delta;
+                    entry.confidence = 0;
+                    return PrefetchRun::default();
+                }
+                if entry.confidence < CONF_THRESHOLD {
+                    return PrefetchRun::default();
+                }
+                let stride = entry.stride;
+                let left = (1..=degree as i64)
+                    .take_while(|&k| addr as i64 + stride * k >= 0)
+                    .count();
+                self.stats.issued += left as u64;
+                PrefetchRun {
+                    next: addr.wrapping_add_signed(stride),
+                    stride,
+                    left,
+                }
+            }
+
+            pub fn flush(&mut self) {
+                for e in &mut self.entries {
+                    e.valid = false;
+                }
+            }
+        }
+    }
+
+    /// SplitMix64 (this crate has no RNG dependency).
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn one_pass_search_matches_the_two_pass_reference() {
+        for streams in [1, 4, 16] {
+            for seed in 0..4u64 {
+                let mut rng = seed * 0x1000 + streams as u64;
+                let mut pf = MultiStridePrefetcher::new(streams, 2);
+                let mut naive = reference::Naive::new(streams, 2);
+                // Up to twice as many live streams as slots, each walking
+                // its own region with its own stride (some negative, some
+                // crossing into the next region), among random accesses
+                // near address 0 and across the space.
+                let live = 1 + (splitmix(&mut rng) % (2 * streams as u64 + 1)) as usize;
+                let mut cursors: Vec<(u64, i64)> = (0..live)
+                    .map(|_| {
+                        let base = (splitmix(&mut rng) % (1 << 30)) & !63;
+                        let stride = [64, 128, -64, 192, 512, 0][(splitmix(&mut rng) % 6) as usize];
+                        (base, stride)
+                    })
+                    .collect();
+                for step in 0..20_000u64 {
+                    let r = splitmix(&mut rng);
+                    let addr = match r % 10 {
+                        0 => (r >> 8) & !63,
+                        1 => (r >> 40) & 0x3FC0,
+                        _ => {
+                            let (cur, stride) = &mut cursors[(r >> 8) as usize % live];
+                            *cur = cur.wrapping_add_signed(*stride);
+                            *cur
+                        }
+                    };
+                    assert_eq!(
+                        pf.train(addr),
+                        naive.train(addr),
+                        "{streams} streams, seed {seed}, access {step}"
+                    );
+                    if step % 5_000 == 4_999 {
+                        pf.flush();
+                        naive.flush();
+                    }
+                }
+                assert_eq!(pf.stats(), naive.stats, "{streams} streams, seed {seed}");
+            }
+        }
+    }
 
     #[test]
     fn detects_unit_stride() {

@@ -11,7 +11,10 @@
 //!   NUMA socket, interleave salt), replacing the divergent positional
 //!   `access` signatures;
 //! * [`MemoryPath`] — the memory side of the machine: serve one op
-//!   ([`MemoryPath::serve`]).
+//!   ([`MemoryPath::serve`]);
+//! * [`LanePath`] — the memory side of a core with several timing lanes
+//!   (the members of a lockstep group): an access is decoded once and,
+//!   unless its latency is the same in every lane, served per lane.
 //!
 //! Batched execution is *semantically identical* to per-op execution: the
 //! core serves a batch's ops in buffer order against the same mutable
@@ -309,6 +312,27 @@ impl OpBatch {
 pub trait MemoryPath {
     /// Serves one access at cycle `now`, returning its latency in cycles.
     fn serve(&mut self, addr: u64, attrs: OpAttrs, now: u64) -> u64;
+}
+
+/// The memory side of a core with several *lanes*: members of a lockstep
+/// group that run one program and differ only in time
+/// ([`crate::core::Core::with_lanes`]).
+///
+/// The core calls [`LanePath::begin`] once per memory op, in buffer order.
+/// When it returns a latency, every lane sees that latency and no lane's
+/// own memory takes part, so the core settles all lanes from it alone;
+/// otherwise the core calls [`LanePath::serve_lane`] once per lane, in lane
+/// order, each at that lane's issue time. A plain [`MemoryPath`] is the
+/// one-lane case that always answers per lane.
+pub trait LanePath {
+    /// Begins the next access, to `addr` with `attrs`. Returns its latency
+    /// when it is the same in every lane and needs nothing of any lane's
+    /// own memory; `None` asks for [`LanePath::serve_lane`] per lane.
+    fn begin(&mut self, addr: u64, attrs: OpAttrs) -> Option<u64>;
+
+    /// Serves the access begun last in `lane`, issued at cycle `now`,
+    /// returning its latency in cycles.
+    fn serve_lane(&mut self, lane: usize, now: u64) -> u64;
 }
 
 #[cfg(test)]

@@ -6,6 +6,15 @@
 //! fixed-size [`batch::OpBatch`] buffers. Simple models implement only
 //! [`batch::MemoryPath::serve`].
 //!
+//! One core can step several *lanes* at once: the members of a lockstep
+//! sweep group, which run one program and differ only in time. The core
+//! keeps what the op stream decides once and each member's timing in its
+//! lane ([`core::Core::with_lanes`]); [`core::Core::step_group`] decodes
+//! each op once and serves it through a [`batch::LanePath`], which answers
+//! with one latency for every lane when it can and per lane otherwise. A
+//! one-lane core is the same model: a [`batch::MemoryPath`] serves its
+//! one lane.
+//!
 //! The model captures what memory-system studies need — issue bandwidth,
 //! ROB-bounded miss overlap, load-queue-bounded MLP, and dependent-load
 //! serialization — at a fraction of the cost of a full pipeline simulator.
@@ -29,7 +38,7 @@ pub mod kv;
 pub mod stats;
 pub mod trace;
 
-pub use crate::batch::{MemoryPath, OpAttrs, OpBatch, OpKind, BATCH_CAPACITY};
+pub use crate::batch::{LanePath, MemoryPath, OpAttrs, OpBatch, OpKind, BATCH_CAPACITY};
 pub use crate::core::{Core, CoreConfig, CoreStats};
 pub use crate::kv::{KvPairs, KvValue};
 pub use crate::stats::LatencyHistogram;

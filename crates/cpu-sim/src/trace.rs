@@ -7,7 +7,7 @@
 //! abstraction level for memory-hierarchy simulation (the paper's zsim
 //! substrate drives its cache models the same way).
 
-use crate::batch::{MemoryPath, OpAttrs};
+use crate::batch::{LanePath, MemoryPath, OpAttrs};
 
 /// One event in an instruction trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,6 +76,19 @@ pub struct FixedLatency {
 impl MemoryPath for FixedLatency {
     #[inline]
     fn serve(&mut self, _addr: u64, _attrs: OpAttrs, _now: u64) -> u64 {
+        self.latency
+    }
+}
+
+/// Every lane sees the fixed latency, so no access is served per lane.
+impl LanePath for FixedLatency {
+    #[inline]
+    fn begin(&mut self, _addr: u64, _attrs: OpAttrs) -> Option<u64> {
+        Some(self.latency)
+    }
+
+    #[inline]
+    fn serve_lane(&mut self, _lane: usize, _now: u64) -> u64 {
         self.latency
     }
 }

@@ -29,7 +29,7 @@ use cache_sim::hierarchy::{Hierarchy, XmemContext};
 use cache_sim::CacheConfig;
 use cpu_sim::batch::{MemoryPath, OpAttrs, OpBatch, OpKind};
 use cpu_sim::core::Core;
-use cpu_sim::trace::Op;
+use cpu_sim::trace::{FixedLatency, Op};
 use dram_sim::{AddressMapping, Dram, DramConfig};
 use os_sim::loader::load_segment;
 use os_sim::os::Os;
@@ -288,9 +288,9 @@ struct SamplingState {
     windows: Vec<Counters>,
 }
 
-/// One member of the machine: the timing tier. It owns the member's cores
-/// (its DRAM is the hierarchy's DRAM of the same index), its telemetry and
-/// sampling counters, and it assembles the member's report.
+/// One member of the machine: the timing tier. It reads the member's lane
+/// of core 0 and the hierarchy's DRAM of the same index, owns its
+/// telemetry and sampling counters, and assembles the member's report.
 ///
 /// Everything a leaf reads outside itself is either time-free state of the
 /// front or of its L3 node, or XMem state that only an XMem member reads:
@@ -298,9 +298,9 @@ struct SamplingState {
 /// as absent, exactly as a Baseline machine of its own would count them.
 #[derive(Debug)]
 struct Leaf {
-    /// This member's index in the group (and its DRAM's in the hierarchy).
+    /// This member's index in the group: its lane of each core and its
+    /// DRAM's index in the hierarchy.
     member: usize,
-    cores: Vec<Core>,
     /// Whether this member runs XMem.
     xmem: bool,
     /// Instruction count at which the next telemetry sample fires.
@@ -310,9 +310,6 @@ struct Leaf {
     /// Interval-sampling state; `None` (full detail everywhere) unless
     /// [`Leaf::enable_sampling`] armed a schedule.
     sampling: Option<SamplingState>,
-    /// Fixed latency warm-phase loads retire with (the L1 hit latency):
-    /// cheap, deterministic, and close enough for functional warmup.
-    warm_load_latency: u64,
 }
 
 impl Leaf {
@@ -349,7 +346,7 @@ impl Leaf {
     /// Marks a detailed window in progress and, once its ramp has run,
     /// snapshots the cumulative counters so the window's features are pure
     /// steady-state deltas. Idempotent within a window.
-    fn open_window(&mut self, mem: &MemSystem) {
+    fn open_window(&mut self, core: &Core, mem: &MemSystem) {
         let need_snap = match self.sampling.as_mut() {
             Some(st) => {
                 st.window_active = true;
@@ -358,7 +355,7 @@ impl Leaf {
             None => false,
         };
         if need_snap {
-            let snap = self.snapshot(mem);
+            let snap = self.snapshot(core, mem);
             if let Some(st) = self.sampling.as_mut() {
                 st.window_start = Some(snap);
             }
@@ -368,7 +365,7 @@ impl Leaf {
     /// Closes the in-progress detailed window (no-op when none is),
     /// recording its feature vector if the ramp completed and a measured
     /// segment exists.
-    fn close_window(&mut self, mem: &MemSystem) {
+    fn close_window(&mut self, core: &Core, mem: &MemSystem) {
         let start = match self.sampling.as_mut() {
             Some(st) if st.window_active => {
                 st.window_active = false;
@@ -381,7 +378,7 @@ impl Leaf {
             // The window ended inside its ramp: nothing measured.
             return;
         };
-        let window = self.snapshot(mem).since(&start);
+        let window = self.snapshot(core, mem).since(&start);
         // simlint: allow(unwrap, reason = "guarded by the window_active match above: sampling state is present")
         let st = self.sampling.as_mut().expect("sampling state present");
         st.windows.push(window);
@@ -393,14 +390,19 @@ impl Leaf {
     /// before the following phase edge or ramp snapshot. Unsampled, every
     /// op is detailed and nothing here splits the run. The answer depends
     /// on op counts only, so every leaf of a group gives the same one.
-    fn enter_phase(&mut self, mem: &MemSystem, remaining: usize) -> (SamplePhase, usize) {
+    fn enter_phase(
+        &mut self,
+        core: &Core,
+        mem: &MemSystem,
+        remaining: usize,
+    ) -> (SamplePhase, usize) {
         let Some(st) = self.sampling.as_ref() else {
             return (SamplePhase::Detailed, remaining);
         };
         let phase = st.spec.phase_of(st.ops_seen);
         let mut run = st.spec.phase_run(st.ops_seen);
         if phase == SamplePhase::Detailed {
-            self.open_window(mem);
+            self.open_window(core, mem);
             // simlint: allow(unwrap, reason = "checked at entry; open_window does not clear the sampling state")
             let st = self.sampling.as_ref().expect("sampling state present");
             if st.window_start.is_none() {
@@ -409,7 +411,7 @@ impl Leaf {
                 run = run.min(st.ramp - st.window_detailed);
             }
         } else {
-            self.close_window(mem);
+            self.close_window(core, mem);
         }
         (phase, run.min(remaining as u64) as usize)
     }
@@ -436,9 +438,15 @@ impl Leaf {
     /// load or store retires one instruction and a `Compute` op the count
     /// in its address lane, so the split lands on exactly the op after
     /// which the per-op path's boundary check fires.
-    fn sample_split(&self, batch: &OpBatch, start: usize, end: usize) -> (usize, bool) {
+    fn sample_split(
+        &self,
+        core: &Core,
+        batch: &OpBatch,
+        start: usize,
+        end: usize,
+    ) -> (usize, bool) {
         // Positive: every sample re-arms the boundary above the count.
-        let mut room = self.next_sample_at - self.cores[0].instructions();
+        let mut room = self.next_sample_at - core.instructions();
         // An op retires at most `u32::MAX` instructions (an `Op::Compute`
         // count), so a boundary this far out cannot fall in the range.
         if room > (end - start) as u64 * u64::from(u32::MAX) {
@@ -458,8 +466,8 @@ impl Leaf {
     }
 
     /// Captures the current cumulative counters across all layers.
-    fn snapshot(&self, mem: &MemSystem) -> Counters {
-        let core = self.cores[0].stats();
+    fn snapshot(&self, core: &Core, mem: &MemSystem) -> Counters {
+        let core = core.lane_stats(self.member);
         let h = &mem.hierarchy;
         let dram = h.member_dram(self.member);
         let dram_stats = dram.stats();
@@ -491,14 +499,14 @@ impl Leaf {
 
     /// Closes the current epoch: records per-epoch deltas plus
     /// instantaneous gauges, then arms the next boundary.
-    fn take_sample(&mut self, mem: &MemSystem) {
+    fn take_sample(&mut self, core: &Core, mem: &MemSystem) {
         let Some(prev) = self.telemetry.as_ref().map(|t| t.prev) else {
             // Not enabled — only reachable if `next_sample_at` was armed
             // without state; disarm so the per-op check stays cold.
             self.next_sample_at = u64::MAX;
             return;
         };
-        let cur = self.snapshot(mem);
+        let cur = self.snapshot(core, mem);
         let delta = cur.since(&prev);
         let h = &mem.hierarchy;
         let dram = h.member_dram(self.member);
@@ -506,14 +514,14 @@ impl Leaf {
         let sample = TelemetrySample {
             instructions: cur.instructions,
             cycles: cur.cycles,
-            rob_load_occupancy: self.cores[0].rob_load_occupancy() as u64,
-            outstanding_loads: self.cores[0].outstanding_loads() as u64,
+            rob_load_occupancy: core.rob_load_occupancy() as u64,
+            outstanding_loads: core.lane_outstanding_loads(self.member) as u64,
             l2_psel: h.l2_psel() as f64,
             l3_psel: h.member_l3_psel(self.member) as f64,
             prefetch_issued: delta.prefetch_issued,
             prefetch_useful: delta.prefetch_useful,
             bank_busy_fraction: ratio(delta.busy_bank_cycles, delta.cycles * total_banks),
-            queue_depth: dram.queued_requests(self.cores[0].now()) as f64,
+            queue_depth: dram.queued_requests(core.lane_now(self.member)) as f64,
             amu_invalidations: delta.amu_invalidations,
             ..TelemetrySample::default()
         }
@@ -532,8 +540,8 @@ impl Leaf {
     /// not dropped) and flushes the trailing partial telemetry epoch, so
     /// the series always covers the whole run. `lib` has counted the
     /// program's instructions.
-    fn finish(mut self, mem: &MemSystem, lib: &XMemLib) -> RunOutput {
-        self.close_window(mem);
+    fn finish(mut self, core: &Core, mem: &MemSystem, lib: &XMemLib) -> RunOutput {
+        self.close_window(core, mem);
         let sampling = self.sampling.take().map(|st| {
             SamplingSummary::from_windows(
                 st.spec,
@@ -544,8 +552,8 @@ impl Leaf {
             )
         });
         if let Some(state) = &self.telemetry {
-            if self.cores[0].instructions() > state.prev.instructions {
-                self.take_sample(mem);
+            if core.instructions() > state.prev.instructions {
+                self.take_sample(core, mem);
             }
         }
         let telemetry = self.telemetry.take().map(|t| t.series);
@@ -561,7 +569,7 @@ impl Leaf {
             (AlbStats::default(), 0, 0.0)
         };
         let report = RunReport {
-            core: self.cores[0].stats(),
+            core: core.lane_stats(m),
             l1: h.l1_stats(),
             l2: h.l2_stats(),
             l3: h.member_l3_stats(m),
@@ -586,17 +594,22 @@ impl Leaf {
 /// A machine simulates one *group*: members that differ only below the
 /// private caches ([`GroupKey`]) share one front — the OS, translate
 /// cache, TLB, warm-line filter, AMU/ALB/PATs, `XMemLib` and the private
-/// L1/L2 — while each member has its own leaf (cores, telemetry,
-/// sampling, report) and, through the hierarchy, its own L3 node and
-/// DRAM. A one-member machine serves each access through all tiers at
-/// once; a larger group runs each stretch of a batch through the front
-/// once and fans it out (see `op_batch`).
+/// L1/L2 — and one core model with a timing lane per member, while each
+/// member has its own leaf (telemetry, sampling, report) and, through the
+/// hierarchy, its own L3 node and DRAM. A one-member machine serves each
+/// access through all tiers at once; a larger group runs each stretch of a
+/// batch through the front once and fans it out (see `op_batch`).
 #[derive(Debug)]
 pub struct Machine {
     mem: MemSystem,
     lib: XMemLib,
     labels: BTreeMap<String, AtomId>,
     next_site: u32,
+    /// The cores, each with one lane per member.
+    cores: Vec<Core>,
+    /// Fixed latency warm-phase loads retire with (the L1 hit latency):
+    /// cheap, deterministic, and close enough for functional warmup.
+    warm_load_latency: u64,
     leaves: Vec<Leaf>,
 }
 
@@ -607,8 +620,9 @@ const SINK_SITE_FILE: &str = "<workload>";
 /// keys are equal (on the same workload) produce identical front state —
 /// the same OS page table, translations, TLB, AMU contents, PATs and
 /// private-cache contents — so one machine can simulate them all as a
-/// group. The L3, stride prefetching, the XMem mode, DRAM timing, the
-/// Ideal-RBL DRAM and the core sit below the key, per member.
+/// group. The L3, stride prefetching, the XMem mode, DRAM timing and the
+/// Ideal-RBL DRAM sit below the key, per member. The core's shape is in
+/// the key: the members step one core model, each in a lane of its own.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GroupKey {
     frame_policy: FramePolicyKind,
@@ -621,6 +635,8 @@ pub struct GroupKey {
     l2: CacheConfig,
     /// The attribute translator's row size.
     row_bytes: u64,
+    /// The core's issue width, ROB entries and load-queue entries.
+    core: (u32, usize, usize),
 }
 
 impl GroupKey {
@@ -635,6 +651,11 @@ impl GroupKey {
             l1: config.hierarchy.l1,
             l2: config.hierarchy.l2,
             row_bytes: config.dram.row_bytes,
+            core: (
+                config.core.issue_width,
+                config.core.rob_entries,
+                config.core.lq_entries,
+            ),
         }
     }
 }
@@ -716,12 +737,10 @@ impl Machine {
             .enumerate()
             .map(|(member, c)| Leaf {
                 member,
-                cores: (0..cores).map(|_| Core::new(c.core)).collect(),
                 xmem: member_xmem(c),
                 next_sample_at: u64::MAX,
                 telemetry: None,
                 sampling: None,
-                warm_load_latency: c.hierarchy.l1.latency,
             })
             .collect();
         Machine {
@@ -743,6 +762,10 @@ impl Machine {
             lib,
             labels: BTreeMap::new(),
             next_site: 0,
+            cores: (0..cores)
+                .map(|_| Core::with_lanes(config.core, configs.len()))
+                .collect(),
+            warm_load_latency: config.hierarchy.l1.latency,
             leaves,
         }
     }
@@ -752,12 +775,12 @@ impl Machine {
     #[inline]
     pub(crate) fn step_core(&mut self, core: usize, op: Op) {
         self.mem.core = core;
-        self.leaves[0].cores[core].step(op, &mut self.mem);
+        self.cores[core].step(op, &mut self.mem);
     }
 
-    /// The first member's cores, in index order.
+    /// The cores, in index order.
     pub(crate) fn cores(&self) -> &[Core] {
-        &self.leaves[0].cores
+        &self.cores
     }
 
     /// The cache hierarchy and DRAM shared by the cores.
@@ -774,6 +797,7 @@ impl Machine {
     /// schedule.
     fn sampled_op(&mut self, op: Op) {
         let leaf = &mut self.leaves[0];
+        let core = &mut self.cores[0];
         // simlint: allow(unwrap, reason = "only called from the sampled dispatch, which checked sampling.is_some()")
         let st = leaf.sampling.as_ref().expect("sampling state present");
         let spec = st.spec;
@@ -781,8 +805,8 @@ impl Machine {
         let window_active = st.window_active;
         match phase {
             SamplePhase::Detailed => {
-                leaf.open_window(&self.mem);
-                leaf.cores[0].step(op, &mut self.mem);
+                leaf.open_window(core, &self.mem);
+                core.step(op, &mut self.mem);
                 if let Some(st) = leaf.sampling.as_mut() {
                     st.detailed_ops += 1;
                     st.window_detailed += 1;
@@ -790,21 +814,21 @@ impl Machine {
             }
             SamplePhase::Warm => {
                 if window_active {
-                    leaf.close_window(&self.mem);
+                    leaf.close_window(core, &self.mem);
                 }
                 match op {
                     Op::Load { addr, .. } => self.mem.warm_access(addr, false),
                     Op::Store { addr } => self.mem.warm_access(addr, true),
                     Op::Compute(_) => {}
                 }
-                leaf.cores[0].step_fixed(op, leaf.warm_load_latency);
+                core.step_fixed(op, self.warm_load_latency);
                 if let Some(st) = leaf.sampling.as_mut() {
                     st.warm_ops += 1;
                 }
             }
             SamplePhase::FastForward => {
                 if window_active {
-                    leaf.close_window(&self.mem);
+                    leaf.close_window(core, &self.mem);
                 }
                 // Functional warming: caches, TLB, DRAM rows and AMU stats
                 // stay live through the fast-forward, or every window would
@@ -816,120 +840,82 @@ impl Machine {
                     Op::Store { addr } => self.mem.warm_access(addr, true),
                     Op::Compute(_) => {}
                 }
-                leaf.cores[0].skip(op);
+                core.skip(op);
             }
         }
         if let Some(st) = leaf.sampling.as_mut() {
             st.ops_seen += 1;
         }
-        if leaf.cores[0].instructions() >= leaf.next_sample_at {
-            leaf.take_sample(&self.mem);
+        if core.instructions() >= leaf.next_sample_at {
+            leaf.take_sample(core, &self.mem);
         }
     }
 
-    /// Runs ops `start..end` of `batch` in `phase` on a one-member
-    /// machine: each access served through all tiers at once.
+    /// Runs ops `start..end` of `batch` in `phase`. The memory side goes
+    /// first where it is time-free: a warming stretch warms every member's
+    /// memory state, and a group's detailed stretch runs through the front
+    /// and the L3 nodes. Then core 0 steps the stretch once for all its
+    /// lanes: a detailed stretch against the memory system (a one-member
+    /// machine serves each access through all tiers at once; a group
+    /// replays the nodes' DRAM requests into each member's DRAM at its own
+    /// times), a warm stretch at the fixed L1 latency, and a fast-forward
+    /// stretch as one tally.
     fn run_stretch(&mut self, phase: SamplePhase, batch: &OpBatch, start: usize, end: usize) {
-        let leaf = &mut self.leaves[0];
-        match phase {
-            SamplePhase::Detailed => {
-                leaf.cores[0].step_batch_range(batch, start, end, &mut self.mem);
-            }
-            SamplePhase::Warm => {
-                for j in start..end {
-                    match batch.kind(j) {
-                        OpKind::Load => self.mem.warm_access(batch.addr(j), false),
-                        OpKind::Store => self.mem.warm_access(batch.addr(j), true),
-                        OpKind::Compute => {}
-                    }
-                    leaf.cores[0].step_fixed(batch.op(j), leaf.warm_load_latency);
-                }
-            }
-            SamplePhase::FastForward => {
-                // Functional warming, as in `sampled_op`: memory state
-                // stays live through the fast-forward; only the core's
-                // timing is skipped. Loads/stores tally into one bulk
-                // skip (instant-retiring skips are order-free), so the
-                // loop's only per-op work is the warm access itself.
-                let mut loads = 0u64;
-                let mut stores = 0u64;
-                for j in start..end {
-                    match batch.kind(j) {
-                        OpKind::Load => {
-                            self.mem.warm_access(batch.addr(j), false);
-                            loads += 1;
-                        }
-                        OpKind::Store => {
-                            self.mem.warm_access(batch.addr(j), true);
-                            stores += 1;
-                        }
-                        OpKind::Compute => leaf.cores[0].skip(batch.op(j)),
-                    }
-                }
-                leaf.cores[0].skip_bulk(loads, stores);
-            }
+        let group = self.leaves.len() > 1;
+        if group {
+            self.mem.hierarchy.begin_stretch();
         }
-    }
-
-    /// Runs ops `start..end` of `batch` in `phase` on a group: the front
-    /// runs the stretch once, every L3 node runs what reached below the
-    /// private levels, and then every leaf runs its core over the stretch
-    /// with its DRAM replaying its node's requests at its own times.
-    fn fan_out_stretch(&mut self, phase: SamplePhase, batch: &OpBatch, start: usize, end: usize) {
-        self.mem.hierarchy.begin_stretch();
         let detailed = phase == SamplePhase::Detailed;
-        for j in start..end {
-            let is_write = match batch.kind(j) {
-                OpKind::Load => false,
-                OpKind::Store => true,
-                OpKind::Compute => continue,
-            };
-            if detailed {
-                self.mem.record(batch.addr(j), is_write);
-            } else {
-                self.mem.record_warm(batch.addr(j), is_write);
+        if group || !detailed {
+            for j in start..end {
+                let is_write = match batch.kind(j) {
+                    OpKind::Load => false,
+                    OpKind::Store => true,
+                    OpKind::Compute => continue,
+                };
+                match (group, detailed) {
+                    (true, true) => self.mem.record(batch.addr(j), is_write),
+                    (true, false) => self.mem.record_warm(batch.addr(j), is_write),
+                    // Functional warming, as in `sampled_op`: memory state
+                    // stays live through warm and fast-forward stretches.
+                    (false, _) => self.mem.warm_access(batch.addr(j), is_write),
+                }
             }
         }
-        self.mem.fan_out();
-        for leaf in &mut self.leaves {
-            let replay = self.mem.hierarchy.replay(leaf.member);
-            let core = &mut leaf.cores[0];
-            match phase {
-                SamplePhase::Detailed => {
-                    let mut replay = replay;
-                    core.step_batch_range(batch, start, end, &mut replay);
-                    debug_assert!(replay.is_done(), "the leaf served every access");
-                }
-                SamplePhase::Warm => {
-                    replay.warm();
-                    for j in start..end {
-                        core.step_fixed(batch.op(j), leaf.warm_load_latency);
-                    }
-                }
-                SamplePhase::FastForward => {
-                    replay.warm();
-                    for j in start..end {
-                        core.skip(batch.op(j));
-                    }
-                }
+        if group {
+            self.mem.fan_out();
+            if !detailed {
+                self.mem.hierarchy.warm_members();
             }
+        }
+        let core = &mut self.cores[0];
+        match phase {
+            SamplePhase::Detailed if group => {
+                let mut replay = self.mem.hierarchy.group_replay();
+                core.step_group(batch, start, end, &mut replay);
+                debug_assert!(replay.is_done(), "the lanes served every access");
+            }
+            SamplePhase::Detailed => core.step_batch_range(batch, start, end, &mut self.mem),
+            SamplePhase::Warm => core.step_group(
+                batch,
+                start,
+                end,
+                &mut FixedLatency {
+                    latency: self.warm_load_latency,
+                },
+            ),
+            SamplePhase::FastForward => core.skip_batch_range(batch, start, end),
         }
     }
 
     /// Everything the run produced, one output per member in member order.
     fn finish(mut self) -> Vec<RunOutput> {
-        let instructions = self.leaves[0].cores[0].instructions();
-        debug_assert!(
-            self.leaves
-                .iter()
-                .all(|l| l.cores[0].instructions() == instructions),
-            "every member retires the same program"
-        );
+        let instructions = self.cores[0].instructions();
         self.lib.counter_mut().count_program(instructions);
-        let (mem, lib) = (&self.mem, &self.lib);
+        let (core, mem, lib) = (&self.cores[0], &self.mem, &self.lib);
         self.leaves
             .into_iter()
-            .map(|leaf| leaf.finish(mem, lib))
+            .map(|leaf| leaf.finish(core, mem, lib))
             .collect()
     }
 }
@@ -994,10 +980,10 @@ impl TraceSink for Machine {
             self.sampled_op(op);
             return;
         }
-        let leaf = &mut self.leaves[0];
-        leaf.cores[0].step(op, &mut self.mem);
-        if leaf.cores[0].instructions() >= leaf.next_sample_at {
-            leaf.take_sample(&self.mem);
+        let (leaf, core) = (&mut self.leaves[0], &mut self.cores[0]);
+        core.step(op, &mut self.mem);
+        if core.instructions() >= leaf.next_sample_at {
+            leaf.take_sample(core, &self.mem);
         }
     }
 
@@ -1016,22 +1002,18 @@ impl TraceSink for Machine {
         while i < len {
             let mut stretch = None;
             for leaf in &mut self.leaves {
-                let s = leaf.enter_phase(&self.mem, len - i);
+                let s = leaf.enter_phase(&self.cores[0], &self.mem, len - i);
                 debug_assert!(stretch.is_none_or(|t| t == s), "members split alike");
                 stretch = Some(s);
             }
             // simlint: allow(unwrap, reason = "a machine has at least one member")
             let (phase, run) = stretch.expect("a machine has a member");
-            let (end, sample_due) = self.leaves[0].sample_split(batch, i, i + run);
-            if self.leaves.len() == 1 {
-                self.run_stretch(phase, batch, i, end);
-            } else {
-                self.fan_out_stretch(phase, batch, i, end);
-            }
+            let (end, sample_due) = self.leaves[0].sample_split(&self.cores[0], batch, i, i + run);
+            self.run_stretch(phase, batch, i, end);
             for leaf in &mut self.leaves {
                 leaf.account(phase, end - i);
                 if sample_due {
-                    leaf.take_sample(&self.mem);
+                    leaf.take_sample(&self.cores[0], &self.mem);
                 }
             }
             i = end;

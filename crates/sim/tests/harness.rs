@@ -639,3 +639,25 @@ fn groups_with_a_tlb_match_standalone_runs() {
         }
     }
 }
+
+/// The core's shape is part of the group key: members step one core
+/// model in lanes of their own, so two points that differ only in ROB
+/// size run as two groups, and each still matches its own run.
+#[test]
+fn a_different_rob_makes_a_different_group() {
+    let mut specs = gemm_group();
+    specs.truncate(2);
+    specs[1].config = specs[0].config;
+    specs[1].config.core.rob_entries = 8;
+    specs[1].label = format!("{}/rob=8", specs[0].label);
+    let sweep = Sweep::new(specs.clone()).workers(1);
+    assert_eq!(sweep.groups(), vec![vec![0], vec![1]]);
+    let records = sweep.run();
+    for (spec, r) in specs.iter().zip(&records) {
+        assert_eq!(rendered(r), rendered(&standalone(spec)), "{}", spec.label);
+    }
+    assert_ne!(
+        records[0].report.core.cycles, records[1].report.core.cycles,
+        "the ROB size shows in the timing"
+    );
+}

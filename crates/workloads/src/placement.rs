@@ -422,40 +422,52 @@ impl PlacementWorkload {
             bases.push(base);
         }
 
-        // Deterministic weighted interleave with per-structure cursors.
-        let total_weight: u32 = self.structs.iter().map(|s| s.weight).sum();
-        let mut cursors = vec![0u64; self.structs.len()];
+        // Deterministic weighted interleave: turn `pick` of every
+        // `total_weight` goes to `owner[pick]`, the structure whose
+        // cumulative weight first exceeds `pick`, which spreads each
+        // structure's turns evenly.
+        let owner: Vec<usize> = self
+            .structs
+            .iter()
+            .enumerate()
+            .flat_map(|(i, s)| std::iter::repeat_n(i, s.weight as usize))
+            .collect();
+        // Stream and strided structures walk a byte offset that advances
+        // by `step` (the stride modulo the size) and wraps at the size:
+        // `(cursor * stride) % bytes` for the cursor-th access, without
+        // the division.
+        let step: Vec<u64> = self
+            .structs
+            .iter()
+            .map(|s| match s.kind {
+                AccessKind::Stream => 64 % (s.kib << 10),
+                AccessKind::Strided(stride) => stride.unsigned_abs().max(64) % (s.kib << 10),
+                AccessKind::Random | AccessKind::PointerChase => 0,
+            })
+            .collect();
+        let mut offsets = vec![0u64; self.structs.len()];
         let mut rngs: Vec<u64> = (0..self.structs.len())
             .map(|i| 0x9E3779B97F4A7C15u64 ^ (i as u64) << 32 ^ self.accesses)
             .collect();
         let mut acc = 0u64;
-        let mut pick = 0u64;
+        let mut pick = 0usize;
         while acc < self.accesses {
-            // Weighted round-robin: spread each structure's turns evenly.
-            pick = (pick + 1) % total_weight as u64;
-            let mut cum = 0u32;
-            let mut idx = 0usize;
-            for (i, s) in self.structs.iter().enumerate() {
-                cum += s.weight;
-                if (pick as u32) < cum {
-                    idx = i;
-                    break;
-                }
+            pick += 1;
+            if pick == owner.len() {
+                pick = 0;
             }
+            let idx = owner[pick];
             let spec = &self.structs[idx];
             let bytes = spec.kib << 10;
             let base = bases[idx];
-            let cursor = &mut cursors[idx];
             let addr = match spec.kind {
-                AccessKind::Stream => {
-                    let a = base + (*cursor * 64) % bytes;
-                    *cursor += 1;
-                    a
-                }
-                AccessKind::Strided(stride) => {
-                    let s = stride.unsigned_abs().max(64);
-                    let a = base + (*cursor * s) % bytes;
-                    *cursor += 1;
+                AccessKind::Stream | AccessKind::Strided(_) => {
+                    let offset = &mut offsets[idx];
+                    let a = base + *offset;
+                    *offset += step[idx];
+                    if *offset >= bytes {
+                        *offset -= bytes;
+                    }
                     a
                 }
                 AccessKind::Random | AccessKind::PointerChase => {
@@ -505,6 +517,116 @@ mod tests {
 
     fn memory_ops(log: &LogSink) -> usize {
         log.ops().filter(Op::is_memory).count()
+    }
+
+    /// The access loop as it was written with a division per access (a
+    /// modulo for the turn, a cumulative-weight walk for the structure and
+    /// `(cursor * stride) % bytes` for the address): the reference the
+    /// table-driven loop must reproduce event for event.
+    fn generate_reference(w: &PlacementWorkload, sink: &mut LogSink) {
+        let max_weight = w.structs.iter().map(|s| s.weight).max().unwrap_or(1);
+        let mut bases = Vec::with_capacity(w.structs.len());
+        for spec in &w.structs {
+            let attrs = AtomAttributes::builder()
+                .data_type(DataType::Float64)
+                .access_pattern(spec.kind.pattern())
+                .rw(if spec.write_pct == 0 {
+                    RwChar::ReadOnly
+                } else {
+                    RwChar::ReadWrite
+                })
+                .intensity(AccessIntensity(
+                    (spec.weight * 255 / max_weight).min(255) as u8
+                ))
+                .build();
+            let atom = sink.create_atom(spec.name, attrs);
+            let bytes = spec.kib << 10;
+            let base = sink.alloc(bytes, Some(atom));
+            sink.map(atom, base, bytes);
+            sink.activate(atom);
+            bases.push(base);
+        }
+        let total_weight: u32 = w.structs.iter().map(|s| s.weight).sum();
+        let mut cursors = vec![0u64; w.structs.len()];
+        let mut rngs: Vec<u64> = (0..w.structs.len())
+            .map(|i| 0x9E3779B97F4A7C15u64 ^ (i as u64) << 32 ^ w.accesses)
+            .collect();
+        let mut acc = 0u64;
+        let mut pick = 0u64;
+        while acc < w.accesses {
+            pick = (pick + 1) % total_weight as u64;
+            let mut cum = 0u32;
+            let mut idx = 0usize;
+            for (i, s) in w.structs.iter().enumerate() {
+                cum += s.weight;
+                if (pick as u32) < cum {
+                    idx = i;
+                    break;
+                }
+            }
+            let spec = &w.structs[idx];
+            let bytes = spec.kib << 10;
+            let base = bases[idx];
+            let cursor = &mut cursors[idx];
+            let addr = match spec.kind {
+                AccessKind::Stream => {
+                    let a = base + (*cursor * 64) % bytes;
+                    *cursor += 1;
+                    a
+                }
+                AccessKind::Strided(stride) => {
+                    let s = stride.unsigned_abs().max(64);
+                    let a = base + (*cursor * s) % bytes;
+                    *cursor += 1;
+                    a
+                }
+                AccessKind::Random | AccessKind::PointerChase => {
+                    let r = splitmix64(&mut rngs[idx]);
+                    base + (r % (bytes / 64)) * 64
+                }
+            };
+            let is_write = (splitmix64(&mut rngs[idx]) % 100) < spec.write_pct as u64;
+            if is_write {
+                sink.store(addr);
+            } else if spec.kind == AccessKind::PointerChase {
+                sink.load_dep(addr);
+            } else {
+                sink.load(addr);
+            }
+            sink.compute(w.compute_per_access);
+            acc += 1;
+        }
+        for (spec, base) in w.structs.iter().zip(&bases) {
+            let atom = sink.create_atom(spec.name, AtomAttributes::default());
+            sink.deactivate(atom);
+            sink.unmap(*base, spec.kib << 10);
+        }
+    }
+
+    fn assert_matches_reference(w: &PlacementWorkload) {
+        let mut got = LogSink::new();
+        w.generate(&mut got);
+        let mut want = LogSink::new();
+        generate_reference(w, &mut want);
+        assert!(got.events() == want.events(), "{}: trace differs", w.name);
+    }
+
+    #[test]
+    fn generator_matches_the_reference_loop_on_every_mix() {
+        for mut w in PlacementWorkload::all() {
+            w.accesses = 20_011;
+            assert_matches_reference(&w);
+        }
+    }
+
+    #[test]
+    fn generator_matches_the_reference_loop_at_full_size() {
+        // One stream-dominated mix and one with strided structures, at
+        // their full access counts: every wrap of every offset is covered.
+        for name in ["libquantum", "milc"] {
+            let w = PlacementWorkload::by_name(name).expect("a known mix");
+            assert_matches_reference(&w);
+        }
     }
 
     #[test]
